@@ -9,8 +9,10 @@ conversion of a rational surgery coefficient into a chain of integer
 framings: entry c0 corresponds to a knot that gets -c0 - 1 stabilizations
 and every later entry ci to a pushoff with -ci - 2 stabilizations.
 
-All arithmetic is exact.  Scalars are `fractions.Fraction` (arbitrary
-precision), so no coefficient can overflow or lose precision.
+All arithmetic is exact.  Rationals cross the API as `fractions.Fraction`;
+inside, both directions run a Euclid-style loop on an integer pair
+(p, q) of arbitrary precision, so no coefficient can overflow or lose
+precision.
 """
 
 from __future__ import annotations
@@ -57,21 +59,22 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
 
     The leading entry is floor(r) (r itself when integral); the remainder
     recurses on -1/(r - floor(r)), which is always < -1, so every tail
-    entry lands at or below -2.
+    entry lands at or below -2.  On r = p/q in lowest terms with q > 0
+    one step is c = p // q, (p, q) -> (-q, p - c*q): the pair stays in
+    lowest terms and q stays positive.
 
     Raises NonNegativeCoefficient for r >= 0.
     """
     r = Fraction(r)
     if r >= 0:
         raise NonNegativeCoefficient(f"expected a negative coefficient, got {r}")
+    p, q = r.numerator, r.denominator
     entries = []
-    while True:
-        if r.denominator == 1:
-            entries.append(r.numerator)
-            break
-        c = r.numerator // r.denominator  # floor for negative r
+    while q != 1:
+        c = p // q  # floor for negative r
         entries.append(c)
-        r = -1 / (r - c)
+        p, q = -q, p - c * q
+    entries.append(p)
     return NegContinuedFraction(tuple(entries))
 
 
@@ -79,13 +82,13 @@ def neg_cf_value(cf: NegContinuedFraction) -> Fraction:
     """Evaluate c0 - 1/(c1 - 1/(... - 1/cm)) exactly.
 
     Inverse of neg_cf_expand; serves as the back-substitution oracle in
-    round-trip tests.  The entry bounds keep every partial tail below -1,
-    so no division by zero can occur.
+    round-trip tests.  A tail p/q becomes c - q/p = (c*p - q)/p.  The
+    entry bounds keep every partial tail below -1, so p is never zero.
     """
-    value = Fraction(cf.entries[-1])
+    p, q = cf.entries[-1], 1
     for c in reversed(cf.entries[:-1]):
-        value = c - 1 / value
-    return value
+        p, q = c * p - q, p
+    return Fraction(p, q)
 
 
 def stabilization_counts(cf: NegContinuedFraction) -> list[int]:

@@ -3,9 +3,21 @@
 A Seifert fibration M(g, n; (alpha_i, beta_i)) has a star-shaped surgery
 presentation: a central unknot framed n, one chain per exceptional fiber
 with framings given by the negative continued fraction of -alpha_i/beta_i.
-First homology is Z^{2g} plus the cokernel of the linking matrix, computed
-by Smith normal form with generator tracking so that distinguished classes
-keep exact coordinates.
+First homology is Z^{2g} plus the cokernel of the linking matrix.
+
+The cokernel is computed in two steps.  First every leaf chain (a path
+of degree <= 2 vertices that starts at a leaf and is joined by +-1
+entries) collapses by unimodular moves: the relation at each chain
+vertex writes the next generator as an exact integer multiple of the
+leaf generator, following the continued-fraction convergent recurrence
+(the plumbing calculus of Neumann, Trans. AMS 268, 1981).  What remains
+of a star with k chains is a (k+1)-generator core: the centre, one leaf
+per chain, the centre's relation and each chain's head relation.  Then
+the Smith normal form of that core, with generator tracking, gives the
+invariant factors and exact coordinates for every original generator.
+Those coordinates are relative to the Smith basis of the core, so they
+are fixed only up to an automorphism of the torsion group; orders of
+classes do not depend on that choice.
 
 The tracked class mu is the meridian of the terminal vertex of the first
 chain: the fiber class whose order controls how many torsion Spin^c
@@ -27,11 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count as icount
+from itertools import combinations, compress, count as icount
 
 from .contfrac import neg_cf_expand
 from .errors import ConditionViolation, SearchExhausted
-from .intmat import determinant, smith_normal_form
+from .intmat import smith_normal_form
 from .seifert import SeifertInvariants
 
 __all__ = [
@@ -70,7 +82,10 @@ class FirstHomology:
 
     class_map[j] gives the torsion coordinates of the j-th meridian
     generator, free_map[j] its coordinates on cokernel copies of Z
-    (present only when the linking matrix is singular).
+    (present only when the linking matrix is singular).  Coordinates are
+    taken in the Smith basis of the collapsed core, so they are fixed
+    only up to an automorphism of the group; the order of each class is
+    basis-free.
     """
 
     free_rank: int
@@ -155,20 +170,26 @@ def presentation(inv: SeifertInvariants) -> IntegralPresentation:
 def homology(p: IntegralPresentation) -> FirstHomology:
     """Cokernel of the linking matrix with tracked meridian generators.
 
-    With D = S A T, the quotient Z^n / A Z^n is Z^n / D Z^n under x -> Sx,
-    so generator j lands at column j of S, read modulo the diagonal.
+    Leaf chains collapse first (see _collapse): each generator x_j
+    becomes multiple_j times a core generator, and the cokernel of the
+    matrix equals the cokernel of the small core matrix.  With
+    D = S C T the Smith form of the core C, the quotient Z^m / C Z^m is
+    Z^m / D Z^m under x -> Sx, so generator j lands at multiple_j times
+    the column of S of its core generator, read modulo the diagonal.  A
+    matrix with nothing to collapse is its own core.  Raises ValueError
+    unless the matrix is square.
     """
-    snf = smith_normal_form(p.matrix)
-    size = len(p.matrix)
+    core, root, multiple = _collapse(p.matrix)
+    snf = smith_normal_form(core)
     torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
     torsion = tuple(snf.diagonal[i] for i in torsion_rows)
     class_map = tuple(
-        tuple(snf.left[i][j] % snf.diagonal[i] for i in torsion_rows)
-        for j in range(size)
+        tuple(snf.left[i][r] * a % snf.diagonal[i] for i in torsion_rows)
+        for r, a in zip(root, multiple)
     )
     free_map = tuple(
-        tuple(snf.left[i][j] for i in free_rows) for j in range(size)
+        tuple(snf.left[i][r] * a for i in free_rows) for r, a in zip(root, multiple)
     )
     return FirstHomology(
         free_rank=p.free_rank + len(free_rows),
@@ -176,6 +197,83 @@ def homology(p: IntegralPresentation) -> FirstHomology:
         class_map=class_map,
         free_map=free_map,
     )
+
+
+def _leaf_chains(matrix, support) -> list[list[int]]:
+    """Vertex-disjoint leaf chains v_0, ..., v_m (m >= 1) of a symmetric matrix.
+
+    v_0 is a leaf (one off-diagonal neighbour), every later vertex has at
+    most two neighbours and consecutive vertices are joined by +-1
+    entries.  So each v_j with j < m has all its neighbours among
+    v_{j-1} and v_{j+1}; only the head v_m may touch the rest.
+    """
+    degree = [len(s) - (matrix[v][v] != 0) for v, s in enumerate(support)]
+    far_ends = set()  # a chain along a whole path ends at another leaf
+    chains = []
+    for leaf, leaf_degree in enumerate(degree):
+        if leaf_degree != 1 or leaf in far_ends:
+            continue
+        chain = [leaf]
+        ahead = [v for v in support[leaf] if v != leaf]
+        # a walk never enters an earlier chain: by symmetry that chain
+        # would have crossed the same +-1 edge into this degree <= 2 vertex
+        while ahead:
+            step, last = ahead[0], chain[-1]
+            if degree[step] > 2 or abs(matrix[last][step]) != 1:
+                break
+            chain.append(step)
+            ahead = [v for v in support[step] if v not in (step, last)]
+        if len(chain) > 1:
+            chains.append(chain)
+            far_ends.add(chain[-1])
+    return chains
+
+
+def _collapse(matrix) -> tuple[list[list[int]], list[int], list[int]]:
+    """Collapse the leaf chains of a linking matrix into a small core.
+
+    Column r of the matrix is the relation at vertex r.  Along a chain
+    v_0, ..., v_m the relation at v_j has coefficient +-1 on x_{v_{j+1}},
+    so it writes x_{v_{j+1}} = a_{j+1} x_{v_0} with
+
+        a_0 = 1,  a_{j+1} = -s_j (b_j a_{j-1} + c_j a_j)
+
+    where s_j is the entry joining v_j to v_{j+1}, b_j the one joining
+    it to v_{j-1} (0 at the leaf) and c_j its framing: the
+    continued-fraction convergent recurrence.  These unimodular moves
+    spend the relations at v_0, ..., v_{m-1} and the generators
+    x_{v_1}, ..., x_{v_m}; the head relation at v_m is kept.  Chains are
+    looked for only in symmetric matrices.  The core has one row per
+    remaining generator and one column per remaining relation.  Returns
+    (core, root, multiple): x_j = multiple[j] times core generator
+    number root[j].
+    """
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("linking matrix must be square")
+    support = [list(compress(range(size), row)) for row in matrix]
+    root = list(range(size))
+    multiple = [1] * size
+    spent = [False] * size
+    if all(matrix[j][i] == matrix[i][j] for i in range(size) for j in support[i]):
+        for chain in _leaf_chains(matrix, support):
+            before, a = 0, 1
+            for j, (v, w) in enumerate(zip(chain, chain[1:])):
+                back = matrix[v][chain[j - 1]] if j else 0
+                before, a = a, -matrix[v][w] * (back * before + matrix[v][v] * a)
+                root[w], multiple[w] = chain[0], a
+                spent[v] = True
+    kept = [i for i in range(size) if root[i] == i]
+    relations = [r for r in range(size) if not spent[r]]
+    position = {i: k for k, i in enumerate(kept)}
+    column = {r: k for k, r in enumerate(relations)}
+    core = [[0] * len(relations) for _ in kept]
+    for i, row in enumerate(matrix):
+        target = core[position[root[i]]]
+        for r in support[i]:
+            if not spent[r]:
+                target[column[r]] += row[r] * multiple[i]
+    return core, [position[r] for r in root], multiple
 
 
 def mu_order(inv: SeifertInvariants) -> int:

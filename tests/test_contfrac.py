@@ -85,6 +85,43 @@ class TestValue:
         assert neg_cf_expand(neg_cf_value(cf)).entries == cf.entries
 
 
+class TestFractionReference:
+    """The integer (p, q) loops against the plain Fraction recursions."""
+
+    @staticmethod
+    def _expand(r):
+        entries = []
+        while r.denominator != 1:
+            c = r.numerator // r.denominator
+            entries.append(c)
+            r = -1 / (r - c)
+        return (*entries, r.numerator)
+
+    @staticmethod
+    def _value(entries):
+        value = Fraction(entries[-1])
+        for c in reversed(entries[:-1]):
+            value = c - 1 / value
+        return value
+
+    # -(q+1)/q has q entries, so the denominator stays small
+    @given(st.integers(min_value=-(10**30), max_value=-1), st.integers(min_value=1, max_value=2000))
+    def test_expand(self, p, q):
+        r = Fraction(p, q)
+        assert neg_cf_expand(r).entries == self._expand(r)
+
+    @given(
+        st.integers(min_value=-(10**6), max_value=-1),
+        st.lists(st.integers(min_value=-(10**6), max_value=-2), max_size=12),
+    )
+    def test_value(self, head, tail):
+        cf = NegContinuedFraction((head, *tail))
+        assert neg_cf_value(cf) == self._value(cf.entries)
+
+    def test_integer_input(self):
+        assert neg_cf_expand(-3).entries == (-3,)
+
+
 class TestStabilizationCounts:
     def test_values(self):
         # [DERIVED] s_0 = -c_0 - 1, s_i = -c_i - 2

@@ -19,7 +19,7 @@ from contactsurgery.homology import (
     presentation,
     spinc_offset,
 )
-from contactsurgery.intmat import determinant
+from contactsurgery.intmat import determinant, smith_normal_form
 from contactsurgery.seifert import SeifertInvariants
 
 
@@ -129,6 +129,123 @@ class TestHomology:
             assert h.free_rank > 2 * inv.g
         for x, y in zip(h.torsion, h.torsion[1:]):
             assert y % x == 0
+
+
+def _raw(rows, free_rank=0):
+    return IntegralPresentation(matrix=tuple(map(tuple, rows)), mu_index=0, free_rank=free_rank)
+
+
+@st.composite
+def raw_presentations(draw):
+    """Small symmetric matrices: weighted graphs with trees, cycles, +-1 and 2 edges."""
+    size = draw(st.integers(1, 7))
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        m[i][i] = draw(st.integers(-4, 4))
+        for j in range(i):
+            m[i][j] = m[j][i] = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+    return _raw(m, draw(st.integers(0, 2)))
+
+
+RAW_CASES = {
+    # would be a chain if it were symmetric; nothing collapses
+    "non_symmetric": _raw(((-2, 1, 0), (2, -3, 1), (0, 1, -2))),
+    "four_cycle": _raw(((-2, 1, 0, 1), (1, -2, 1, 0), (0, 1, -2, 1), (1, 0, 1, -3))),
+    # a triangle with a two-vertex tail: the chain stops at the degree-3 vertex
+    "cycle_with_tail": _raw(
+        ((-2, 1, 1, 1, 0), (1, -3, 1, 0, 0), (1, 1, -2, 0, 0), (1, 0, 0, -2, 1), (0, 0, 0, 1, -3))
+    ),
+    # vertex 0 hangs by a weight-2 edge, so the chain from vertex 2 stops before it
+    "leaf_edge_weight_two": _raw(((3, 2, 0), (2, -2, 1), (0, 1, -3))),
+    "minus_one_edges": _raw(((-2, -1, 0), (-1, 3, 1), (0, 1, -2))),
+    "isolated_vertex": _raw(((0, 0, 0), (0, -2, 1), (0, 1, -3))),
+    # a (1, 1) fiber: a leaf framed -1 beside a two-vertex chain
+    "unit_pair": presentation(SeifertInvariants(1, 2, ((1, 1), (3, 2)))),
+    # one leg: a path whose both ends are leaves
+    "single_leg": presentation(SeifertInvariants(0, 3, ((7, 3),))),
+    "singular_one_vertex": presentation(SeifertInvariants(0, 0)),
+    # e = 0: singular, and the whole path collapses to a 1x1 zero core
+    "singular_path": presentation(SeifertInvariants(0, -1, ((2, 1), (2, 1)))),
+    # e = 0 on a three-leg star: singular 4x4 core
+    "singular_star": presentation(SeifertInvariants(0, -2, ((2, 1), (3, 2), (6, 5)))),
+}
+
+
+def _assert_matches_full_smith_form(p):
+    """The collapsed route against a Smith form of the whole matrix.
+
+    Equal invariants, a class map that kills every relation, and a class
+    map onto the group together force the induced map from the cokernel
+    to be an isomorphism: a surjection between isomorphic finitely
+    generated abelian groups is one.
+    """
+    h = homology(p)
+    full = smith_normal_form(p.matrix)
+    assert h.torsion == tuple(d for d in full.diagonal if d > 1)
+    assert h.free_rank == p.free_rank + full.diagonal.count(0)
+    size = len(p.matrix)
+    free = h.free_rank - p.free_rank
+    images = [h.class_map[j] + h.free_map[j] for j in range(size)]
+    assert all(len(v) == len(h.torsion) + free for v in images)
+    moduli = h.torsion + (0,) * free
+    for r in range(size):
+        for t, d in enumerate(moduli):
+            total = sum(p.matrix[i][r] * images[i][t] for i in range(size))
+            assert (total % d if d else total) == 0
+    for coords in h.class_map:
+        assert all(0 <= c < d for c, d in zip(coords, h.torsion))
+    if moduli:
+        rows = [
+            [v[t] for v in images] + [d if u == t else 0 for u, d in enumerate(h.torsion)]
+            for t in range(len(moduli))
+        ]
+        assert smith_normal_form(rows).diagonal == (1,) * len(moduli)
+
+
+class TestCollapsedRoute:
+    @settings(max_examples=150)
+    @given(normal_form_invariants())
+    def test_normal_forms(self, inv):
+        _assert_matches_full_smith_form(presentation(inv))
+
+    @settings(max_examples=150)
+    @given(raw_presentations())
+    def test_raw_matrices(self, p):
+        _assert_matches_full_smith_form(p)
+
+    @pytest.mark.parametrize("name", sorted(RAW_CASES))
+    def test_hand_built(self, name):
+        _assert_matches_full_smith_form(RAW_CASES[name])
+
+    def test_singular_core_has_free_coordinates(self):
+        h = homology(RAW_CASES["singular_star"])
+        assert h.free_rank == 1
+        assert any(any(v) for v in h.free_map)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            homology(_raw(((1, 2),)))
+
+
+class TestLargePresentations:
+    """Sizes the dense Smith form needed seconds to a minute for."""
+
+    def test_three_long_legs(self):
+        inv = SeifertInvariants(1, 2, ((997, 1), (89, 88), (1003, 1002)))
+        p = presentation(inv)
+        assert len(p.matrix) == 1092
+        h = homology(p)
+        assert h.free_rank == 2
+        assert math.prod(h.torsion) == abs(inv.e_invariant * 997 * 89 * 1003)
+
+    def test_single_long_leg(self):
+        inv = SeifertInvariants(1, 2, ((401, 400),))
+        p = presentation(inv)
+        assert len(p.matrix) == 401
+        h = homology(p)
+        assert math.prod(h.torsion) == abs(inv.e_invariant * 401)
+        # [DERIVED] single fiber: the meridian has order n*alpha + beta
+        assert mu_order(inv) == 2 * 401 + 400
 
 
 class TestMuOrder:
