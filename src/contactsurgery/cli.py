@@ -23,16 +23,9 @@ from fractions import Fraction
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import SearchExhausted
-from .gauge import (
-    d3_canonical,
-    d3_contact,
-    degree_representative,
-    fillability_verdict,
-    moy_check,
-    omega_red_closed,
-    omega_red_long,
-)
+from .gauge import d3_certificate, moy_check, omega_red_closed, omega_red_long
 from .homology import (
+    admissible_points,
     check_admissible,
     distinct_witness,
     homology,
@@ -86,7 +79,9 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
 
     The verdicts section carries the internal cross-checks: the two
     omega_red routes, the gap law, the Smith-normal-form mu order against
-    its closed form, and offset/c1 consistency.
+    its closed form, and offset/c1 consistency.  Each omega_red route is
+    evaluated once; the d3 pair, the gap and the fillability verdict all
+    come from those two values.
     """
     check_admissible(g, n, alpha, sign, r)
     inv = SeifertInvariants(g, n, ((alpha, 1),))
@@ -96,13 +91,11 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
     spinc = spinc_offset(g, n, alpha, sign, r)
     long_form = omega_red_long(g, n, alpha, sign, r)
     closed_form = omega_red_closed(g, n, alpha, sign, r)
-    contact = d3_contact(g, n, alpha, sign, r)
-    canonical = d3_canonical(g, n, alpha, sign, r)
-    verdict = fillability_verdict(g, n, alpha, sign, r)
+    verdict = d3_certificate(g, long_form, closed_form)
     moy = moy_check(g, n, alpha, spinc.offset)
     checks = {
         "omega_red_forms_agree": long_form == closed_form,
-        "gap_is_2g_plus_1": verdict["gap"] == 2 * g + 1,
+        "gap_is_2g_plus_1": verdict["gap_law"],
         "mu_order_matches_closed_form": mu == n * alpha + 1,
         "c1_consistent_with_offset": (
             spinc.c1_coefficient is None
@@ -132,10 +125,10 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
         "invariants": {
             "omega_red_long": long_form,
             "omega_red_closed": closed_form,
-            "d3_contact": contact.value,
-            "d3_canonical": canonical.value,
+            "d3_contact": verdict["d3_contact"],
+            "d3_canonical": verdict["d3_canonical"],
             "gap": verdict["gap"],
-            "degree_representative": degree_representative(g, n, alpha, spinc.offset),
+            "degree_representative": moy.representative,
             "moy": {
                 "reducibles_only": moy.reducibles_only,
                 "dirac_kernels_trivial": moy.dirac_kernels_trivial,
@@ -159,59 +152,51 @@ def run_sweep(
 ) -> dict:
     """Identity-suite sweep; n_span holds offsets added to 2g.
 
-    Checks (per admissible point): the omega_red closed-form identity,
-    the gap law, the n = 2g MOY verdict with its sandwich inequality,
-    and the mu-order closed form.  Counts are exact; any failure is
-    recorded with its coordinates.
+    Checks (per point of homology.admissible_points): the omega_red
+    closed-form identity, the gap law, the n = 2g MOY verdict with its
+    sandwich inequality, and the mu-order closed form.  Each omega_red
+    route is evaluated once per point; d3_contact, d3_canonical and the
+    gap come from those two values through gauge.d3_certificate, so the
+    gap is 2g + 1 + (long - closed) and the gap law fails wherever the
+    identity does.  Counts are exact; any failure is recorded with its
+    coordinates.
     """
     counts = {"omega_identity": 0, "gap_law": 0, "moy": 0, "mu_order": 0}
     failures: list[dict] = []
 
-    def check(kind: str, ok: bool, where: dict) -> None:
-        counts[kind] += 1
-        if not ok:
-            failures.append({"check": kind, **where})
+    def fail(kind: str, point: tuple) -> None:
+        failures.append({"check": kind, **dict(zip(("g", "n", "alpha", "sign", "r"), point))})
 
     for g in range(g_range[0], g_range[1] + 1):
         for alpha in range(alpha_range[0], alpha_range[1] + 1):
             inv = SeifertInvariants(g, 2 * g, ((alpha, 1),))
-            check(
-                "mu_order",
-                mu_order(inv) == 2 * g * alpha + 1,
-                {"g": g, "alpha": alpha},
-            )
+            counts["mu_order"] += 1
+            if mu_order(inv) != 2 * g * alpha + 1:
+                failures.append({"check": "mu_order", "g": g, "alpha": alpha})
             if mu_only:
                 continue
+            deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
+            top = 2 * g + Fraction(1, alpha)
             for offset in range(n_span[0], n_span[1] + 1):
                 n = 2 * g + offset
-                for sign in (1, -1):
-                    low = -alpha + 1 if sign == 1 else -alpha
-                    high = alpha if sign == 1 else alpha - 1
-                    for r in range(low, high + 1):
-                        if (r - alpha) % 2 != 0:
-                            continue
-                        where = {"g": g, "n": n, "alpha": alpha, "sign": sign, "r": r}
-                        long_form = omega_red_long(g, n, alpha, sign, r)
-                        closed_form = omega_red_closed(g, n, alpha, sign, r)
-                        check("omega_identity", long_form == closed_form, where)
-                        gap = (
-                            d3_contact(g, n, alpha, sign, r).value
-                            - d3_canonical(g, n, alpha, sign, r).value
-                        )
-                        check("gap_law", gap == 2 * g + 1, where)
-                        if n == 2 * g:
-                            k = spinc_offset(g, n, alpha, sign, r).offset
-                            moy = moy_check(g, n, alpha, k)
-                            rep = degree_representative(g, n, alpha, k)
-                            deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
-                            sandwich = deg_k < rep < 2 * g + Fraction(1, alpha)
-                            check(
-                                "moy",
-                                moy.reducibles_only
-                                and moy.dirac_kernels_trivial
-                                and sandwich,
-                                where,
-                            )
+                for point in admissible_points(g, n, alpha):
+                    long_form = omega_red_long(*point)
+                    closed_form = omega_red_closed(*point)
+                    counts["omega_identity"] += 1
+                    if long_form != closed_form:
+                        fail("omega_identity", point)
+                    counts["gap_law"] += 1
+                    if not d3_certificate(g, long_form, closed_form)["gap_law"]:
+                        fail("gap_law", point)
+                    if n == 2 * g:
+                        moy = moy_check(g, n, alpha, spinc_offset(*point).offset)
+                        counts["moy"] += 1
+                        if not (
+                            moy.reducibles_only
+                            and moy.dirac_kernels_trivial
+                            and deg_k < moy.representative < top
+                        ):
+                            fail("moy", point)
     return {
         "grid": {
             "g": list(g_range),

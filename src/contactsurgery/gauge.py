@@ -5,20 +5,28 @@ and a contact structure xi^sign_r labelled by an admissible rotation
 parameter r (see `homology.check_admissible`).
 
 Two independent formulas compute the reducible-solution correction term
-omega_red: a long form assembled from Dedekind-type sums S(1, alpha),
-S_rho, F_rho and the fractional part data (l, rho, gamma), and a closed
-form in (g, n, alpha, r) alone.  Their exact agreement on the whole
-admissible grid is the central self-check of the package.  The d3
-invariants of the contact structure and of the canonical plane field of
-its Spin^c structure come out of the two routes respectively, and their
-difference, always exactly 2g + 1, certifies that the contact structure
-is not homotopic to that canonical field: the fillability obstruction.
+omega_red: a long form assembled term by term from Dedekind-type sums
+S(1, alpha), S_rho, F_rho and the fractional part data (l, rho, gamma),
+and a closed form in (g, n, alpha, r) alone.  Their exact agreement on
+the whole admissible grid is the central self-check of the package.
+Both run on integer numerators over one common denominator and build a
+single Fraction at the end; the long form is never reduced algebraically
+into the closed one, so the check stays a comparison of two routes.
+
+The d3 invariant of the contact structure comes from the closed route,
+the d3 of the canonical plane field of its Spin^c structure from the
+long route (`d3_certificate` applies both offsets to one value of each
+route).  Their difference is 2g + 1 + (omega_long - omega_closed), so it
+is exactly 2g + 1 precisely when the routes agree; a nonzero gap
+certifies that the contact structure is not homotopic to that canonical
+field: the fillability obstruction.
 
 moy_check implements the arithmetic criteria on orbifold line bundle
 degrees: the moduli space contains only reducible solutions when no
 degree in the coset k/alpha + (n + 1/alpha) Z lands in [0, deg K] away
 from deg K / 2, and all Dirac kernels vanish when alpha is even or
-deg K / 2 avoids the coset.
+deg K / 2 avoids the coset.  Degrees are handled as integers in units of
+1/alpha, which turns the coset and half-degree tests into congruences.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ __all__ = [
     "omega_red_closed",
     "d3_contact",
     "d3_canonical",
+    "d3_certificate",
     "moy_check",
     "degree_representative",
     "fillability_verdict",
@@ -62,12 +71,14 @@ class MoyVerdict:
 
     witness_degrees lists the members of the degree coset that land in
     the window [0, deg K]; reducibles_only holds exactly when none of
-    them differs from deg K / 2.
+    them differs from deg K / 2.  representative is the coset's
+    `degree_representative`.
     """
 
     reducibles_only: bool
     dirac_kernels_trivial: bool
     witness_degrees: tuple[Fraction, ...]
+    representative: Fraction
 
 
 @dataclass(frozen=True)
@@ -106,52 +117,85 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     """The correction term via the Dedekind-sum route.
 
     (2g-1)/2 - (l-1)/4 + l rho (1-rho) - rho + (1-alpha)/(2 alpha) (1-2 rho)
-    + S + F_rho + 2 S_rho, with every ingredient from dedekind_context.
+    + S + F_rho + 2 S_rho, with the ingredients of dedekind_context.
     The -(l-1)/4 term uses sign(l) = 1, valid since l = n + 1/alpha > 0.
+    Each term is put over the common denominator 24 alpha Q^2, where
+    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), and one Fraction is
+    built from the summed numerators.
     """
-    c = dedekind_context(g, n, alpha, sign, r)
-    return (
-        Fraction(2 * g - 1, 2)
-        - (c.l - 1) / 4
-        + c.l * c.rho * (1 - c.rho)
-        - c.rho
-        + Fraction(1 - alpha, 2 * alpha) * (1 - 2 * c.rho)
-        + c.S
-        + c.F_rho
-        + 2 * c.S_rho
+    check_admissible(g, n, alpha, sign, r)
+    q = 2 * n * alpha + 2
+    rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
+    if not (0 < rho_num < q):
+        raise ConditionViolation(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
+    gamma2 = r + alpha - 2  # 2 gamma
+    q2 = q * q
+    numerator = (
+        12 * alpha * q2 * (2 * g - 1)  # (2g-1)/2
+        - 3 * q2 * (q - 2 * alpha)  # -(l-1)/4
+        + 12 * q * rho_num * (q - rho_num)  # l rho (1-rho)
+        - 24 * alpha * q * rho_num  # -rho
+        + 12 * q * (1 - alpha) * (q - 2 * rho_num)  # (1-alpha)/(2 alpha) (1-2 rho)
+        + 2 * q2 * (alpha * alpha + 2 - 3 * alpha)  # S
+        + 12 * q * (gamma2 * q + 2 * rho_num)  # F_rho
+        + 2 * q2 * (  # 2 S_rho
+            2 * alpha * alpha
+            - 6 * alpha * (1 + gamma2)
+            + 4
+            + 6 * gamma2
+            + 3 * gamma2 * gamma2
+        )
     )
+    return Fraction(numerator, 24 * alpha * q2)
 
 
 def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     """The correction term in closed form.
 
     -((n-2g)^2 alpha - r^2 n + sign * 2 (n-2g) r) / (4 (n alpha + 1))
-    + (2g-1)/2; must agree with omega_red_long exactly.
+    + (2g-1)/2, as one Fraction over 4 (n alpha + 1); must agree with
+    omega_red_long exactly.
     """
     check_admissible(g, n, alpha, sign, r)
     numerator = (n - 2 * g) ** 2 * alpha - r * r * n + sign * 2 * (n - 2 * g) * r
-    return -Fraction(numerator, 4 * (n * alpha + 1)) + Fraction(2 * g - 1, 2)
+    m = n * alpha + 1
+    return Fraction(2 * (2 * g - 1) * m - numerator, 4 * m)
+
+
+def _d3_contact_value(g: int, omega_closed: Fraction) -> Fraction:
+    return (2 * g - 1) - omega_closed
+
+
+def _d3_canonical_value(omega_long: Fraction) -> Fraction:
+    return -2 - omega_long
 
 
 def d3_contact(g: int, n: int, alpha: int, sign: int, r: int) -> D3Invariant:
     """d3 of the contact structure xi^sign_r: -omega_red_closed + (2g-1)."""
-    value = -omega_red_closed(g, n, alpha, sign, r) + (2 * g - 1)
+    value = _d3_contact_value(g, omega_red_closed(g, n, alpha, sign, r))
     return D3Invariant(value=value, of="contact")
 
 
 def d3_canonical(g: int, n: int, alpha: int, sign: int, r: int) -> D3Invariant:
     """d3 of the canonical plane field of t_{xi^sign_r}: -omega_red - 2.
 
-    Deliberately computed through the long (Dedekind-sum) form so that
-    the downstream gap check exercises the closed-form identity.
+    Taken from the long (Dedekind-sum) route while d3_contact takes the
+    closed one, so the gap between them checks the identity of the two
+    routes: it is 2g + 1 + (omega_long - omega_closed).
     """
-    value = -omega_red_long(g, n, alpha, sign, r) - 2
+    value = _d3_canonical_value(omega_red_long(g, n, alpha, sign, r))
     return D3Invariant(value=value, of="canonical")
 
 
-def _canonical_degree(g: int, alpha: int) -> Fraction:
+def _degree_units(g: int, n: int, alpha: int, k: int) -> tuple[int, int, int]:
+    """(deg K, coset step, representative), all in units of 1/alpha."""
+    if g < 1 or n < 2 * g or alpha < 1:
+        raise ConditionViolation("need g >= 1, n >= 2g, alpha >= 1")
     # deg K for one (alpha, 1) fiber: 2g - 2 + (alpha-1)/alpha
-    return Fraction((2 * g - 1) * alpha - 1, alpha)
+    deg_k = (2 * g - 1) * alpha - 1
+    step = n * alpha + 1
+    # largest representative <= deg K + step
+    return deg_k, step, k + (deg_k + step - k) // step * step
 
 
 def degree_representative(g: int, n: int, alpha: int, k: int) -> Fraction:
@@ -161,14 +205,7 @@ def degree_representative(g: int, n: int, alpha: int, k: int) -> Fraction:
     (deg K, deg K + n + 1/alpha]; for central framing n = 2g it always
     satisfies the sharper sandwich deg K < representative < 2g + 1/alpha.
     """
-    if g < 1 or n < 2 * g or alpha < 1:
-        raise ConditionViolation("need g >= 1, n >= 2g, alpha >= 1")
-    deg_k = _canonical_degree(g, alpha)
-    step = n + Fraction(1, alpha)
-    base = Fraction(k, alpha)
-    # largest representative <= deg_k + step
-    shift = (deg_k + step - base) / step
-    return base + (shift.numerator // shift.denominator) * step
+    return Fraction(_degree_units(g, n, alpha, k)[2], alpha)
 
 
 def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
@@ -181,44 +218,50 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     deg K / 2 is not in D at all.  Both are coset conditions, so the
     verdict does not depend on the representative chosen for k.
     """
-    representative = degree_representative(g, n, alpha, k)
-    deg_k = _canonical_degree(g, alpha)
-    step = n + Fraction(1, alpha)
+    deg_k, step, representative = _degree_units(g, n, alpha, k)
     # the window [0, deg K] is shorter than the coset step, so it holds
     # at most one coset member: the one just below the representative
     candidate = representative - step
-    in_window = [candidate] if 0 <= candidate <= deg_k else []
-    half = deg_k / 2
-    reducibles_only = all(x == half for x in in_window)
-    kernels_trivial = alpha % 2 == 0 or not _in_coset(half, Fraction(k, alpha), step)
+    in_window = 0 <= candidate <= deg_k
+    # deg K / 2 - k/alpha is a multiple of step/alpha iff 2 step | deg K - 2k
+    half_in_coset = (deg_k - 2 * k) % (2 * step) == 0
     return MoyVerdict(
-        reducibles_only=reducibles_only,
-        dirac_kernels_trivial=kernels_trivial,
-        witness_degrees=tuple(in_window),
+        reducibles_only=not in_window or 2 * candidate == deg_k,
+        dirac_kernels_trivial=alpha % 2 == 0 or not half_in_coset,
+        witness_degrees=(Fraction(candidate, alpha),) if in_window else (),
+        representative=Fraction(representative, alpha),
     )
 
 
-def _in_coset(x: Fraction, base: Fraction, step: Fraction) -> bool:
-    return ((x - base) / step).denominator == 1
+def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict:
+    """Tightness/fillability verdict from one value of each omega_red route.
+
+    d3_contact comes from omega_closed and d3_canonical from omega_long,
+    with the offsets of d3_contact and d3_canonical; the gap between them
+    equals 2g + 1 on the whole admissible family.  Any nonzero gap rules
+    out a filling whose canonical field would be homotopic to the
+    contact structure, so fillable is 'no (certified)' whenever the gap
+    is nonzero.  Tightness is established upstream for the family and
+    reported as metadata.
+    """
+    contact = _d3_contact_value(g, omega_closed)
+    canonical = _d3_canonical_value(omega_long)
+    gap = contact - canonical
+    return {
+        "tight": True,
+        "d3_contact": contact,
+        "d3_canonical": canonical,
+        "gap": gap,
+        "gap_law": gap == 2 * g + 1,
+        "fillable": "no (certified)" if gap != 0 else "conjectured no",
+    }
 
 
 def fillability_verdict(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
     """Tightness/fillability verdict for xi^sign_r with its d3 certificate.
 
-    The gap d3_contact - d3_canonical equals 2g + 1 on the whole
-    admissible family; any nonzero gap rules out a filling whose
-    canonical field would be homotopic to the contact structure, so
-    fillable is 'no (certified)' whenever the gap is nonzero.  Tightness
-    is established upstream for the family and reported as metadata.
+    Evaluates each omega_red route once and hands both to d3_certificate.
     """
-    contact = d3_contact(g, n, alpha, sign, r)
-    canonical = d3_canonical(g, n, alpha, sign, r)
-    gap = contact.value - canonical.value
-    return {
-        "tight": True,
-        "d3_contact": contact.value,
-        "d3_canonical": canonical.value,
-        "gap": gap,
-        "gap_law": gap == 2 * g + 1,
-        "fillable": "no (certified)" if gap != 0 else "conjectured no",
-    }
+    return d3_certificate(
+        g, omega_red_long(g, n, alpha, sign, r), omega_red_closed(g, n, alpha, sign, r)
+    )

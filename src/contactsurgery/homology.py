@@ -37,6 +37,7 @@ structures apart.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, count as icount
@@ -56,6 +57,7 @@ __all__ = [
     "mu_order",
     "c1_class",
     "spinc_offset",
+    "admissible_points",
     "distinct_witness",
 ]
 
@@ -366,6 +368,20 @@ def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:
         raise ConditionViolation(f"sign +1 needs -alpha < r <= alpha, got r = {r}")
     if sign == -1 and not (-alpha <= r < alpha):
         raise ConditionViolation(f"sign -1 needs -alpha <= r < alpha, got r = {r}")
+
+
+def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every point (g, n, alpha, sign, r) over this (g, n, alpha) that check_admissible accepts.
+
+    Sign +1 first with r = 2 - alpha, 4 - alpha, ..., alpha, then sign -1
+    with r = -alpha, 2 - alpha, ..., alpha - 2: alpha values of r each.
+    Raises ConditionViolation, as check_admissible does, when g, n or
+    alpha is out of range; the check runs when iteration starts.
+    """
+    check_admissible(g, n, alpha, 1, alpha)
+    for sign, low in ((1, 2 - alpha), (-1, -alpha)):
+        for r in range(low, low + 2 * alpha, 2):
+            yield g, n, alpha, sign, r
 
 
 def _is_prime(n: int) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
 
@@ -222,6 +223,54 @@ class TestSweepCommand:
 
     def test_malformed_range(self, capsys):
         assert main(["sweep", "--g-range", "1-3"]) == 2
+
+
+class TestRouteDisagreement:
+    """A closed route off by 1/7 at one point must fail A1 and the gap law."""
+
+    POINT = (1, 3, 3, -1, 1)
+
+    @pytest.fixture(autouse=True)
+    def skewed_closed_route(self, monkeypatch):
+        original = gauge.omega_red_closed
+
+        def skewed(*args):
+            value = original(*args)
+            return value + Fraction(1, 7) if args == self.POINT else value
+
+        monkeypatch.setattr(cli, "omega_red_closed", skewed)
+        monkeypatch.setattr(gauge, "omega_red_closed", skewed)
+
+    def test_sweep_records_both_failures(self, capsys):
+        code = main(
+            [
+                "sweep",
+                "--g-range", "1..1",
+                "--n-range", "2g..2g+1",
+                "--alpha-range", "1..3",
+                "--json",
+            ]
+        )
+        assert code == 3
+        data = json.loads(capsys.readouterr().out)
+        where = dict(zip(("g", "n", "alpha", "sign", "r"), self.POINT))
+        assert data["failures"] == [
+            {"check": "omega_identity", **where},
+            {"check": "gap_law", **where},
+        ]
+        assert data["checks"]["omega_identity"] == data["checks"]["gap_law"] == 24
+        assert data["all_pass"] is False
+
+    def test_report_fails_checks(self, capsys):
+        argv = ["report", "--g", "1", "--n", "3", "--alpha", "3", "--sign", "-", "--r", "1"]
+        assert main(argv) == 3
+        assert "checks=FAIL" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        checks = data["verdicts"]["checks"]
+        assert not checks["omega_red_forms_agree"]
+        assert not checks["gap_is_2g_plus_1"]
+        assert data["invariants"]["gap"] == "20/7"
 
 
 class TestObstructionCommand:

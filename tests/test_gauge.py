@@ -1,6 +1,8 @@
 """Correction-term identities, d3 certificates, and the degree-window criteria."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
     MoyVerdict,
     d3_canonical,
+    d3_certificate,
     d3_contact,
     dedekind_context,
     degree_representative,
@@ -188,7 +191,7 @@ class TestMoyCheck:
     def test_clean_verdict(self):
         # [DERIVED] window [0, 2/3] misses the coset of 5/3 entirely
         verdict = moy_check(1, 2, 3, 5)
-        assert verdict == MoyVerdict(True, True, ())
+        assert verdict == MoyVerdict(True, True, (), Fraction(5, 3))
 
     def test_half_degree_member(self):
         # [DERIVED] deg K / 2 = 1/3 lies in the coset of k = 1, so only
@@ -250,3 +253,148 @@ class TestFillabilityVerdict:
         assert verdict["gap"] == 5
         assert verdict["gap_law"]
         assert verdict["fillable"] == "no (certified)"
+
+
+class TestD3Certificate:
+    def test_matches_single_route_invariants(self):
+        params = (2, 5, 3, -1, 1)
+        verdict = d3_certificate(2, omega_red_long(*params), omega_red_closed(*params))
+        assert verdict["d3_contact"] == d3_contact(*params).value
+        assert verdict["d3_canonical"] == d3_canonical(*params).value
+        assert verdict == fillability_verdict(*params)
+
+    def test_gap_follows_route_difference(self):
+        # gap = 2g + 1 + (omega_long - omega_closed)
+        verdict = d3_certificate(1, Fraction(2, 3), Fraction(2, 3) + Fraction(1, 7))
+        assert verdict["gap"] == 3 - Fraction(1, 7)
+        assert not verdict["gap_law"]
+
+
+# Sizes well beyond the toy grid: g <= 40, n <= 2g + 50, alpha <= 10^6.
+
+
+@st.composite
+def large_admissible_inputs(draw):
+    g = draw(st.integers(1, 40))
+    n = 2 * g + draw(st.integers(0, 50))
+    alpha = draw(st.integers(1, 10**6))
+    sign = draw(st.sampled_from((1, -1)))
+    # the i-th admissible rotation: 2 - alpha + 2i (sign +1), -alpha + 2i (sign -1)
+    i = draw(st.integers(0, alpha - 1))
+    r = (2 if sign == 1 else 0) - alpha + 2 * i
+    return g, n, alpha, sign, r
+
+
+@st.composite
+def inadmissible_inputs(draw):
+    g, n, alpha, sign, r = draw(large_admissible_inputs())
+    kind = draw(st.sampled_from(("g", "n", "alpha", "sign", "parity", "range")))
+    if kind == "g":
+        g = draw(st.integers(-5, 0))
+    elif kind == "n":
+        n = 2 * g - draw(st.integers(1, 50))
+    elif kind == "alpha":
+        alpha = draw(st.integers(-5, 0))
+    elif kind == "sign":
+        sign = draw(st.sampled_from((0, 2, -2)))
+    elif kind == "parity":
+        r += 1
+    else:
+        # one step of 2 past either end of the admissible rotations
+        r = draw(st.sampled_from((-alpha, alpha + 2) if sign == 1 else (-alpha - 2, alpha)))
+    return g, n, alpha, sign, r
+
+
+def _omega_long_reference(g, n, alpha, sign, r):
+    """The Dedekind route assembled term by term in Fraction arithmetic."""
+    c = dedekind_context(g, n, alpha, sign, r)
+    return (
+        Fraction(2 * g - 1, 2)
+        - (c.l - 1) / 4
+        + c.l * c.rho * (1 - c.rho)
+        - c.rho
+        + Fraction(1 - alpha, 2 * alpha) * (1 - 2 * c.rho)
+        + c.S
+        + c.F_rho
+        + 2 * c.S_rho
+    )
+
+
+def _moy_reference(g, n, alpha, k):
+    """degree_representative and moy_check by Fraction coset arithmetic."""
+    deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
+    step = n + Fraction(1, alpha)
+    base = Fraction(k, alpha)
+    representative = base + math.floor((deg_k + step - base) / step) * step
+    candidate = representative - step
+    window = (candidate,) if 0 <= candidate <= deg_k else ()
+    half = deg_k / 2
+    half_in_coset = ((half - base) / step).denominator == 1
+    return MoyVerdict(
+        reducibles_only=all(x == half for x in window),
+        dirac_kernels_trivial=alpha % 2 == 0 or not half_in_coset,
+        witness_degrees=window,
+        representative=representative,
+    )
+
+
+class TestLargeInputs:
+    @settings(max_examples=300)
+    @given(large_admissible_inputs())
+    def test_long_route_matches_fraction_assembly(self, params):
+        value = omega_red_long(*params)
+        assert value == _omega_long_reference(*params)
+        assert value == omega_red_closed(*params)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 50),
+        st.integers(1, 10**6),
+        st.integers(-3, 3),
+        st.data(),
+    )
+    def test_degree_coset_matches_fraction_reference(self, g, extra, alpha, periods, data):
+        n = 2 * g + extra
+        period = n * alpha + 1
+        # k over several periods of the coset, negative ones included
+        k = periods * period + data.draw(st.integers(0, period - 1))
+        expected = _moy_reference(g, n, alpha, k)
+        assert degree_representative(g, n, alpha, k) == expected.representative
+        assert moy_check(g, n, alpha, k) == expected
+
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 50),
+        st.integers(1, 10**6),
+        st.integers(-10, 10),
+        st.sampled_from(("half", "half step away", "next")),
+    )
+    def test_near_half_degree_at_large_alpha(self, g, extra, alpha, j, where):
+        # k puts deg K / 2 in the coset, half a coset step away from it, or
+        # next to it; the middle case needs an even step (n, alpha odd)
+        n = 2 * g + extra
+        deg_k = (2 * g - 1) * alpha - 1
+        step = n * alpha + 1
+        shift = {"half": 0, "half step away": step // 2, "next": 1}[where]
+        k = deg_k // 2 + shift + j * step
+        assert moy_check(g, n, alpha, k) == _moy_reference(g, n, alpha, k)
+
+    @given(inadmissible_inputs())
+    def test_inadmissible_inputs_raise(self, params):
+        for route in (omega_red_long, omega_red_closed, dedekind_context):
+            with pytest.raises(ConditionViolation):
+                route(*params)
+
+    @given(large_admissible_inputs(), st.booleans(), st.integers(0, 10**6))
+    def test_rho_guard(self, params, below, distance):
+        # rho lies in (0, 1) on every admissible input, so the guard is
+        # reached only with the admissibility check switched off
+        g, n, alpha, sign, _ = params
+        q = 2 * n * alpha + 2
+        rho_num = -distance if below else q + distance
+        r = alpha * (n - sign * (n - 2 * g)) + 1 - rho_num
+        with mock.patch("contactsurgery.gauge.check_admissible", lambda *args: None):
+            for route in (omega_red_long, dedekind_context):
+                with pytest.raises(ConditionViolation, match="outside"):
+                    route(g, n, alpha, sign, r)

@@ -11,6 +11,7 @@ from contactsurgery.homology import (
     IntegralPresentation,
     SpinCClass,
     Witness,
+    admissible_points,
     c1_class,
     check_admissible,
     distinct_witness,
@@ -390,6 +391,28 @@ class TestSpinCOffset:
             SpinCClass(basepoint="nowhere", offset=0, modulus=5, c1_coefficient=None)
         with pytest.raises(ValueError):
             SpinCClass(basepoint="contact", offset=0, modulus=0, c1_coefficient=None)
+
+
+class TestAdmissiblePoints:
+    def test_matches_check_admissible(self):
+        for g in (1, 2, 3):
+            for n in range(2 * g, 2 * g + 3):
+                for alpha in range(1, 13):
+                    accepted = []
+                    for sign in (1, -1):
+                        for r in range(-alpha - 3, alpha + 4):
+                            try:
+                                check_admissible(g, n, alpha, sign, r)
+                            except ConditionViolation:
+                                continue
+                            accepted.append((g, n, alpha, sign, r))
+                    assert list(admissible_points(g, n, alpha)) == accepted
+                    assert len(accepted) == 2 * alpha
+
+    def test_rejects_out_of_range(self):
+        for g, n, alpha in ((0, 0, 3), (1, 1, 3), (1, 2, 0), (-1, 2, 3)):
+            with pytest.raises(ConditionViolation):
+                list(admissible_points(g, n, alpha))
 
 
 class TestDistinctWitness:
