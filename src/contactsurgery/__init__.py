@@ -1,130 +1,28 @@
 """Exact-arithmetic toolkit for contact surgery diagrams on Seifert fibered spaces.
 
-Everything is computed over the rationals with fractions.Fraction; no
-floating point is used anywhere.
+Every value is exact: the kernels run on integers (numerator and
+denominator pairs where a rational is needed) and hand rationals across
+the API as fractions.Fraction; no floating point is used anywhere.
+
+The package root re-exports the public names of its seven layers,
+exactly as each module lists them in its own __all__.
 """
 
-from .contfrac import (
-    NegContinuedFraction,
-    neg_cf_expand,
-    neg_cf_value,
-    stabilization_counts,
-)
-from .legendrian import (
-    LegendrianComponent,
-    PlusMinusDiagram,
-    StabilizationChoice,
-    convert,
-    enumerate_choices,
-    one_over_k_to_plus_ones,
-    reduce_positive,
-    smooth_coefficient,
-)
-from .seifert import (
-    OrbifoldLineBundle,
-    SeifertInvariants,
-    canonical_bundle,
-    coefficients_from_seifert,
-    d_range,
-    degree,
-    normalize,
-    rolfsen_twist,
-    seifert_from_coefficients,
-)
-from .intmat import SmithForm, determinant, smith_normal_form
-from .homology import (
-    FirstHomology,
-    IntegralPresentation,
-    SpinCClass,
-    Witness,
-    admissible_points,
-    c1_class,
-    check_admissible,
-    distinct_witness,
-    homology,
-    mu_order,
-    presentation,
-    spinc_offset,
-)
-from .gauge import (
-    D3Invariant,
-    DedekindContext,
-    MoyVerdict,
-    d3_canonical,
-    d3_certificate,
-    d3_contact,
-    dedekind_context,
-    degree_representative,
-    fillability_verdict,
-    moy_check,
-    omega_red_closed,
-    omega_red_long,
-)
-from .lattice import (
-    DiagonalEmbedding,
-    Lattice,
-    embeds_in_diagonal,
-    is_negative_definite,
-    lambda_q,
-    nonfillability_obstruction,
-)
+from . import contfrac, gauge, homology, intmat, lattice, legendrian, seifert
 
 __version__ = "0.1.0"
 
+# collected before the star imports: they rebind `homology` to the function
 __all__ = [
-    "NegContinuedFraction",
-    "neg_cf_expand",
-    "neg_cf_value",
-    "stabilization_counts",
-    "LegendrianComponent",
-    "PlusMinusDiagram",
-    "StabilizationChoice",
-    "convert",
-    "enumerate_choices",
-    "one_over_k_to_plus_ones",
-    "reduce_positive",
-    "smooth_coefficient",
-    "OrbifoldLineBundle",
-    "SeifertInvariants",
-    "canonical_bundle",
-    "coefficients_from_seifert",
-    "d_range",
-    "degree",
-    "normalize",
-    "rolfsen_twist",
-    "seifert_from_coefficients",
-    "SmithForm",
-    "determinant",
-    "smith_normal_form",
-    "FirstHomology",
-    "IntegralPresentation",
-    "SpinCClass",
-    "Witness",
-    "admissible_points",
-    "c1_class",
-    "check_admissible",
-    "distinct_witness",
-    "homology",
-    "mu_order",
-    "presentation",
-    "spinc_offset",
-    "D3Invariant",
-    "DedekindContext",
-    "MoyVerdict",
-    "d3_canonical",
-    "d3_certificate",
-    "d3_contact",
-    "dedekind_context",
-    "degree_representative",
-    "fillability_verdict",
-    "moy_check",
-    "omega_red_closed",
-    "omega_red_long",
-    "DiagonalEmbedding",
-    "Lattice",
-    "embeds_in_diagonal",
-    "is_negative_definite",
-    "lambda_q",
-    "nonfillability_obstruction",
-    "__version__",
-]
+    name
+    for module in (contfrac, legendrian, seifert, intmat, homology, gauge, lattice)
+    for name in module.__all__
+] + ["__version__"]
+
+from .contfrac import *  # noqa: E402,F403
+from .legendrian import *  # noqa: E402,F403
+from .seifert import *  # noqa: E402,F403
+from .intmat import *  # noqa: E402,F403
+from .homology import *  # noqa: E402,F403
+from .gauge import *  # noqa: E402,F403
+from .lattice import *  # noqa: E402,F403

@@ -1,9 +1,12 @@
 """Command line driver tying the pipeline together.
 
 Subcommands: convert, report, sweep, obstruction, witness, normalize, cf.
-Every numeric value is exact; --json emits a canonical machine-readable
-document (rationals as "p/q" strings, stable key order, byte-identical
-for identical inputs), the default is a short human listing.
+Each subcommand is a document builder (parsed arguments -> dict) and a
+text renderer (dict -> lines) that reads only that document.  Every
+numeric value is exact; --json emits the document in canonical form
+(rationals as "p/q" strings, stable key order, byte-identical for
+identical inputs), the default is the short human listing rendered from
+the same document.  main alone writes output and picks the exit code.
 
 Exit codes: 0 success, 2 invalid input, 3 internal cross-check failure.
 A 3 means two routes to the same quantity disagreed, which is a bug
@@ -238,124 +241,111 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _print_kv(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _convert(args) -> dict:
+    return _diagram_summary(Fraction(args.r), args.tb, args.rot)
 
 
-def _cmd_convert(args) -> int:
-    summary = _diagram_summary(Fraction(args.r), args.tb, args.rot)
-    if args.json:
-        sys.stdout.write(render_json(summary))
-        return 0
-    lines = [f"contact {summary['coefficient']}-surgery as a (+1)/(-1) chain:"]
-    for i, c in enumerate(summary["components"]):
+def _convert_text(doc: dict) -> list[str]:
+    lines = [f"contact {doc['coefficient']}-surgery as a (+1)/(-1) chain:"]
+    for i, c in enumerate(doc["components"]):
         lines.append(
             f"  #{i} ({'+1' if c['contact_coefficient'] == 1 else '-1'})"
             f" stabilizations={c['stabilizations']} parent={c['parent']}"
             f" tb={c['tb']} rot={c['rot']}"
         )
-    lines.append(f"stabilization counts: {summary['stabilization_counts']}")
-    lines.append(f"stabilization choices: {summary['choice_count']}")
-    _print_kv(lines)
-    return 0
+    lines.append(f"stabilization counts: {doc['stabilization_counts']}")
+    lines.append(f"stabilization choices: {doc['choice_count']}")
+    return lines
 
 
-def _cmd_report(args) -> int:
-    sign = 1 if args.sign == "+" else -1
-    report = build_report(args.g, args.n, args.alpha, sign, args.r)
-    if args.json:
-        sys.stdout.write(render_json(report))
-    else:
-        inp = report["input"]
-        hom = report["homology"]
-        spc = report["spin_c"]
-        inv = report["invariants"]
-        ver = report["verdicts"]
-        _print_kv(
-            [
-                f"input: g={inp['g']} n={inp['n']} alpha={inp['alpha']}"
-                f" sign={inp['sign']} r={inp['r']}",
-                f"surgery coefficient: {report['diagram']['coefficient']}"
-                f" ({len(report['diagram']['components'])} components,"
-                f" {report['diagram']['choice_count']} choices)",
-                f"homology: free rank {hom['free_rank']},"
-                f" torsion {hom['torsion']}, mu order {hom['mu_order']}",
-                f"spin_c: offset {spc['offset']} (mod {spc['modulus']}),"
-                f" c1 coefficient {spc['c1_coefficient']}, c1 order {spc['c1_order']}",
-                f"omega_red: long {inv['omega_red_long']},"
-                f" closed {inv['omega_red_closed']}",
-                f"d3: contact {inv['d3_contact']}, canonical {inv['d3_canonical']},"
-                f" gap {inv['gap']}",
-                f"moy: reducibles_only={inv['moy']['reducibles_only']}"
-                f" dirac_kernels_trivial={inv['moy']['dirac_kernels_trivial']}",
-                f"verdicts: tight={ver['tight']} fillable={ver['fillable']}"
-                f" checks={'PASS' if ver['all_checks_pass'] else 'FAIL'}",
-            ]
-        )
-    return 0 if report["verdicts"]["all_checks_pass"] else 3
+def _report(args) -> dict:
+    return build_report(args.g, args.n, args.alpha, 1 if args.sign == "+" else -1, args.r)
 
 
-def _cmd_sweep(args) -> int:
+def _report_text(doc: dict) -> list[str]:
+    inp = doc["input"]
+    hom = doc["homology"]
+    spc = doc["spin_c"]
+    inv = doc["invariants"]
+    ver = doc["verdicts"]
+    return [
+        f"input: g={inp['g']} n={inp['n']} alpha={inp['alpha']}"
+        f" sign={inp['sign']} r={inp['r']}",
+        f"surgery coefficient: {doc['diagram']['coefficient']}"
+        f" ({len(doc['diagram']['components'])} components,"
+        f" {doc['diagram']['choice_count']} choices)",
+        f"homology: free rank {hom['free_rank']},"
+        f" torsion {hom['torsion']}, mu order {hom['mu_order']}",
+        f"spin_c: offset {spc['offset']} (mod {spc['modulus']}),"
+        f" c1 coefficient {spc['c1_coefficient']}, c1 order {spc['c1_order']}",
+        f"omega_red: long {inv['omega_red_long']},"
+        f" closed {inv['omega_red_closed']}",
+        f"d3: contact {inv['d3_contact']}, canonical {inv['d3_canonical']},"
+        f" gap {inv['gap']}",
+        f"moy: reducibles_only={inv['moy']['reducibles_only']}"
+        f" dirac_kernels_trivial={inv['moy']['dirac_kernels_trivial']}",
+        f"verdicts: tight={ver['tight']} fillable={ver['fillable']}"
+        f" checks={'PASS' if ver['all_checks_pass'] else 'FAIL'}",
+    ]
+
+
+def _report_passed(doc: dict) -> bool:
+    return doc["verdicts"]["all_checks_pass"]
+
+
+def _sweep(args) -> dict:
     g_range = _parse_range(args.g_range)
     alpha_range = _parse_range(args.alpha_range)
     n_span = _parse_range(args.n_range, g_relative=True)
-    result = run_sweep(g_range, n_span, alpha_range, mu_only=args.mu_only)
-    if args.json:
-        sys.stdout.write(render_json(result))
-    else:
-        lines = [
-            f"{kind}: {count} checks" for kind, count in result["checks"].items()
-        ]
-        lines.append(
-            "all pass" if result["all_pass"] else f"FAILURES: {result['failures']}"
-        )
-        _print_kv(lines)
-    return 0 if result["all_pass"] else 3
+    return run_sweep(g_range, n_span, alpha_range, mu_only=args.mu_only)
 
 
-def _cmd_obstruction(args) -> int:
-    report = nonfillability_obstruction(args.g)
-    if args.json:
-        sys.stdout.write(render_json(report))
-    else:
-        _print_kv(
-            [
-                f"g={report['g']}: d={report['d']}, lattice rank {report['rank']}"
-                f" (q={report['q']})",
-                f"embeddable in a diagonal lattice: {report['embeddable']}",
-                f"obstruction holds: {report['obstruction_holds']}",
-                report["narrative"],
-            ]
-        )
-    return 0
+def _sweep_text(doc: dict) -> list[str]:
+    lines = [f"{kind}: {count} checks" for kind, count in doc["checks"].items()]
+    lines.append("all pass" if doc["all_pass"] else f"FAILURES: {doc['failures']}")
+    return lines
 
 
-def _cmd_witness(args) -> int:
+def _sweep_passed(doc: dict) -> bool:
+    return doc["all_pass"]
+
+
+def _obstruction(args) -> dict:
+    return nonfillability_obstruction(args.g)
+
+
+def _obstruction_text(doc: dict) -> list[str]:
+    return [
+        f"g={doc['g']}: d={doc['d']}, lattice rank {doc['rank']} (q={doc['q']})",
+        f"embeddable in a diagonal lattice: {doc['embeddable']}",
+        f"obstruction holds: {doc['obstruction_holds']}",
+        doc["narrative"],
+    ]
+
+
+def _witness(args) -> dict:
     witness = distinct_witness(args.g, args.count, max_base=args.max_base)
-    document = {
+    return {
         "g": args.g,
         "count": args.count,
         "alpha": witness.alpha,
         "rotations": list(witness.rotations),
         "orders": list(witness.orders),
     }
-    if args.json:
-        sys.stdout.write(render_json(document))
-    else:
-        _print_kv(
-            [
-                f"alpha = {witness.alpha}",
-                f"rotations = {list(witness.rotations)}",
-                f"c1 orders = {list(witness.orders)} (pairwise distinct)",
-            ]
-        )
-    return 0
 
 
-def _cmd_normalize(args) -> int:
+def _witness_text(doc: dict) -> list[str]:
+    return [
+        f"alpha = {doc['alpha']}",
+        f"rotations = {doc['rotations']}",
+        f"c1 orders = {doc['orders']} (pairwise distinct)",
+    ]
+
+
+def _normalize(args) -> dict:
     inv = SeifertInvariants(args.g, args.n, _parse_pairs(args.pairs) if args.pairs else ())
     normal = normalize(inv)
-    document = {
+    return {
         "input": {"g": inv.g, "n": inv.n, "pairs": [list(p) for p in inv.pairs]},
         "normal_form": {
             "g": normal.g,
@@ -364,48 +354,45 @@ def _cmd_normalize(args) -> int:
         },
         "e_invariant": inv.e_invariant,
     }
-    if args.json:
-        sys.stdout.write(render_json(document))
-    else:
-        _print_kv(
-            [
-                f"normal form: g={normal.g} n={normal.n}"
-                f" pairs={[tuple(p) for p in normal.pairs]}",
-                f"e invariant: {inv.e_invariant}",
-            ]
-        )
-    return 0
 
 
-def _cmd_cf(args) -> int:
+def _normalize_text(doc: dict) -> list[str]:
+    normal = doc["normal_form"]
+    return [
+        f"normal form: g={normal['g']} n={normal['n']}"
+        f" pairs={[tuple(p) for p in normal['pairs']]}",
+        f"e invariant: {doc['e_invariant']}",
+    ]
+
+
+def _cf(args) -> dict:
     if (args.r is None) == (args.entries is None):
         raise ValueError("pass exactly one of --r or --entries")
     if args.r is not None:
         cf = neg_cf_expand(Fraction(args.r))
-        document = {
+        return {
             "coefficient": Fraction(args.r),
             "entries": list(cf.entries),
             "stabilization_counts": stabilization_counts(cf),
         }
-        human = [
-            f"entries: {list(cf.entries)}",
-            f"stabilization counts: {stabilization_counts(cf)}",
-        ]
-    else:
-        tokens = [t.strip() for t in args.entries.split(",")]
-        if not all(t.removeprefix("-").isdigit() for t in tokens):
-            raise ValueError(
-                f"entries must be a comma list of integers, got {args.entries!r}"
-            )
-        cf = NegContinuedFraction(tuple(int(t) for t in tokens))
-        value = neg_cf_value(cf)
-        document = {"entries": list(cf.entries), "value": value}
-        human = [f"value: {value}"]
-    if args.json:
-        sys.stdout.write(render_json(document))
-    else:
-        _print_kv(human)
-    return 0
+    tokens = [t.strip() for t in args.entries.split(",")]
+    if not all(t.removeprefix("-").isdigit() for t in tokens):
+        raise ValueError(f"entries must be a comma list of integers, got {args.entries!r}")
+    cf = NegContinuedFraction(tuple(int(t) for t in tokens))
+    return {"entries": list(cf.entries), "value": neg_cf_value(cf)}
+
+
+def _cf_text(doc: dict) -> list[str]:
+    if "value" in doc:
+        return [f"value: {doc['value']}"]
+    return [
+        f"entries: {doc['entries']}",
+        f"stabilization counts: {doc['stabilization_counts']}",
+    ]
+
+
+def _no_pass_flag(doc: dict) -> bool:
+    return True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,14 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "Negative values must use --flag=value form, e.g. --r=-4/3."
         ),
     )
+    # report and sweep override this with their document's pass flag
+    parser.set_defaults(passed=_no_pass_flag)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="rational contact surgery to a (+1)/(-1) chain")
     p.add_argument("--r", required=True, help="surgery coefficient, e.g. 4/7 or -4/3")
     p.add_argument("--tb", type=int, default=-1, help="root Thurston-Bennequin number")
     p.add_argument("--rot", type=int, default=0, help="root rotation number")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_convert)
+    p.set_defaults(build=_convert, render=_convert_text)
 
     p = sub.add_parser("report", help="full invariant report for one structure")
     p.add_argument("--g", type=int, required=True)
@@ -431,8 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--sign", choices=["+", "-"], required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_report)
+    p.set_defaults(build=_report, render=_report_text, passed=_report_passed)
 
     p = sub.add_parser("sweep", help="identity suite over a parameter grid")
     p.add_argument("--g-range", default="1..3")
@@ -443,47 +430,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha-range", default="1..15")
     p.add_argument("--mu-only", action="store_true", help="check only mu orders")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_sweep)
+    p.set_defaults(build=_sweep, render=_sweep_text, passed=_sweep_passed)
 
     p = sub.add_parser("obstruction", help="diagonal lattice non-embedding certificate")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_obstruction)
+    p.set_defaults(build=_obstruction, render=_obstruction_text)
 
     p = sub.add_parser("witness", help="alpha certifying pairwise distinct structures")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--max-base", type=int, default=10000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_witness)
+    p.set_defaults(build=_witness, render=_witness_text)
 
     p = sub.add_parser("normalize", help="Seifert invariants to normal form")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pairs", default="", help="comma list alpha/beta, e.g. 5/12,3/1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_normalize)
+    p.set_defaults(build=_normalize, render=_normalize_text)
 
     p = sub.add_parser("cf", help="negative continued fraction expand/evaluate")
     p.add_argument("--r", help="rational to expand, e.g. -7/5")
     p.add_argument("--entries", help="comma list to evaluate, e.g. -2,-2,-3")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=_cmd_cf)
+    p.set_defaults(build=_cf, render=_cf_text)
 
+    # added last, so every usage line and option listing ends with it
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: build its document, write it, exit 0, 2 or 3."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (ValueError, ZeroDivisionError) as error:
+        document = args.build(args)
+    except (ValueError, ZeroDivisionError, SearchExhausted) as error:
         sys.stderr.write(f"error: {error}\n")
         return 2
-    except SearchExhausted as error:
-        sys.stderr.write(f"error: {error}\n")
-        return 2
+    if args.json:
+        sys.stdout.write(render_json(document))
+    else:
+        sys.stdout.write("\n".join(args.render(document)) + "\n")
+    return 0 if args.passed(document) else 3
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, count as icount
+from itertools import combinations, compress
 
 from .contfrac import neg_cf_expand
 from .errors import ConditionViolation, SearchExhausted
@@ -57,6 +57,7 @@ __all__ = [
     "mu_order",
     "c1_class",
     "spinc_offset",
+    "check_admissible",
     "admissible_points",
     "distinct_witness",
 ]
@@ -422,33 +423,31 @@ def distinct_witness(g: int, count: int, max_base: int = 10000) -> Witness:
     A candidate is valid only if every p_i <= alpha (rotations must be
     admissible); invalid candidates are skipped and the search continues.
     Base tuples are enumerated by increasing maximum element, then
-    lexicographically, so the result is canonical.  Raises
-    SearchExhausted if no valid tuple has maximum <= max_base.
+    lexicographically, so the result is canonical.  The tuples are drawn
+    from the bases whose 2g*a + 1 is prime, never from all integers below
+    the maximum.  Raises SearchExhausted if no valid tuple has maximum
+    <= max_base.
     """
     if g < 1 or count < 1:
         raise ConditionViolation("need g >= 1 and count >= 1")
-    for top in icount(count):
-        if top > max_base:
-            raise SearchExhausted(
-                f"no valid witness with base elements <= {max_base}"
-            )
+    primes: list[int] = []  # every prime 2g*a + 1 with a < top, increasing
+    for top in range(1, max_base + 1):
         p_top = 2 * g * top + 1
         if not _is_prime(p_top):
             continue
-        for rest in combinations(range(1, top), count - 1):
-            primes = [2 * g * a + 1 for a in (*rest, top)]
-            if not all(_is_prime(p) for p in primes[:-1]):
-                continue
-            product = math.prod(primes)
-            a = (product - 1) // (2 * g)
+        for rest in combinations(primes, count - 1):
+            rotations = (*rest, p_top)
+            a = (math.prod(rotations) - 1) // (2 * g)
             alpha = a if a % 2 == 1 else a * (2 * g + 1) + 1
-            if any(p > alpha for p in primes):
+            if p_top > alpha:
                 continue
             modulus = 2 * g * alpha + 1
-            orders = tuple(modulus // p for p in primes)
-            witness = Witness(alpha=alpha, rotations=tuple(primes), orders=orders)
+            orders = tuple(modulus // p for p in rotations)
+            witness = Witness(alpha=alpha, rotations=rotations, orders=orders)
             _validate_witness(g, witness)
             return witness
+        primes.append(p_top)
+    raise SearchExhausted(f"no valid witness with base elements <= {max_base}")
 
 
 def _validate_witness(g: int, witness: Witness) -> None:

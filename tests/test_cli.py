@@ -306,6 +306,10 @@ class TestWitnessCommand:
     def test_exhaustion_is_invalid_input(self, capsys):
         assert main(["witness", "--g", "1", "--count", "2", "--max-base", "1"]) == 2
 
+    def test_large_count_exhausts_with_exit_2(self, capsys):
+        assert main(["witness", "--g", "1", "--count", "50", "--max-base", "60"]) == 2
+        assert capsys.readouterr().err == "error: no valid witness with base elements <= 60\n"
+
 
 class TestNormalizeCommand:
     def test_absorbs_overflow(self, capsys):

@@ -1,5 +1,6 @@
 """First homology presentations, tracked fiber classes, and Spin^c offsets."""
 
+import itertools
 import math
 
 import pytest
@@ -415,6 +416,30 @@ class TestAdmissiblePoints:
                 list(admissible_points(g, n, alpha))
 
 
+def _trial_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _witness_by_all_integers(g: int, count: int, max_base: int) -> Witness | None:
+    """The original search: every integer tuple below the maximum base,
+    primality filtered inside the loop; None where the search runs out."""
+    for top in itertools.count(count):
+        if top > max_base:
+            return None
+        if not _trial_prime(2 * g * top + 1):
+            continue
+        for rest in itertools.combinations(range(1, top), count - 1):
+            primes = [2 * g * a + 1 for a in (*rest, top)]
+            if not all(_trial_prime(p) for p in primes):
+                continue
+            a = (math.prod(primes) - 1) // (2 * g)
+            alpha = a if a % 2 == 1 else a * (2 * g + 1) + 1
+            if any(p > alpha for p in primes):
+                continue
+            modulus = 2 * g * alpha + 1
+            return Witness(alpha, tuple(primes), tuple(modulus // p for p in primes))
+
+
 class TestDistinctWitness:
     def test_frozen_values(self):
         # [DERIVED] g=1, count=1: base 1 gives alpha=1 < p=3, rejected;
@@ -455,6 +480,26 @@ class TestDistinctWitness:
             distinct_witness(1, 1, max_base=1)
         with pytest.raises(SearchExhausted):
             distinct_witness(1, 2, max_base=1)
+
+    def test_matches_all_integer_enumeration(self):
+        exhausted = 0
+        for g in range(1, 6):
+            for count in range(1, 8):
+                for max_base in (1, 2, 3, 5, 10, 20, 30):
+                    try:
+                        found = distinct_witness(g, count, max_base=max_base)
+                    except SearchExhausted:
+                        found = None
+                        exhausted += 1
+                    assert found == _witness_by_all_integers(g, count, max_base)
+        assert 0 < exhausted < 245
+
+    def test_exhaustion_skips_composite_bases(self):
+        # [DERIVED] only 29 bases a <= 60 make 2a + 1 prime, so no
+        # 50-tuple exists; the all-integer enumeration would walk
+        # 29,304,651 tuples (maximum 51, 53, 54 or 56) before giving up
+        with pytest.raises(SearchExhausted, match="<= 60"):
+            distinct_witness(1, 50, max_base=60)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConditionViolation):
