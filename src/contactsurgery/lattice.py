@@ -18,6 +18,11 @@ above), coordinates must not increase, and on columns with all-zero
 history they must be nonnegative.  Every embedding is column-equivalent
 to exactly one canonical assignment, so an empty search certifies
 non-embeddability for every m.
+
+The search runs on an explicit stack, so no rank reaches Python's
+recursion limit, and a node costs O(rank); its order and cut are those
+of a plain recursion over columns, so the first embedding found, or
+None, is the same.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .errors import (
     NoValidD,
     NotNegativeDefinite,
 )
-from .intmat import determinant
 from .seifert import d_range
 
 __all__ = [
@@ -97,11 +101,24 @@ def lambda_q(q: int) -> Lattice:
 
 
 def is_negative_definite(lattice: Lattice) -> bool:
-    """Sylvester test: k-th leading principal minor has sign (-1)^k."""
-    for k in range(1, lattice.rank + 1):
-        minor = determinant([row[:k] for row in lattice.gram[:k]])
-        if minor * (-1) ** k <= 0:
+    """Sylvester test: k-th leading principal minor has sign (-1)^k.
+
+    One Bareiss pass without pivoting: after step k the pivot at (k, k)
+    is the (k+1)-th leading principal minor, so the test stops at the
+    first pivot of the wrong sign (zero included), before dividing by it.
+    """
+    m = [list(row) for row in lattice.gram]
+    n = lattice.rank
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot * (-1) ** (k + 1) <= 0:
             return False
+        for i in range(k + 1, n):
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
     return True
 
 
@@ -112,6 +129,17 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     values ascending, vectors placed in basis order), or None, which by
     the completeness bound certifies that no embedding exists in any
     D_m.  Requires a negative definite Gram matrix.
+
+    The search is depth first on an explicit stack, one frame per open
+    column of the vector being placed: [column, next value, upper bound,
+    norm left, dots left].  Each placed row is entered once into column
+    views: the history of every column and the row's squared length
+    after it, which is all the Cauchy-Schwarz cut needs, at one product
+    per placed row.  When a vector's placement starts, whether each
+    column shares the previous column's class and whether it is fresh
+    follow from the last row in one pass over the columns.  Once the
+    norm is used up, the rest of the row is forced to zero and the row
+    is accepted or rejected at once.
     """
     if not is_negative_definite(lattice):
         raise NotNegativeDefinite("embedding search needs a negative definite form")
@@ -119,61 +147,77 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     rank = lattice.rank
     columns = sum(-gram[i][i] for i in range(rank))
     placed: list[list[int]] = []
+    history: list[list[int]] = [[] for _ in range(columns)]  # placed[j][c] by c
+    tail: list[list[int]] = [[] for _ in range(columns)]  # |placed[j][c+1:]|^2 by c
+    levels: list[tuple] = []  # per open vector: coordinates, same, fresh
+    stack: list[list] = []
 
-    def place(i: int) -> DiagonalEmbedding | None:
-        if i == rank:
-            trimmed = _trim([tuple(v) for v in placed])
-            return DiagonalEmbedding(vectors=trimmed)
+    def open_vector(i: int, same: list[bool], fresh: list[bool]) -> tuple:
+        levels.append(([0] * columns, same, fresh))
         norm = -gram[i][i]
+        bound = math.isqrt(norm)
         targets = [-gram[j][i] for j in range(i)]  # required Euclidean dots
-        vector = [0] * columns
-        return extend(i, 0, norm, targets, vector)
+        stack.append([0, 0 if fresh[0] else -bound, bound, norm, targets])
+        return levels[-1]
 
-    def extend(
-        i: int, col: int, norm_left: int, dots_left: list[int], vector: list[int]
-    ) -> DiagonalEmbedding | None:
-        if col == columns:
-            if norm_left == 0 and all(d == 0 for d in dots_left):
-                placed.append(vector[:])
-                result = place(i + 1)
-                if result is None:
-                    placed.pop()
-                return result
-            return None
-        history = tuple(v[col] for v in placed)
-        bound = math.isqrt(norm_left)
-        low, high = -bound, bound
-        if col > 0 and tuple(v[col - 1] for v in placed) == history:
-            # same-history class as the previous column: non-increasing
-            high = min(high, vector[col - 1])
-        if not any(history):
-            # sign symmetry of unused columns
-            low = max(low, 0)
-        for value in range(low, high + 1):
-            vector[col] = value
-            new_dots = [d - value * h for d, h in zip(dots_left, history)]
-            if _feasible(norm_left - value * value, new_dots, col, columns, placed):
-                result = extend(i, col + 1, norm_left - value * value, new_dots, vector)
-                if result is not None:
-                    return result
-        vector[col] = 0
-        return None
-
-    return place(0)
-
-
-def _feasible(
-    norm_left: int, dots_left: list[int], col: int, columns: int, placed: list[list[int]]
-) -> bool:
-    # Cauchy-Schwarz style cut: remaining dot d against a row of remaining
-    # squared length s^2 needs |d| <= s * sqrt(norm_left)
-    if norm_left < 0:
-        return False
-    for d, row in zip(dots_left, placed):
-        tail = sum(x * x for x in row[col + 1 :])
-        if d * d > tail * norm_left:
-            return False
-    return True
+    if rank == 0:
+        return DiagonalEmbedding(vectors=())
+    vector, same, fresh = open_vector(0, [False] + [True] * (columns - 1), [True] * columns)
+    while stack:
+        frame = stack[-1]
+        col, value, high, norm_left, dots_left = frame
+        if value > high:
+            stack.pop()
+            vector[col] = 0
+            if col == 0 and placed:  # vector exhausted: reopen the one before
+                levels.pop()
+                placed.pop()
+                for c in range(columns):
+                    history[c].pop()
+                    tail[c].pop()
+                vector, same, fresh = levels[-1]
+            continue
+        frame[1] = value + 1
+        vector[col] = value
+        left = norm_left - value * value
+        dots = (
+            dots_left
+            if fresh[col]
+            else [d - value * h for d, h in zip(dots_left, history[col])]
+        )
+        # Cauchy-Schwarz cut: remaining dot d against a row of remaining
+        # squared length t needs d^2 <= t * left
+        if any(d * d > t * left for d, t in zip(dots, tail[col])):
+            continue
+        nxt = col + 1
+        if left == 0:
+            # the rest of the row is zero, and the cut has made every dot
+            # 0; a zero is refused only right after a negative value in
+            # the same class, by the non-increasing rule
+            if nxt < columns and same[nxt] and value < 0:
+                continue
+            row = vector[:]
+            placed.append(row)
+            if len(placed) == rank:
+                return DiagonalEmbedding(vectors=_trim([tuple(v) for v in placed]))
+            after = 0
+            for c in range(columns - 1, -1, -1):
+                history[c].append(row[c])
+                tail[c].append(after)
+                after += row[c] * row[c]
+            vector, same, fresh = open_vector(
+                len(placed),
+                [False] + [same[c] and row[c - 1] == row[c] for c in range(1, columns)],
+                [f and not x for f, x in zip(fresh, row)],
+            )
+        elif nxt < columns:
+            bound = math.isqrt(left)
+            # sign symmetry of unused columns; non-increasing within the
+            # previous column's history class
+            low = 0 if fresh[nxt] else -bound
+            high = min(bound, value) if same[nxt] else bound
+            stack.append([nxt, low, high, left, dots])
+    return None
 
 
 def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

@@ -290,6 +290,25 @@ class TestObstructionCommand:
         assert main(["obstruction", "--g", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g, q", [(45, 11), (55, 12), (66, 13), (78, 14)])
+    def test_large_genus_on_a_shallow_stack(self, g, q, capsys):
+        # the search keeps its own stack, so the call needs only a few
+        # dozen Python frames above this one at any q
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            code = main(["obstruction", "--g", str(g), "--json"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["q"] == q
+        assert data["obstruction_holds"] is True
+        assert data["embedding"] is None
+
 
 class TestWitnessCommand:
     def test_json(self, capsys):

@@ -1,5 +1,8 @@
 """Obstruction lattices and the certified diagonal embedding search."""
 
+import math
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,128 @@ from contactsurgery.lattice import (
     is_negative_definite,
     lambda_q,
     nonfillability_obstruction,
+)
+
+
+def _recursive_search(lattice: Lattice) -> DiagonalEmbedding | None:
+    """The original search: one recursive call per column, the column
+    histories rebuilt and the cut's row tails summed at every node."""
+    gram = lattice.gram
+    rank = lattice.rank
+    columns = sum(-gram[i][i] for i in range(rank))
+    placed = []
+
+    def place(i):
+        if i == rank:
+            vectors = [tuple(v) for v in placed]
+            used = max(
+                (k + 1 for v in vectors for k, x in enumerate(v) if x != 0), default=1
+            )
+            return DiagonalEmbedding(vectors=tuple(v[:used] for v in vectors))
+        norm = -gram[i][i]
+        targets = [-gram[j][i] for j in range(i)]
+        return extend(i, 0, norm, targets, [0] * columns)
+
+    def extend(i, col, norm_left, dots_left, vector):
+        if col == columns:
+            if norm_left == 0 and all(d == 0 for d in dots_left):
+                placed.append(vector[:])
+                result = place(i + 1)
+                if result is None:
+                    placed.pop()
+                return result
+            return None
+        history = tuple(v[col] for v in placed)
+        bound = math.isqrt(norm_left)
+        low, high = -bound, bound
+        if col > 0 and tuple(v[col - 1] for v in placed) == history:
+            high = min(high, vector[col - 1])
+        if not any(history):
+            low = max(low, 0)
+        for value in range(low, high + 1):
+            vector[col] = value
+            new_dots = [d - value * h for d, h in zip(dots_left, history)]
+            if feasible(norm_left - value * value, new_dots, col):
+                result = extend(i, col + 1, norm_left - value * value, new_dots, vector)
+                if result is not None:
+                    return result
+        vector[col] = 0
+        return None
+
+    def feasible(norm_left, dots_left, col):
+        if norm_left < 0:
+            return False
+        for d, row in zip(dots_left, placed):
+            tail = sum(x * x for x in row[col + 1 :])
+            if d * d > tail * norm_left:
+                return False
+        return True
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3000))  # about rank * (columns + 1) frames
+    try:
+        return place(0)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@st.composite
+def planted_lattices(draw):
+    """Gram = -V V^T of integer rows: embeddable whenever definite."""
+    rank = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-1, 1), min_size=width, max_size=width),
+            min_size=rank,
+            max_size=rank,
+        )
+    )
+    gram = tuple(tuple(-sum(a * b for a, b in zip(u, v)) for v in rows) for u in rows)
+    return Lattice(gram=gram, rank=rank)
+
+
+@st.composite
+def weighted_stars(draw):
+    """Three-legged stars of weight -2 or -3 vertices, ranks 4..7; about
+    a fifth of them (E6, E7 and their reweightings) embed nowhere."""
+    legs = draw(
+        st.lists(st.integers(1, 3), min_size=3, max_size=3).filter(lambda l: sum(l) <= 6)
+    )
+    rank = 1 + sum(legs)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = draw(st.sampled_from([-2, -2, -2, -3]))
+    k = 1
+    for length in legs:
+        prev = 0  # each leg starts at the centre
+        for _ in range(length):
+            gram[prev][k] = gram[k][prev] = 1
+            prev, k = k, k + 1
+    return Lattice(gram=tuple(map(tuple, gram)), rank=rank)
+
+
+@st.composite
+def dense_grams(draw):
+    """Symmetric matrices with diagonal -1..-4 and entries -1..1 off it."""
+    rank = draw(st.integers(1, 5))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = -draw(st.integers(1, 4))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
+    return Lattice(gram=tuple(map(tuple, gram)), rank=rank)
+
+
+# E6: the star of (-2)-vectors with legs 1, 2, 2 around vertex 0; the
+# root lattices in a diagonal lattice are sums of A_n and D_n
+E6 = (
+    (-2, 1, 1, 0, 1, 0),
+    (1, -2, 0, 0, 0, 0),
+    (1, 0, -2, 1, 0, 0),
+    (0, 0, 1, -2, 0, 0),
+    (1, 0, 0, 0, -2, 1),
+    (0, 0, 0, 0, 1, -2),
 )
 
 
@@ -88,6 +213,41 @@ class TestNegativeDefinite:
         assert not is_negative_definite(Lattice(gram=((1,),), rank=1))
         assert not is_negative_definite(Lattice(gram=((-1, 2), (2, -1)), rank=2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-6, 1), min_size=n, max_size=n),
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        )
+    )
+    def test_matches_leading_minors(self, drawn):
+        # one Bareiss pass against a separate determinant of each block;
+        # about a fifth of these matrices are negative definite
+        diagonal, rows = drawn
+        n = len(diagonal)
+        gram = tuple(
+            tuple(diagonal[i] if i == j else rows[min(i, j)][max(i, j)] for j in range(n))
+            for i in range(n)
+        )
+        expected = all(
+            determinant([row[:k] for row in gram[:k]]) * (-1) ** k > 0
+            for k in range(1, n + 1)
+        )
+        assert is_negative_definite(Lattice(gram=gram, rank=n)) is expected
+
+    def test_zero_pivot_stops_before_dividing(self):
+        # [DERIVED] leading minors -1, 0, 1: the zero second minor fails
+        # the test even though the full determinant has the right sign
+        gram = ((-1, 1, 0), (1, -1, 1), (0, 1, -1))
+        assert determinant([list(r) for r in gram]) == 1
+        assert not is_negative_definite(Lattice(gram=gram, rank=3))
+
     def test_q2_is_degenerate(self):
         # [DERIVED] det lambda_2 = 0, so the q = 2 form is only semidefinite
         lat = lambda_q(2)
@@ -109,6 +269,12 @@ class TestEmbedsInDiagonal:
         emb = embeds_in_diagonal(lat)
         assert emb.vectors == ((1, 1, 0), (0, -1, 1))
         assert_sound(emb, lat)
+
+    def test_zero_after_negative_in_a_class(self):
+        # [DERIVED] columns 0 and 1 share the history (1), and (-1, 0)
+        # would increase inside that class, so the second row is (0, -1)
+        lat = Lattice(gram=((-2, 1), (1, -1)), rank=2)
+        assert embeds_in_diagonal(lat).vectors == ((1, 1), (0, -1))
 
     def test_branched_rank_four(self):
         # [DERIVED] the branched tree of four (-2)-vectors embeds in Z^4:
@@ -157,6 +323,46 @@ class TestEmbedsInDiagonal:
         emb = embeds_in_diagonal(lat)
         assert emb is not None
         assert_sound(emb, lat)
+
+
+class TestSearchMatchesRecursiveReference:
+    """The iterative search returns exactly what the recursive one did:
+    the same vectors, or None on both sides."""
+
+    def check(self, lattice):
+        found = embeds_in_diagonal(lattice)
+        assert found == _recursive_search(lattice)
+        return found
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_lattices())
+    def test_planted(self, lattice):
+        assume(is_negative_definite(lattice))
+        found = self.check(lattice)
+        assert found is not None
+        assert_sound(found, lattice)
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_stars())
+    def test_weighted_stars(self, lattice):
+        assume(is_negative_definite(lattice))
+        self.check(lattice)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_grams())
+    def test_dense(self, lattice):
+        assume(is_negative_definite(lattice))
+        self.check(lattice)
+
+    def test_rank_zero(self):
+        assert self.check(Lattice(gram=(), rank=0)) == DiagonalEmbedding(vectors=())
+
+    def test_e6_does_not_embed(self):
+        assert self.check(Lattice(gram=E6, rank=6)) is None
+
+    @pytest.mark.parametrize("q", range(3, 9))
+    def test_lambda_q(self, q):
+        assert self.check(lambda_q(q)) is None
 
 
 class TestNonfillabilityObstruction:
