@@ -10,7 +10,6 @@ a certificate that several structures are pairwise non-isomorphic.
 
 from contactsurgery import (
     SeifertInvariants,
-    c1_class,
     distinct_witness,
     homology,
     mu_order,
@@ -27,7 +26,8 @@ print(f"order of the fiber meridian: {mu_order(inv)} (closed form 2g*alpha+1 = 7
 
 print("torsion Spin^c structures by rotation number:")
 for r in (-3, -1, 1, 3):
-    cls = c1_class(inv, r)
+    # r = -alpha is admissible for sign -1 only; at n = 2g both signs agree
+    cls = spinc_offset(1, 2, 3, 1 if r > -3 else -1, r)
     print(f"  r={r:+d}: offset {cls.offset} (mod {cls.modulus}),"
           f" c1 = {cls.c1_coefficient} * PD(mu), order {cls.c1_order}")
 

@@ -461,16 +461,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: build its document, write it, exit 0, 2 or 3."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse parses --flag=-- as []
+        parser.error("an option value cannot be '--'")
     try:
         document = args.build(args)
+        # rendered before writing: an integer above Python's digit limit
+        # for str() (say from --r=-1e5000) is refused here, not midway
+        text = render_json(document) if args.json else "\n".join(args.render(document)) + "\n"
     except (ValueError, ZeroDivisionError, SearchExhausted) as error:
         sys.stderr.write(f"error: {error}\n")
         return 2
-    if args.json:
-        sys.stdout.write(render_json(document))
-    else:
-        sys.stdout.write("\n".join(args.render(document)) + "\n")
+    sys.stdout.write(text)
     return 0 if args.passed(document) else 3
 
 

@@ -13,6 +13,12 @@ All arithmetic is exact.  Rationals cross the API as `fractions.Fraction`;
 inside, both directions run a Euclid-style loop on an integer pair
 (p, q) of arbitrary precision, so no coefficient can overflow or lose
 precision.
+
+A surgery chain is bounded: an expansion, and the run of (+1)-pushoffs
+in `legendrian`, may have at most _CHAIN_LIMIT = 3000 entries.  The
+length of -1/q is q, so without a bound one coefficient with a large
+denominator would build a chain (and a document) linear in it; above
+the bound both raise ConditionViolation before building anything large.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ __all__ = [
     "neg_cf_value",
     "stabilization_counts",
 ]
+
+_CHAIN_LIMIT = 3000  # entries of one expansion, and (+1)-pushoffs of one chain
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,8 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
     one step is c = p // q, (p, q) -> (-q, p - c*q): the pair stays in
     lowest terms and q stays positive.
 
-    Raises NonNegativeCoefficient for r >= 0.
+    Raises NonNegativeCoefficient for r >= 0, and ConditionViolation when
+    the expansion would have more than _CHAIN_LIMIT entries.
     """
     r = Fraction(r)
     if r >= 0:
@@ -73,6 +82,8 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
     while q != 1:
         c = p // q  # floor for negative r
         entries.append(c)
+        if len(entries) == _CHAIN_LIMIT:  # the last entry is still to come
+            raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
         p, q = -q, p - c * q
     entries.append(p)
     return NegContinuedFraction(tuple(entries))

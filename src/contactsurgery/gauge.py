@@ -13,11 +13,11 @@ Both run on integer numerators over one common denominator and build a
 single Fraction at the end; the long form is never reduced algebraically
 into the closed one, so the check stays a comparison of two routes.
 
-The d3 invariant of the contact structure comes from the closed route,
-the d3 of the canonical plane field of its Spin^c structure from the
-long route (`d3_certificate` applies both offsets to one value of each
-route).  Their difference is 2g + 1 + (omega_long - omega_closed), so it
-is exactly 2g + 1 precisely when the routes agree; a nonzero gap
+d3_certificate is the one source of the d3 invariants: it takes one
+value of each route, the d3 of the contact structure from the closed
+one and the d3 of the canonical plane field of its Spin^c structure from
+the long one.  Their difference is 2g + 1 + (omega_long - omega_closed),
+so it is exactly 2g + 1 precisely when the routes agree; a nonzero gap
 certifies that the contact structure is not homotopic to that canonical
 field: the fillability obstruction.
 
@@ -25,8 +25,10 @@ moy_check implements the arithmetic criteria on orbifold line bundle
 degrees: the moduli space contains only reducible solutions when no
 degree in the coset k/alpha + (n + 1/alpha) Z lands in [0, deg K] away
 from deg K / 2, and all Dirac kernels vanish when alpha is even or
-deg K / 2 avoids the coset.  Degrees are handled as integers in units of
-1/alpha, which turns the coset and half-degree tests into congruences.
+deg K / 2 avoids the coset, and it returns the coset's canonical
+representative with the verdict.  Degrees are handled as integers in
+units of 1/alpha (deg K = 2g - 2 + (alpha - 1)/alpha for the one fiber),
+which turns the coset and half-degree tests into congruences.
 """
 
 from __future__ import annotations
@@ -40,16 +42,11 @@ from .homology import check_admissible
 __all__ = [
     "DedekindContext",
     "MoyVerdict",
-    "D3Invariant",
     "dedekind_context",
     "omega_red_long",
     "omega_red_closed",
-    "d3_contact",
-    "d3_canonical",
     "d3_certificate",
     "moy_check",
-    "degree_representative",
-    "fillability_verdict",
 ]
 
 
@@ -72,21 +69,14 @@ class MoyVerdict:
     witness_degrees lists the members of the degree coset that land in
     the window [0, deg K]; reducibles_only holds exactly when none of
     them differs from deg K / 2.  representative is the coset's
-    `degree_representative`.
+    canonical member: the largest one <= deg K + n + 1/alpha, which at
+    central framing n = 2g satisfies deg K < representative < 2g + 1/alpha.
     """
 
     reducibles_only: bool
     dirac_kernels_trivial: bool
     witness_degrees: tuple[Fraction, ...]
     representative: Fraction
-
-
-@dataclass(frozen=True)
-class D3Invariant:
-    """A d3 invariant value tagged by which plane field it belongs to."""
-
-    value: Fraction
-    of: str  # "contact" or "canonical"
 
 
 def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindContext:
@@ -162,52 +152,6 @@ def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     return Fraction(2 * (2 * g - 1) * m - numerator, 4 * m)
 
 
-def _d3_contact_value(g: int, omega_closed: Fraction) -> Fraction:
-    return (2 * g - 1) - omega_closed
-
-
-def _d3_canonical_value(omega_long: Fraction) -> Fraction:
-    return -2 - omega_long
-
-
-def d3_contact(g: int, n: int, alpha: int, sign: int, r: int) -> D3Invariant:
-    """d3 of the contact structure xi^sign_r: -omega_red_closed + (2g-1)."""
-    value = _d3_contact_value(g, omega_red_closed(g, n, alpha, sign, r))
-    return D3Invariant(value=value, of="contact")
-
-
-def d3_canonical(g: int, n: int, alpha: int, sign: int, r: int) -> D3Invariant:
-    """d3 of the canonical plane field of t_{xi^sign_r}: -omega_red - 2.
-
-    Taken from the long (Dedekind-sum) route while d3_contact takes the
-    closed one, so the gap between them checks the identity of the two
-    routes: it is 2g + 1 + (omega_long - omega_closed).
-    """
-    value = _d3_canonical_value(omega_red_long(g, n, alpha, sign, r))
-    return D3Invariant(value=value, of="canonical")
-
-
-def _degree_units(g: int, n: int, alpha: int, k: int) -> tuple[int, int, int]:
-    """(deg K, coset step, representative), all in units of 1/alpha."""
-    if g < 1 or n < 2 * g or alpha < 1:
-        raise ConditionViolation("need g >= 1, n >= 2g, alpha >= 1")
-    # deg K for one (alpha, 1) fiber: 2g - 2 + (alpha-1)/alpha
-    deg_k = (2 * g - 1) * alpha - 1
-    step = n * alpha + 1
-    # largest representative <= deg K + step
-    return deg_k, step, k + (deg_k + step - k) // step * step
-
-
-def degree_representative(g: int, n: int, alpha: int, k: int) -> Fraction:
-    """Canonical representative of the degree coset k/alpha + (n + 1/alpha) Z.
-
-    The representative lands in the half-open interval
-    (deg K, deg K + n + 1/alpha]; for central framing n = 2g it always
-    satisfies the sharper sandwich deg K < representative < 2g + 1/alpha.
-    """
-    return Fraction(_degree_units(g, n, alpha, k)[2], alpha)
-
-
 def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     """Reducibility and Dirac-kernel criteria at Spin^c offset k.
 
@@ -216,9 +160,17 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     reducibles_only holds when D meets the window at most in deg K / 2;
     Dirac operators have trivial kernels when alpha is even or when
     deg K / 2 is not in D at all.  Both are coset conditions, so the
-    verdict does not depend on the representative chosen for k.
+    verdict does not depend on the representative chosen for k.  The
+    representative returned is the largest member of D that is at most
+    deg K + n + 1/alpha.  Raises ConditionViolation unless g >= 1,
+    n >= 2g and alpha >= 1.
     """
-    deg_k, step, representative = _degree_units(g, n, alpha, k)
+    if g < 1 or n < 2 * g or alpha < 1:
+        raise ConditionViolation("need g >= 1, n >= 2g, alpha >= 1")
+    # in units of 1/alpha: deg K = (2g - 1) alpha - 1, coset step n alpha + 1
+    deg_k = (2 * g - 1) * alpha - 1
+    step = n * alpha + 1
+    representative = k + (deg_k + step - k) // step * step
     # the window [0, deg K] is shorter than the coset step, so it holds
     # at most one coset member: the one just below the representative
     candidate = representative - step
@@ -234,18 +186,20 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
 
 
 def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict:
-    """Tightness/fillability verdict from one value of each omega_red route.
+    """The d3 pair, its gap and the fillability verdict for xi^sign_r.
 
-    d3_contact comes from omega_closed and d3_canonical from omega_long,
-    with the offsets of d3_contact and d3_canonical; the gap between them
-    equals 2g + 1 on the whole admissible family.  Any nonzero gap rules
-    out a filling whose canonical field would be homotopic to the
+    Takes one value of each omega_red route at the same point.  d3 of the
+    contact structure is (2g - 1) - omega_closed; d3 of the canonical
+    plane field of its Spin^c structure is -2 - omega_long.  The gap
+    between them is 2g + 1 + (omega_long - omega_closed), so it equals
+    2g + 1 exactly when the routes agree (gap_law).  Any nonzero gap
+    rules out a filling whose canonical field would be homotopic to the
     contact structure, so fillable is 'no (certified)' whenever the gap
     is nonzero.  Tightness is established upstream for the family and
     reported as metadata.
     """
-    contact = _d3_contact_value(g, omega_closed)
-    canonical = _d3_canonical_value(omega_long)
+    contact = (2 * g - 1) - omega_closed
+    canonical = -2 - omega_long
     gap = contact - canonical
     return {
         "tight": True,
@@ -255,13 +209,3 @@ def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict
         "gap_law": gap == 2 * g + 1,
         "fillable": "no (certified)" if gap != 0 else "conjectured no",
     }
-
-
-def fillability_verdict(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
-    """Tightness/fillability verdict for xi^sign_r with its d3 certificate.
-
-    Evaluates each omega_red route once and hands both to d3_certificate.
-    """
-    return d3_certificate(
-        g, omega_red_long(g, n, alpha, sign, r), omega_red_closed(g, n, alpha, sign, r)
-    )

@@ -26,12 +26,15 @@ is 2g*alpha + 1, and a Spin^c structure is pinned down by its offset j in
 t = t_can + j * PD(mu).  First Chern classes are multiples of PD(mu);
 the canonical structure carries c1(t_can) = (alpha + 2) * PD(mu), which
 makes c1 of the offset-j structure (alpha + 2 + 2j) * PD(mu) and in
-particular c1 = r * PD(mu) at offset (r - alpha - 2)/2.
+particular c1 = r * PD(mu) at offset (r - alpha - 2)/2.  spinc_offset
+is the one place this arithmetic is done, for every admissible
+(g, n, alpha, sign, r); c1 is reported only at n = 2g.
 
 distinct_witness turns that arithmetic into a certificate: it searches
 for alpha such that `count` admissible rotation numbers yield c1 classes
 of pairwise distinct orders, which forces the corresponding contact
-structures apart.
+structures apart.  Each order it returns is checked against the c1
+order that spinc_offset gives for that rotation.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "presentation",
     "homology",
     "mu_order",
-    "c1_class",
     "spinc_offset",
     "check_admissible",
     "admissible_points",
@@ -106,14 +108,11 @@ class SpinCClass:
     that multiple is pinned down (central framing n = 2g), None otherwise.
     """
 
-    basepoint: str
     offset: int
     modulus: int
     c1_coefficient: int | None
 
     def __post_init__(self) -> None:
-        if self.basepoint not in ("canonical", "contact"):
-            raise ValueError("basepoint must be 'canonical' or 'contact'")
         if self.modulus < 1:
             raise ValueError("modulus must be a positive integer")
 
@@ -297,35 +296,6 @@ def mu_order(inv: SeifertInvariants) -> int:
     return order
 
 
-def _require_anchor_family(inv: SeifertInvariants) -> tuple[int, int, int]:
-    if len(inv.pairs) != 1 or inv.pairs[0][1] != 1:
-        raise ConditionViolation("c1 arithmetic needs a single (alpha, 1) fiber")
-    if inv.n != 2 * inv.g or inv.g < 1:
-        raise ConditionViolation("c1 arithmetic needs central framing n = 2g, g >= 1")
-    return inv.g, inv.n, inv.pairs[0][0]
-
-
-def c1_class(inv: SeifertInvariants, r: int) -> SpinCClass:
-    """The Spin^c structure with c1 = r * PD(mu) on M(g, 2g; (alpha, 1)).
-
-    Admissible r are congruent to alpha mod 2 with -alpha <= r <= alpha.
-    Its offset from the canonical structure is (r - alpha - 2)/2 and the
-    order of c1 is (2g*alpha + 1) / gcd(r, 2g*alpha + 1).
-    """
-    g, _, alpha = _require_anchor_family(inv)
-    if (r - alpha) % 2 != 0:
-        raise ConditionViolation(f"r = {r} must have the parity of alpha = {alpha}")
-    if not (-alpha <= r <= alpha):
-        raise ConditionViolation(f"r = {r} outside [-{alpha}, {alpha}]")
-    modulus = 2 * g * alpha + 1
-    return SpinCClass(
-        basepoint="contact",
-        offset=((r - alpha - 2) // 2) % modulus,
-        modulus=modulus,
-        c1_coefficient=r % modulus,
-    )
-
-
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     """Offset of t_{xi^sign_r} from the canonical Spin^c structure.
 
@@ -341,12 +311,7 @@ def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     shift = 0 if sign == 1 else 2 * alpha * (n - 2 * g)
     offset = ((r - alpha - 2 - shift) // 2) % modulus
     c1 = (alpha + 2 + (r - alpha - 2 - shift)) % modulus if n == 2 * g else None
-    return SpinCClass(
-        basepoint="contact",
-        offset=offset,
-        modulus=modulus,
-        c1_coefficient=c1,
-    )
+    return SpinCClass(offset=offset, modulus=modulus, c1_coefficient=c1)
 
 
 def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:
@@ -451,12 +416,18 @@ def distinct_witness(g: int, count: int, max_base: int = 10000) -> Witness:
 
 
 def _validate_witness(g: int, witness: Witness) -> None:
-    inv = SeifertInvariants(g, 2 * g, ((witness.alpha, 1),))
+    """Recompute each order as the order of c1 = rotation * PD(mu).
+
+    spinc_offset at n = 2g and sign +1 is admissible for every rotation,
+    which is odd like alpha and at most alpha; its c1 order is
+    modulus / gcd(rotation, modulus), an independent check on the
+    search's modulus // rotation.
+    """
     seen = set()
     for rotation, order in zip(witness.rotations, witness.orders):
-        cls = c1_class(inv, rotation)
+        cls = spinc_offset(g, 2 * g, witness.alpha, 1, rotation)
         if cls.c1_order != order:
-            raise AssertionError("witness order disagrees with the c1 oracle")
+            raise AssertionError("witness order disagrees with the c1 order of its rotation")
         seen.add(cls.c1_order)
     if len(seen) != len(witness.rotations):
         raise AssertionError("witness orders are not pairwise distinct")

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import neg_cf_expand, stabilization_counts
+from .contfrac import _CHAIN_LIMIT, neg_cf_expand, stabilization_counts
 from .errors import ConditionViolation, ZeroCoefficient
 
 __all__ = [
@@ -130,9 +130,15 @@ def reduce_positive(p: int, q: int) -> tuple[int, Fraction]:
 def one_over_k_to_plus_ones(
     k: int, root_tb: int = -1, root_rot: int = 0
 ) -> PlusMinusDiagram:
-    """Replace a contact 1/k-surgery (k >= 1) by k (+1)-surgered pushoffs."""
+    """Replace a contact 1/k-surgery (k >= 1) by k (+1)-surgered pushoffs.
+
+    Raises ConditionViolation, before building anything, when k exceeds
+    the chain bound of `contfrac` (3000).
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if k > _CHAIN_LIMIT:
+        raise ConditionViolation(f"the chain needs more than {_CHAIN_LIMIT} (+1)-pushoffs")
     components = tuple(
         LegendrianComponent(
             contact_coefficient=1,
@@ -177,7 +183,11 @@ def convert(
     The root Legendrian knot is never part of the output; the first
     component is its contact pushoff.  Defaults (tb, rot) = (-1, 0) are
     the standard Legendrian unknot and are configurable because only
-    rotation numbers relative to the root matter downstream.
+    rotation numbers relative to the root matter downstream.  The run of
+    (+1)-pushoffs and the negative continued fraction are each bounded by
+    the chain bound of `contfrac` (3000): ConditionViolation is raised for
+    a longer run before any component is built, and for a longer
+    expansion before any (-1)-component is built.
     """
     r = Fraction(r)
     if r == 0:

@@ -1,4 +1,4 @@
-"""Seifert invariants, Rolfsen twists, and orbifold line bundle degrees.
+"""Seifert invariants, Rolfsen twists, normal form and the coefficient dictionary.
 
 A Seifert fibered 3-manifold over a genus-g surface is recorded as
 (g, n; (alpha_1, beta_1), ..., (alpha_k, beta_k)): central Euler framing
@@ -14,9 +14,10 @@ against.
 
 The same module hosts the dictionary between normal-form invariants with
 n >= 2g and the contact surgery coefficients r_1, ..., r_k of the
-surgered-diagram family (1/2 <= r_1 < 1, r_i < 0 for i >= 2), plus
-orbifold line bundles (c; gamma_1, ..., gamma_k) with their exact
-rational degrees.
+surgered-diagram family (1/2 <= r_1 < 1, r_i < 0 for i >= 2), and the
+genus window d_range of the lattice obstruction.  Orbifold line bundle
+degrees of the one-fiber family live in `gauge.moy_check`, which keeps
+deg K = 2g - 2 + (alpha - 1)/alpha in integer units of 1/alpha.
 """
 
 from __future__ import annotations
@@ -29,13 +30,10 @@ from .errors import ConditionViolation
 
 __all__ = [
     "SeifertInvariants",
-    "OrbifoldLineBundle",
     "rolfsen_twist",
     "normalize",
     "coefficients_from_seifert",
     "seifert_from_coefficients",
-    "canonical_bundle",
-    "degree",
     "d_range",
 ]
 
@@ -73,17 +71,6 @@ class SeifertInvariants:
     @property
     def is_normal_form(self) -> bool:
         return all(a > b >= 1 for a, b in self.pairs)
-
-
-@dataclass(frozen=True)
-class OrbifoldLineBundle:
-    """Seifert data (c; gamma_1, ..., gamma_k) of an orbifold line bundle."""
-
-    background: int
-    local: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "local", tuple(int(x) for x in self.local))
 
 
 def rolfsen_twist(inv: SeifertInvariants, i: int, direction: int) -> SeifertInvariants:
@@ -178,23 +165,6 @@ def seifert_from_coefficients(g: int, rs: list[Fraction]) -> SeifertInvariants:
         alpha = beta - r.numerator
         pairs.append((alpha, beta))
     return SeifertInvariants(g, n, tuple(pairs))
-
-
-def canonical_bundle(inv: SeifertInvariants) -> OrbifoldLineBundle:
-    """The orbifold canonical bundle: data (2g - 2; alpha_1 - 1, ..., alpha_k - 1)."""
-    return OrbifoldLineBundle(2 * inv.g - 2, tuple(a - 1 for a, _ in inv.pairs))
-
-
-def degree(bundle: OrbifoldLineBundle, inv: SeifertInvariants) -> Fraction:
-    """Exact degree of an orbifold line bundle: background + sum gamma_i/alpha_i."""
-    if len(bundle.local) != len(inv.pairs):
-        raise ValueError(
-            f"bundle has {len(bundle.local)} local terms but the fibration "
-            f"has {len(inv.pairs)} exceptional fibers"
-        )
-    return bundle.background + sum(
-        (Fraction(c, a) for c, (a, _) in zip(bundle.local, inv.pairs)), Fraction(0)
-    )
 
 
 def d_range(g: int) -> int | None:

@@ -10,14 +10,7 @@ import random
 from fractions import Fraction
 
 from contactsurgery.contfrac import neg_cf_expand, neg_cf_value
-from contactsurgery.gauge import (
-    d3_canonical,
-    d3_contact,
-    degree_representative,
-    moy_check,
-    omega_red_closed,
-    omega_red_long,
-)
+from contactsurgery.gauge import d3_certificate, moy_check, omega_red_closed, omega_red_long
 from contactsurgery.homology import Witness, distinct_witness, mu_order, spinc_offset
 from contactsurgery.lattice import (
     Lattice,
@@ -72,7 +65,8 @@ def test_a2_d3_gap_law():
     for point in _full_grid():
         checked += 1
         g = point[0]
-        if d3_contact(*point).value - d3_canonical(*point).value != 2 * g + 1:
+        verdict = d3_certificate(g, omega_red_long(*point), omega_red_closed(*point))
+        if verdict["d3_contact"] - verdict["d3_canonical"] != 2 * g + 1:
             failures.append(point)
     _verdict("A2 d3 gap law", failures, checked)
 
@@ -98,7 +92,7 @@ def test_a4_degree_window_verdict():
                     checked += 1
                     k = spinc_offset(g, 2 * g, alpha, sign, r).offset
                     verdict = moy_check(g, 2 * g, alpha, k)
-                    rep = degree_representative(g, 2 * g, alpha, k)
+                    rep = verdict.representative
                     sandwich = deg_k < rep < 2 * g + Fraction(1, alpha)
                     if not (
                         verdict.reducibles_only
@@ -178,8 +172,8 @@ def test_a7_lattice_obstruction():
 
 def test_a8_distinctness_witness():
     failures, checked = [], 1
-    # distinct_witness self-validates every candidate against the c1
-    # oracle before returning; the frozen value pins the search order
+    # distinct_witness self-validates its result against the c1 orders
+    # of spinc_offset before returning; the frozen value pins the search order
     witness = distinct_witness(1, 2)
     if witness != Witness(alpha=7, rotations=(3, 5), orders=(5, 3)):
         failures.append(witness)

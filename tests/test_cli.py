@@ -368,6 +368,34 @@ class TestCfCommand:
         assert main(["cf", "--r", "1/2"]) == 2
 
 
+class TestChainBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cf", "--r=-1/1000000000"],
+            ["cf", "--r=-1/1000000000000", "--json"],
+            ["convert", "--r=1/1000000000"],
+            ["convert", "--r=-1/1000000000", "--json"],
+            ["convert", "--r=2/2000000001"],
+            ["report", "--g", "1", "--n", "1000000000", "--alpha", "3", "--sign", "+", "--r", "1"],
+        ],
+    )
+    def test_refused_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 3000" in err
+
+    @pytest.mark.parametrize("argv", [["cf", "--r=-1e5000"], ["convert", "--r=-1e5000", "--json"]])
+    def test_integer_beyond_str_limit_is_invalid_input(self, argv, capsys):
+        # 10^5000 has more digits than Python converts to str by default
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -385,3 +413,11 @@ class TestEntryPoint:
     def test_unknown_flag_exits_via_parser(self):
         with pytest.raises(SystemExit):
             main(["report", "--sign", "?"])
+
+    @pytest.mark.parametrize("argv", [["normalize", "--g=--", "--n=0"], ["cf", "--r=--"]])
+    def test_double_dash_value_exits_via_parser(self, argv, capsys):
+        # argparse parses --flag=-- as an empty list, not as a string
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "an option value cannot be '--'" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contactsurgery.contfrac import (
+    _CHAIN_LIMIT,
     NegContinuedFraction,
     neg_cf_expand,
     neg_cf_value,
@@ -146,3 +147,17 @@ class TestValidation:
     def test_empty(self):
         with pytest.raises(ValueError):
             NegContinuedFraction(())
+
+
+class TestChainBound:
+    def test_longest_expansions_accepted(self):
+        # -1/q and -(q+1)/q have q entries
+        assert len(neg_cf_expand(Fraction(-1, _CHAIN_LIMIT))) == _CHAIN_LIMIT
+        assert len(neg_cf_expand(Fraction(-_CHAIN_LIMIT - 1, _CHAIN_LIMIT))) == _CHAIN_LIMIT
+
+    @pytest.mark.parametrize("q", [_CHAIN_LIMIT + 1, 10**6, 10**12, 10**100])
+    def test_longer_expansions_refused(self, q):
+        with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+            neg_cf_expand(Fraction(-1, q))
+        with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+            neg_cf_expand(Fraction(-q - 1, q))

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
     MoyVerdict,
-    d3_canonical,
     d3_certificate,
-    d3_contact,
     dedekind_context,
-    degree_representative,
-    fillability_verdict,
     moy_check,
     omega_red_closed,
     omega_red_long,
@@ -117,21 +113,25 @@ class TestOmegaRed:
                             )
 
 
+def _d3(g, n, alpha, sign, r):
+    """d3_certificate at one point, from one value of each omega_red route."""
+    point = (g, n, alpha, sign, r)
+    return d3_certificate(g, omega_red_long(*point), omega_red_closed(*point))
+
+
 class TestD3:
     def test_contact_values(self):
-        assert d3_contact(1, 2, 1, 1, 1).value == Fraction(1, 3)
-        assert d3_contact(1, 2, 3, 1, 1).value == Fraction(3, 7)
-        assert d3_contact(1, 2, 1, 1, 1).of == "contact"
+        assert _d3(1, 2, 1, 1, 1)["d3_contact"] == Fraction(1, 3)
+        assert _d3(1, 2, 3, 1, 1)["d3_contact"] == Fraction(3, 7)
 
     def test_canonical_values(self):
-        assert d3_canonical(1, 2, 1, 1, 1).value == Fraction(-8, 3)
-        assert d3_canonical(1, 2, 3, 1, 1).value == Fraction(-18, 7)
-        assert d3_canonical(1, 2, 1, 1, 1).of == "canonical"
+        assert _d3(1, 2, 1, 1, 1)["d3_canonical"] == Fraction(-8, 3)
+        assert _d3(1, 2, 3, 1, 1)["d3_canonical"] == Fraction(-18, 7)
 
     def test_canonical_at_zero_rotation(self):
         # [DERIVED] omega = (2g-1)/2 at r = 0, so d3_canonical = -(2g+3)/2
-        assert d3_canonical(1, 2, 2, 1, 0).value == Fraction(-5, 2)
-        assert d3_canonical(2, 4, 4, 1, 0).value == Fraction(-7, 2)
+        assert _d3(1, 2, 2, 1, 0)["d3_canonical"] == Fraction(-5, 2)
+        assert _d3(2, 4, 4, 1, 0)["d3_canonical"] == Fraction(-7, 2)
 
     def test_gap_law_on_grid(self):
         for g in (1, 2):
@@ -139,38 +139,38 @@ class TestD3:
                 for alpha in range(1, 9):
                     for sign in (1, -1):
                         for r in admissible_rotations(alpha, sign):
-                            gap = (
-                                d3_contact(g, n, alpha, sign, r).value
-                                - d3_canonical(g, n, alpha, sign, r).value
-                            )
-                            assert gap == 2 * g + 1
+                            verdict = _d3(g, n, alpha, sign, r)
+                            assert verdict["d3_contact"] - verdict["d3_canonical"] == 2 * g + 1
+                            assert verdict["gap"] == 2 * g + 1
+                            assert verdict["gap_law"]
 
     @settings(max_examples=80)
     @given(admissible_inputs())
     def test_gap_law_random(self, params):
         g = params[0]
-        gap = d3_contact(*params).value - d3_canonical(*params).value
-        assert gap == 2 * g + 1
+        verdict = _d3(*params)
+        assert verdict["d3_contact"] - verdict["d3_canonical"] == 2 * g + 1
+        assert verdict["gap"] == 2 * g + 1
 
 
 class TestDegreeRepresentative:
     def test_anchor(self):
         # [DERIVED] coset 5/3 + (7/3) Z; 5/3 already sits in (2/3, 3]
-        assert degree_representative(1, 2, 3, 5) == Fraction(5, 3)
+        assert moy_check(1, 2, 3, 5).representative == Fraction(5, 3)
 
     def test_wraps_down(self):
         # [DERIVED] base 8/3 exceeds deg K + step nowhere, stays 8/3;
         # base k=12 reduces by one step to 5/3
-        assert degree_representative(1, 2, 3, 1) == Fraction(8, 3)
-        assert degree_representative(1, 2, 3, 12) == Fraction(5, 3)
+        assert moy_check(1, 2, 3, 1).representative == Fraction(8, 3)
+        assert moy_check(1, 2, 3, 12).representative == Fraction(5, 3)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConditionViolation):
-            degree_representative(0, 0, 3, 1)
+            moy_check(0, 0, 3, 1)
         with pytest.raises(ConditionViolation):
-            degree_representative(1, 1, 3, 1)
+            moy_check(1, 1, 3, 1)
         with pytest.raises(ConditionViolation):
-            degree_representative(1, 2, 0, 1)
+            moy_check(1, 2, 0, 1)
 
     @given(
         st.integers(1, 3),
@@ -180,7 +180,7 @@ class TestDegreeRepresentative:
     )
     def test_representative_lands_in_interval(self, g, extra, alpha, k):
         n = 2 * g + extra
-        rep = degree_representative(g, n, alpha, k)
+        rep = moy_check(g, n, alpha, k).representative
         deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
         step = n + Fraction(1, alpha)
         assert deg_k < rep <= deg_k + step
@@ -229,14 +229,14 @@ class TestMoyCheck:
                         verdict = moy_check(g, 2 * g, alpha, k)
                         assert verdict.reducibles_only
                         assert verdict.dirac_kernels_trivial
-                        rep = degree_representative(g, 2 * g, alpha, k)
+                        rep = verdict.representative
                         deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
                         assert deg_k < rep < 2 * g + Fraction(1, alpha)
 
 
 class TestFillabilityVerdict:
     def test_anchor(self):
-        verdict = fillability_verdict(1, 2, 1, 1, 1)
+        verdict = _d3(1, 2, 1, 1, 1)
         assert verdict == {
             "tight": True,
             "d3_contact": Fraction(1, 3),
@@ -247,7 +247,7 @@ class TestFillabilityVerdict:
         }
 
     def test_higher_genus(self):
-        verdict = fillability_verdict(2, 5, 3, -1, 1)
+        verdict = _d3(2, 5, 3, -1, 1)
         assert verdict["d3_contact"] == Fraction(23, 16)
         assert verdict["d3_canonical"] == Fraction(-57, 16)
         assert verdict["gap"] == 5
@@ -257,11 +257,13 @@ class TestFillabilityVerdict:
 
 class TestD3Certificate:
     def test_matches_single_route_invariants(self):
+        # d3 of the contact structure from the closed route alone, d3 of
+        # the canonical field from the long route alone
         params = (2, 5, 3, -1, 1)
-        verdict = d3_certificate(2, omega_red_long(*params), omega_red_closed(*params))
-        assert verdict["d3_contact"] == d3_contact(*params).value
-        assert verdict["d3_canonical"] == d3_canonical(*params).value
-        assert verdict == fillability_verdict(*params)
+        verdict = _d3(*params)
+        assert verdict["d3_contact"] == 3 - omega_red_closed(*params)
+        assert verdict["d3_canonical"] == -2 - omega_red_long(*params)
+        assert verdict["gap"] == verdict["d3_contact"] - verdict["d3_canonical"]
 
     def test_gap_follows_route_difference(self):
         # gap = 2g + 1 + (omega_long - omega_closed)
@@ -321,7 +323,7 @@ def _omega_long_reference(g, n, alpha, sign, r):
 
 
 def _moy_reference(g, n, alpha, k):
-    """degree_representative and moy_check by Fraction coset arithmetic."""
+    """moy_check, with its representative, by Fraction coset arithmetic."""
     deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
     step = n + Fraction(1, alpha)
     base = Fraction(k, alpha)
@@ -359,9 +361,7 @@ class TestLargeInputs:
         period = n * alpha + 1
         # k over several periods of the coset, negative ones included
         k = periods * period + data.draw(st.integers(0, period - 1))
-        expected = _moy_reference(g, n, alpha, k)
-        assert degree_representative(g, n, alpha, k) == expected.representative
-        assert moy_check(g, n, alpha, k) == expected
+        assert moy_check(g, n, alpha, k) == _moy_reference(g, n, alpha, k)
 
     @given(
         st.integers(1, 40),

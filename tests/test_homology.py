@@ -13,7 +13,6 @@ from contactsurgery.homology import (
     SpinCClass,
     Witness,
     admissible_points,
-    c1_class,
     check_admissible,
     distinct_witness,
     homology,
@@ -275,42 +274,38 @@ class TestMuOrder:
 
 
 class TestC1Class:
+    # c1 = r * PD(mu) on M(g, 2g; (alpha, 1)), read off spinc_offset at n = 2g
+
     def test_anchor_values(self):
-        inv = SeifertInvariants(1, 2, ((3, 1),))
         # [DERIVED] offset = (r - alpha - 2)/2 = -2 = 5 mod 7
-        cls = c1_class(inv, 1)
+        cls = spinc_offset(1, 2, 3, 1, 1)
         assert cls.offset == 5
         assert cls.modulus == 7
         assert cls.c1_coefficient == 1
         assert cls.c1_order == 7
 
     def test_extreme_rotations(self):
-        inv = SeifertInvariants(1, 2, ((3, 1),))
-        assert c1_class(inv, 3).offset == 6
-        assert c1_class(inv, -3).offset == 3
-        assert c1_class(inv, -3).c1_coefficient == 4
+        # r = alpha needs sign +1, r = -alpha sign -1; at n = 2g the signs agree
+        assert spinc_offset(1, 2, 3, 1, 3).offset == 6
+        assert spinc_offset(1, 2, 3, -1, -3).offset == 3
+        assert spinc_offset(1, 2, 3, -1, -3).c1_coefficient == 4
 
     def test_order_drops_on_common_factor(self):
         # [DERIVED] modulus 15, c1 = 3, so the order is 15/3 = 5
-        inv = SeifertInvariants(1, 2, ((7, 1),))
-        assert c1_class(inv, 3).c1_order == 5
+        assert spinc_offset(1, 2, 7, 1, 3).c1_order == 5
 
     def test_parity_and_range(self):
-        inv = SeifertInvariants(1, 2, ((3, 1),))
         with pytest.raises(ConditionViolation):
-            c1_class(inv, 0)
+            spinc_offset(1, 2, 3, 1, 0)
         with pytest.raises(ConditionViolation):
-            c1_class(inv, 5)
+            spinc_offset(1, 2, 3, 1, 5)
 
     def test_requires_anchor_family(self):
+        # c1 is pinned down only at central framing n = 2g, g >= 1
         with pytest.raises(ConditionViolation):
-            c1_class(SeifertInvariants(1, 2, ((3, 1), (5, 1))), 1)
+            spinc_offset(1, 3, 3, 1, 1).c1_order
         with pytest.raises(ConditionViolation):
-            c1_class(SeifertInvariants(1, 2, ((5, 2),)), 1)
-        with pytest.raises(ConditionViolation):
-            c1_class(SeifertInvariants(1, 3, ((3, 1),)), 1)
-        with pytest.raises(ConditionViolation):
-            c1_class(SeifertInvariants(0, 0, ((3, 1),)), 1)
+            spinc_offset(0, 0, 3, 1, 1)
 
 
 class TestSpinCOffset:
@@ -339,14 +334,13 @@ class TestSpinCOffset:
             minus = spinc_offset(1, 2, 4, -1, r)
             assert plus == minus
 
-    def test_agrees_with_c1_class(self):
-        inv = SeifertInvariants(2, 4, ((5, 1),))
+    def test_agrees_with_c1_formula(self):
+        # at n = 2g: offset (r - alpha - 2)/2 and c1 = r, both mod 2g*alpha + 1
         for r in (-5, -3, -1, 1, 3, 5):
-            direct = c1_class(inv, r)
-            via_offset = spinc_offset(2, 4, 5, 1, r) if r > -5 else None
-            if via_offset is not None:
-                assert via_offset.offset == direct.offset
-                assert via_offset.c1_coefficient == direct.c1_coefficient
+            cls = spinc_offset(2, 4, 5, 1 if r > -5 else -1, r)
+            assert cls.offset == ((r - 5 - 2) // 2) % 21
+            assert cls.c1_coefficient == r % 21
+            assert cls.c1_order == 21 // math.gcd(r, 21)
 
     @given(
         st.integers(1, 3),
@@ -387,11 +381,10 @@ class TestSpinCOffset:
         check_admissible(1, 2, 3, 1, 3)
         check_admissible(1, 2, 3, -1, -3)
 
-    def test_basepoint_validation(self):
+    def test_modulus_validation(self):
         with pytest.raises(ValueError):
-            SpinCClass(basepoint="nowhere", offset=0, modulus=5, c1_coefficient=None)
-        with pytest.raises(ValueError):
-            SpinCClass(basepoint="contact", offset=0, modulus=0, c1_coefficient=None)
+            SpinCClass(offset=0, modulus=0, c1_coefficient=None)
+        assert SpinCClass(offset=0, modulus=1, c1_coefficient=None).modulus == 1
 
 
 class TestAdmissiblePoints:
@@ -469,8 +462,8 @@ class TestDistinctWitness:
 
     def test_orders_match_c1_oracle(self):
         w = distinct_witness(1, 2)
-        inv = SeifertInvariants(1, 2, ((w.alpha, 1),))
-        assert tuple(c1_class(inv, p).c1_order for p in w.rotations) == w.orders
+        orders = tuple(spinc_offset(1, 2, w.alpha, 1, p).c1_order for p in w.rotations)
+        assert orders == w.orders
 
     def test_deterministic(self):
         assert distinct_witness(3, 2) == distinct_witness(3, 2)

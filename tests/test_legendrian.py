@@ -1,11 +1,13 @@
 """Rational surgery to (+-1)-surgery conversion and stabilization choices."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contactsurgery import legendrian
 from contactsurgery.errors import ConditionViolation, ZeroCoefficient
 from contactsurgery.legendrian import (
     ROOT,
@@ -175,3 +177,39 @@ class TestEnumerateChoices:
         first = enumerate_choices(d)[0]
         assert all(pos == 0 for pos, _ in first.signs)
         assert first.final_rot == -2
+
+
+class TestChainBound:
+    def test_longest_chains_accepted(self):
+        assert len(convert(Fraction(1, 3000)).components) == 3000
+        assert len(convert(Fraction(-1, 3000)).components) == 3000
+        # [DERIVED] 2999/(2999^2 + 1): k = 3000, residual -2999/2998 with
+        # 2998 entries, the longest chain a positive coefficient can give
+        d = convert(Fraction(2999, 2999 * 2999 + 1))
+        assert (d.plus_count, len(d.components)) == (3000, 5998)
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            Fraction(1, 3001),
+            Fraction(1, 10**12),
+            Fraction(2, 2 * 10**12 + 1),
+            Fraction(3000, 3000 * 3000 + 1),
+            Fraction(-1, 3001),
+            Fraction(-1, 10**12),
+        ],
+    )
+    def test_longer_chains_refused_before_building(self, r):
+        with mock.patch.object(legendrian, "LegendrianComponent", side_effect=AssertionError):
+            with pytest.raises(ConditionViolation, match="more than 3000"):
+                convert(r)
+
+    def test_long_residual_refused(self):
+        # [DERIVED] k = 2, residual -10^6/999999 expands to 999999 entries
+        with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+            convert(Fraction(10**6, 10**6 + 1))
+
+    def test_plus_ones_bounded(self):
+        assert len(one_over_k_to_plus_ones(3000).components) == 3000
+        with pytest.raises(ConditionViolation):
+            one_over_k_to_plus_ones(3001)

@@ -7,13 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
+from contactsurgery.gauge import moy_check
 from contactsurgery.seifert import (
-    OrbifoldLineBundle,
     SeifertInvariants,
-    canonical_bundle,
     coefficients_from_seifert,
     d_range,
-    degree,
     normalize,
     rolfsen_twist,
     seifert_from_coefficients,
@@ -165,27 +163,17 @@ class TestCoefficientDictionary:
 
 
 class TestBundles:
-    def test_canonical(self):
-        inv = SeifertInvariants(1, 2, ((3, 1), (5, 2)))
-        k = canonical_bundle(inv)
-        assert k == OrbifoldLineBundle(0, (2, 4))
+    # bundle degrees of the one-fiber family are kept by gauge.moy_check,
+    # in integer units of 1/alpha
 
     def test_canonical_degree_single_fiber(self):
-        # [DERIVED] deg K = 2g - 1 - 1/alpha for one (alpha, beta) fiber
+        # [DERIVED] deg K = 2g - 1 - 1/alpha for one (alpha, beta) fiber: the
+        # offset k = alpha deg K puts deg K itself in the window [0, deg K]
         for g, alpha in [(1, 3), (2, 5), (3, 2)]:
-            inv = SeifertInvariants(g, 2 * g, ((alpha, 1),))
-            assert degree(canonical_bundle(inv), inv) == Fraction(
-                (2 * g - 1) * alpha - 1, alpha
-            )
-
-    def test_degree_mismatch(self):
-        inv = SeifertInvariants(1, 2, ((3, 1),))
-        with pytest.raises(ValueError):
-            degree(OrbifoldLineBundle(0, (1, 2)), inv)
-
-    def test_degree_no_fibers(self):
-        inv = SeifertInvariants(2, 0)
-        assert degree(OrbifoldLineBundle(3, ()), inv) == 3
+            deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
+            verdict = moy_check(g, 2 * g, alpha, (2 * g - 1) * alpha - 1)
+            assert verdict.witness_degrees == (deg_k,)
+            assert verdict.representative == deg_k + 2 * g + Fraction(1, alpha)
 
 
 class TestDRange:
