@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import SearchExhausted
-from .gauge import d3_certificate, moy_check, omega_red_closed, omega_red_long
+from .gauge import d3_certificate, d3_numerators, moy_check, omega_red_closed, omega_red_long
 from .homology import (
     admissible_points,
     check_admissible,
@@ -41,6 +41,11 @@ from .legendrian import ROOT, convert
 from .seifert import SeifertInvariants, coefficients_from_seifert, normalize
 
 __all__ = ["build_report", "render_json", "main"]
+
+# Python's default digit limit for int <-> str: 10**e above it cannot be printed
+_EXPONENT_LIMIT = 4300
+# |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
+_TB_ROT_LIMIT = 10**12
 
 
 def _jsonable(value):
@@ -158,11 +163,15 @@ def run_sweep(
     Checks (per point of homology.admissible_points): the omega_red
     closed-form identity, the gap law, the n = 2g MOY verdict with its
     sandwich inequality, and the mu-order closed form.  Each omega_red
-    route is evaluated once per point; d3_contact, d3_canonical and the
-    gap come from those two values through gauge.d3_certificate, so the
-    gap is 2g + 1 + (long - closed) and the gap law fails wherever the
-    identity does.  Counts are exact; any failure is recorded with its
-    coordinates.
+    route is evaluated once per point and read as an integer ratio; every
+    check is then integer arithmetic, and each stays independent.  The
+    identity compares the two ratios by cross-multiplication.  The gap
+    law comes from gauge.d3_numerators, which takes d3_contact from the
+    closed value and d3_canonical from the long one, never from the
+    identity comparison.  The sandwich deg K < representative < 2g +
+    1/alpha is compared in integer units of 1/alpha.  Counts are exact
+    and added up per (g, n, alpha) block; any failure is recorded with
+    its coordinates.
     """
     counts = {"omega_identity": 0, "gap_law": 0, "moy": 0, "mu_order": 0}
     failures: list[dict] = []
@@ -178,26 +187,29 @@ def run_sweep(
                 failures.append({"check": "mu_order", "g": g, "alpha": alpha})
             if mu_only:
                 continue
-            deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
-            top = 2 * g + Fraction(1, alpha)
+            # the sandwich's ends in units of 1/alpha
+            deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
             for offset in range(n_span[0], n_span[1] + 1):
                 n = 2 * g + offset
-                for point in admissible_points(g, n, alpha):
-                    long_form = omega_red_long(*point)
-                    closed_form = omega_red_closed(*point)
-                    counts["omega_identity"] += 1
-                    if long_form != closed_form:
+                points = list(admissible_points(g, n, alpha))
+                counts["omega_identity"] += len(points)
+                counts["gap_law"] += len(points)
+                if n == 2 * g:
+                    counts["moy"] += len(points)
+                for point in points:
+                    long_num, long_den = omega_red_long(*point).as_integer_ratio()
+                    closed_num, closed_den = omega_red_closed(*point).as_integer_ratio()
+                    if long_num * closed_den != closed_num * long_den:
                         fail("omega_identity", point)
-                    counts["gap_law"] += 1
-                    if not d3_certificate(g, long_form, closed_form)["gap_law"]:
+                    if not d3_numerators(g, long_num, long_den, closed_num, closed_den)[3]:
                         fail("gap_law", point)
                     if n == 2 * g:
                         moy = moy_check(g, n, alpha, spinc_offset(*point).offset)
-                        counts["moy"] += 1
+                        rep_num, rep_den = moy.representative.as_integer_ratio()
                         if not (
                             moy.reducibles_only
                             and moy.dirac_kernels_trivial
-                            and deg_k < moy.representative < top
+                            and deg_k * rep_den < rep_num * alpha < top * rep_den
                         ):
                             fail("moy", point)
     return {
@@ -241,8 +253,27 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _rational(text: str) -> Fraction:
+    """The --r value of convert and cf, with its exponent bounded.
+
+    Fraction(text) accepts exponent notation and computes 10**exponent
+    before anything can look at the value, so an exponent above
+    _EXPONENT_LIMIT is refused first; every other text goes to Fraction
+    unchanged, with Fraction's own error messages.
+    """
+    _, marker, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal():
+        if len(digits) > len(str(_EXPONENT_LIMIT)) or int(digits) > _EXPONENT_LIMIT:
+            raise ValueError(f"the exponent of --r must be at most {_EXPONENT_LIMIT}")
+    return Fraction(text)
+
+
 def _convert(args) -> dict:
-    return _diagram_summary(Fraction(args.r), args.tb, args.rot)
+    for flag, value in (("tb", args.tb), ("rot", args.rot)):
+        if abs(value) > _TB_ROT_LIMIT:
+            raise ValueError(f"--{flag} must lie within -10^12..10^12")
+    return _diagram_summary(_rational(args.r), args.tb, args.rot)
 
 
 def _convert_text(doc: dict) -> list[str]:
@@ -369,9 +400,10 @@ def _cf(args) -> dict:
     if (args.r is None) == (args.entries is None):
         raise ValueError("pass exactly one of --r or --entries")
     if args.r is not None:
-        cf = neg_cf_expand(Fraction(args.r))
+        coefficient = _rational(args.r)
+        cf = neg_cf_expand(coefficient)
         return {
-            "coefficient": Fraction(args.r),
+            "coefficient": coefficient,
             "entries": list(cf.entries),
             "stabilization_counts": stabilization_counts(cf),
         }

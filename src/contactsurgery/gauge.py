@@ -13,13 +13,17 @@ Both run on integer numerators over one common denominator and build a
 single Fraction at the end; the long form is never reduced algebraically
 into the closed one, so the check stays a comparison of two routes.
 
-d3_certificate is the one source of the d3 invariants: it takes one
-value of each route, the d3 of the contact structure from the closed
-one and the d3 of the canonical plane field of its Spin^c structure from
-the long one.  Their difference is 2g + 1 + (omega_long - omega_closed),
-so it is exactly 2g + 1 precisely when the routes agree; a nonzero gap
-certifies that the contact structure is not homotopic to that canonical
-field: the fillability obstruction.
+d3_numerators is the one source of the d3 invariants: from one value of
+each route, given as integer numerator and denominator, it takes the d3
+of the contact structure from the closed one, (2g - 1) - omega_closed,
+and the d3 of the canonical plane field of its Spin^c structure from
+the long one, -2 - omega_long, as integer numerators over the routes'
+own denominators.  Their difference is 2g + 1 + (omega_long -
+omega_closed), so it is exactly 2g + 1 precisely when the routes agree
+(the gap law, one integer comparison); a nonzero gap certifies that the
+contact structure is not homotopic to that canonical field: the
+fillability obstruction.  d3_certificate builds the Fractions of a
+document from those numerators.
 
 moy_check implements the arithmetic criteria on orbifold line bundle
 degrees: the moduli space contains only reducible solutions when no
@@ -45,6 +49,7 @@ __all__ = [
     "dedekind_context",
     "omega_red_long",
     "omega_red_closed",
+    "d3_numerators",
     "d3_certificate",
     "moy_check",
 ]
@@ -185,27 +190,46 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     )
 
 
+def d3_numerators(
+    g: int, long_num: int, long_den: int, closed_num: int, closed_den: int
+) -> tuple[int, int, int, bool]:
+    """The d3 pair and its gap as integer numerators, and the gap law.
+
+    omega_long = long_num / long_den and omega_closed = closed_num /
+    closed_den, denominators positive.  Returns (contact, canonical, gap,
+    gap_law): d3 of the contact structure, (2g - 1) - omega_closed, over
+    closed_den; d3 of the canonical plane field, -2 - omega_long, over
+    long_den; their difference over long_den * closed_den; and whether
+    that difference is 2g + 1, decided by one integer comparison.
+    """
+    contact = (2 * g - 1) * closed_den - closed_num
+    canonical = -2 * long_den - long_num
+    gap = contact * long_den - canonical * closed_den
+    return contact, canonical, gap, gap == (2 * g + 1) * long_den * closed_den
+
+
 def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict:
     """The d3 pair, its gap and the fillability verdict for xi^sign_r.
 
-    Takes one value of each omega_red route at the same point.  d3 of the
-    contact structure is (2g - 1) - omega_closed; d3 of the canonical
-    plane field of its Spin^c structure is -2 - omega_long.  The gap
-    between them is 2g + 1 + (omega_long - omega_closed), so it equals
-    2g + 1 exactly when the routes agree (gap_law).  Any nonzero gap
-    rules out a filling whose canonical field would be homotopic to the
-    contact structure, so fillable is 'no (certified)' whenever the gap
-    is nonzero.  Tightness is established upstream for the family and
-    reported as metadata.
+    Takes one value of each omega_red route at the same point and builds
+    the document's Fractions from d3_numerators: d3 of the contact
+    structure is (2g - 1) - omega_closed; d3 of the canonical plane field
+    of its Spin^c structure is -2 - omega_long.  The gap between them is
+    2g + 1 + (omega_long - omega_closed), so it equals 2g + 1 exactly
+    when the routes agree (gap_law).  Any nonzero gap rules out a filling
+    whose canonical field would be homotopic to the contact structure, so
+    fillable is 'no (certified)' whenever the gap is nonzero.  Tightness
+    is established upstream for the family and reported as metadata.
     """
-    contact = (2 * g - 1) - omega_closed
-    canonical = -2 - omega_long
-    gap = contact - canonical
+    long_den, closed_den = omega_long.denominator, omega_closed.denominator
+    contact, canonical, gap, gap_law = d3_numerators(
+        g, omega_long.numerator, long_den, omega_closed.numerator, closed_den
+    )
     return {
         "tight": True,
-        "d3_contact": contact,
-        "d3_canonical": canonical,
-        "gap": gap,
-        "gap_law": gap == 2 * g + 1,
+        "d3_contact": Fraction(contact, closed_den),
+        "d3_canonical": Fraction(canonical, long_den),
+        "gap": Fraction(gap, long_den * closed_den),
+        "gap_law": gap_law,
         "fillable": "no (certified)" if gap != 0 else "conjectured no",
     }

@@ -22,7 +22,9 @@ non-embeddability for every m.
 The search runs on an explicit stack, so no rank reaches Python's
 recursion limit, and a node costs O(rank); its order and cut are those
 of a plain recursion over columns, so the first embedding found, or
-None, is the same.
+None, is the same.  Its cost still grows about as q^3 on lambda_q, so
+nonfillability_obstruction refuses q above _Q_LIMIT (g above 759)
+before building anything.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = [
     "embeds_in_diagonal",
     "nonfillability_obstruction",
 ]
+
+_Q_LIMIT = 40  # largest lambda_q the obstruction searches: about 0.2 s, g <= 759
 
 
 @dataclass(frozen=True)
@@ -234,7 +238,8 @@ def nonfillability_obstruction(g: int) -> dict:
     such d exists), builds lambda_{d+2}, and searches all diagonal
     lattices.  A lattice that would have to embed in a diagonal lattice
     by diagonalization of a negative definite filling, but does not,
-    certifies that no such filling exists.
+    certifies that no such filling exists.  Raises ConditionViolation
+    when q = d + 2 exceeds _Q_LIMIT, before any search.
     """
     if g < 1:
         raise ConditionViolation(f"need g >= 1, got {g}")
@@ -242,6 +247,11 @@ def nonfillability_obstruction(g: int) -> dict:
     if d is None:
         raise NoValidD(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
     q = d + 2
+    if q > _Q_LIMIT:
+        g_max = ((_Q_LIMIT - 2) * _Q_LIMIT - 1) // 2
+        raise ConditionViolation(
+            f"q = {q} is above the search limit q <= {_Q_LIMIT} (g <= {g_max})"
+        )
     lattice = lambda_q(q)
     embedding = embeds_in_diagonal(lattice)
     return {

@@ -171,13 +171,11 @@ def d_range(g: int) -> int | None:
     """The unique positive d with d(d+1) <= 2g <= d(d+2) - 1, if any.
 
     Consecutive windows [d(d+1), d(d+2)-1] are disjoint, so at most one d
-    qualifies; even genus values can fall in the gaps between them.
+    qualifies; even genus values can fall in the gaps between them.  Only
+    the largest d with d(d+1) <= 2g can qualify, and (2d + 1)^2 <= 8g + 1
+    gives it with one integer square root, whatever the size of g.
     """
     if g < 1:
         raise ConditionViolation(f"need g >= 1, got {g}")
-    d = 1
-    while d * (d + 1) <= 2 * g:
-        if 2 * g <= d * (d + 2) - 1:
-            return d
-        d += 1
-    return None
+    d = (math.isqrt(8 * g + 1) - 1) // 2
+    return d if 2 * g <= d * (d + 2) - 1 else None

@@ -1,5 +1,6 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
+from contactsurgery.homology import admissible_points
 
 
 class TestBuildReport:
@@ -225,6 +227,112 @@ class TestSweepCommand:
         assert main(["sweep", "--g-range", "1-3"]) == 2
 
 
+# The whole range the bench draws its sweep sub-grids from (g 1..5,
+# n 2g..2g+4, alpha 1..64), as written by the earlier sweep, which
+# compared Fractions; the integer checks must reproduce both documents
+# byte for byte.
+SWEEP_GRID = ["sweep", "--g-range", "1..5", "--n-range", "2g..2g+4", "--alpha-range", "1..64"]
+SWEEP_GRID_JSON = """\
+{
+  "grid": {
+    "g": [
+      1,
+      5
+    ],
+    "n_span": [
+      0,
+      4
+    ],
+    "alpha": [
+      1,
+      64
+    ],
+    "mu_only": false
+  },
+  "checks": {
+    "omega_identity": 104000,
+    "gap_law": 104000,
+    "moy": 20800,
+    "mu_order": 320
+  },
+  "failures": [],
+  "all_pass": true
+}
+"""
+SWEEP_GRID_MU_ONLY_JSON = """\
+{
+  "grid": {
+    "g": [
+      1,
+      5
+    ],
+    "n_span": [
+      0,
+      4
+    ],
+    "alpha": [
+      1,
+      64
+    ],
+    "mu_only": true
+  },
+  "checks": {
+    "omega_identity": 0,
+    "gap_law": 0,
+    "moy": 0,
+    "mu_order": 320
+  },
+  "failures": [],
+  "all_pass": true
+}
+"""
+
+
+class TestSweepDocuments:
+    def test_full_grid(self, capsys):
+        assert main(SWEEP_GRID + ["--json"]) == 0
+        assert capsys.readouterr().out == SWEEP_GRID_JSON
+
+    def test_mu_only(self, capsys):
+        assert main(SWEEP_GRID + ["--mu-only", "--json"]) == 0
+        assert capsys.readouterr().out == SWEEP_GRID_MU_ONLY_JSON
+
+
+class TestGapLawMutation:
+    """A d3_numerators with contact offset 2g in place of 2g - 1 fails the gap law alone."""
+
+    @pytest.fixture(autouse=True)
+    def mutated_contact_offset(self, monkeypatch):
+        source = inspect.getsource(gauge.d3_numerators)
+        assert source.count("(2 * g - 1) * closed_den") == 1
+        namespace = dict(vars(gauge))
+        exec(source.replace("(2 * g - 1) * closed_den", "(2 * g) * closed_den"), namespace)
+        monkeypatch.setattr(cli, "d3_numerators", namespace["d3_numerators"])
+        monkeypatch.setattr(gauge, "d3_numerators", namespace["d3_numerators"])
+
+    def test_sweep_lists_gap_law_at_every_point(self, capsys):
+        argv = ["sweep", "--g-range", "1..2", "--n-range", "2g..2g+1", "--alpha-range", "1..4"]
+        assert main(argv + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        keys = ("g", "n", "alpha", "sign", "r")
+        assert data["failures"] == [
+            {"check": "gap_law", **dict(zip(keys, point))}
+            for g in (1, 2)
+            for alpha in range(1, 5)
+            for n in (2 * g, 2 * g + 1)
+            for point in admissible_points(g, n, alpha)
+        ]
+        assert data["checks"]["omega_identity"] == data["checks"]["gap_law"] == 80
+        assert data["all_pass"] is False
+
+    def test_report_fails_the_gap_check_only(self, capsys):
+        argv = ["report", "--g", "1", "--n", "3", "--alpha", "3", "--sign", "-", "--r", "1"]
+        assert main(argv + ["--json"]) == 3
+        checks = json.loads(capsys.readouterr().out)["verdicts"]["checks"]
+        assert checks.pop("gap_is_2g_plus_1") is False
+        assert all(checks.values())
+
+
 class TestRouteDisagreement:
     """A closed route off by 1/7 at one point must fail A1 and the gap law."""
 
@@ -289,6 +397,19 @@ class TestObstructionCommand:
     def test_gap_genus(self, capsys):
         assert main(["obstruction", "--g", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_largest_q_still_certifies(self, capsys):
+        assert main(["obstruction", "--g", "741", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["q"], data["obstruction_holds"]) == (40, True)
+
+    @pytest.mark.parametrize(
+        "g, q", [(780, 41), (999000, 1415), (10**1000 * (10**1000 + 1) // 2, 10**1000 + 2)]
+    )
+    def test_above_the_search_limit(self, g, q, capsys):
+        assert main(["obstruction", "--g", str(g)]) == 2
+        message = f"error: q = {q} is above the search limit q <= 40 (g <= 759)\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("g, q", [(45, 11), (55, 12), (66, 13), (78, 14)])
     def test_large_genus_on_a_shallow_stack(self, g, q, capsys):
@@ -394,6 +515,35 @@ class TestChainBound:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBoundedArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["convert", "--r=1e100000000"], "the exponent of --r must be at most 4300"),
+            (["cf", "--r=-1e100000000"], "the exponent of --r must be at most 4300"),
+            (["cf", "--r=-1e-1_000_000_000", "--json"], "the exponent of --r must be at most 4300"),
+            (["convert", "--r=-1E4301"], "the exponent of --r must be at most 4300"),
+            (["convert", "--r=1/2", "--tb=-10000000000000"], "--tb must lie within -10^12..10^12"),
+            (["convert", "--r=1/2", "--rot=1000000000001", "--json"],
+             "--rot must lie within -10^12..10^12"),
+        ],
+    )
+    def test_refused_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "r, entries",
+        [("-1e3", [-1000]), ("-1.5E1", [-15]), ("-1e0_2", [-100]), ("-25e-1", [-3, -2])],
+    )
+    def test_exponents_within_the_bound_are_read(self, r, entries, capsys):
+        assert main(["cf", f"--r={r}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == entries
+
+    def test_tb_and_rot_at_the_bound_are_accepted(self, capsys):
+        assert main(["convert", "--r=-4/3", "--tb=-1000000000000", "--rot=1000000000000"]) == 0
 
 
 class TestEntryPoint:

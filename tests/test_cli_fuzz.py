@@ -3,9 +3,10 @@
 Every call of cli.main must end in exit 0, 2 or 3 (argparse's own exit
 through SystemExit counts, with its code), raise nothing else, and write
 less than 1 MB to stdout.  Arguments mix well-formed values, including
---r denominators up to 10^12, with junk.  Work is kept small only where
-the command has no bound of its own: obstruction --g <= 83, sweep ranges
-of a few values, witness --count <= 12.
+--r denominators up to 10^12, exponents far beyond Python's digit limit,
+convert --tb/--rot beyond their bound of 10^12 and obstruction --g of
+any size, with junk.  Work is kept small only where the command has no
+bound of its own: sweep ranges of a few values, witness --count <= 12.
 """
 
 import contextlib
@@ -32,12 +33,19 @@ def _is_int(text: str) -> bool:
 junk = st.sampled_from(
     ["", "abc", "--", "-", "1/0", "0/0", "1//2", "1/2/3", "nan", "inf", "1.5", "..",
      "1..", "..2", "2g", "2g+", "a..b", "5-7", ",", "3/", "/3", "0x10", "1e5000",
-     "-1e5000", "1e-5000", "½", "٣"]
+     "-1e5000", "1e-5000", "1e100000000", "-1E-1_000_000_000", "½", "٣"]
 ) | st.text(max_size=8).filter(lambda t: not _is_int(t))
 
 
 def _int(low: int, high: int):
     return st.integers(low, high).map(str) | junk
+
+
+def _beyond(bound: int):
+    """Integers past -bound..bound, up to the 4,300 digits argparse reads."""
+    return st.builds(
+        lambda sign, x: str(sign * x), st.sampled_from((1, -1)), st.integers(bound + 1, 10**4299)
+    )
 
 
 def _rational(max_denominator: int = BIG):
@@ -62,7 +70,11 @@ def _flags(**options):
 
 
 COMMANDS = {
-    "convert": _flags(r=_rational(), tb=_int(-BIG, BIG), rot=_int(-BIG, BIG)),
+    "convert": _flags(
+        r=_rational(),
+        tb=_int(-BIG, BIG) | _beyond(BIG),
+        rot=_int(-BIG, BIG) | _beyond(BIG),
+    ),
     "report": _flags(
         g=_int(-1, 6),
         n=_int(-1, 10**6),
@@ -74,7 +86,7 @@ COMMANDS = {
         _flags(g_range=_range(-1, 3), n_range=_range(-1, 4), alpha_range=_range(-1, 12)),
         st.sampled_from([[], ["--mu-only"]]),
     ).map(lambda parts: parts[0] + parts[1]),
-    "obstruction": _flags(g=_int(-3, 83)),
+    "obstruction": _flags(g=_int(-3, 800) | _int(-3, 10**4299)),
     "witness": _flags(g=_int(-1, 6), count=_int(-1, 12), max_base=_int(-1, 10**4)),
     "normalize": _flags(
         g=_int(-1, 5),
@@ -143,3 +155,11 @@ def test_extreme_chains_stay_below_the_output_limit():
     assert code == 0
     assert out.count('"contact_coefficient"') == 5998
     assert len(out.encode("utf-8")) < OUTPUT_LIMIT
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["tb", "rot"]), _beyond(BIG), st.booleans())
+def test_tb_rot_beyond_the_bound_exit_2(flag, value, as_json):
+    argv = ["convert", "--r=2999/8994002", f"--{flag}={value}"]
+    code, out = _run(argv + (["--json"] if as_json else []))
+    assert (code, out) == (2, "")

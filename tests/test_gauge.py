@@ -12,6 +12,7 @@ from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
     MoyVerdict,
     d3_certificate,
+    d3_numerators,
     dedekind_context,
     moy_check,
     omega_red_closed,
@@ -347,6 +348,30 @@ class TestLargeInputs:
         value = omega_red_long(*params)
         assert value == _omega_long_reference(*params)
         assert value == omega_red_closed(*params)
+
+    @settings(max_examples=300)
+    @given(
+        large_admissible_inputs(),
+        st.just(Fraction(0)) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
+        st.just(Fraction(0)) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
+    )
+    def test_d3_numerators_match_fraction_arithmetic(self, params, long_skew, closed_skew):
+        # the routes as computed, or pulled apart by independent skews
+        g = params[0]
+        long_form = omega_red_long(*params) + long_skew
+        closed_form = omega_red_closed(*params) + closed_skew
+        (long_num, long_den), (closed_num, closed_den) = (
+            long_form.as_integer_ratio(),
+            closed_form.as_integer_ratio(),
+        )
+        contact, canonical, gap, gap_law = d3_numerators(
+            g, long_num, long_den, closed_num, closed_den
+        )
+        assert Fraction(contact, closed_den) == (2 * g - 1) - closed_form
+        assert Fraction(canonical, long_den) == -2 - long_form
+        gap_value = Fraction(gap, long_den * closed_den)
+        assert gap_value == (2 * g - 1) - closed_form - (-2 - long_form)
+        assert gap_law == (gap_value == 2 * g + 1) == (long_skew == closed_skew)
 
     @settings(max_examples=300)
     @given(

@@ -199,3 +199,11 @@ class TestDRange:
             )
         else:
             assert d * (d + 1) <= 2 * g <= d * (d + 2) - 1
+
+    @given(st.integers(min_value=1, max_value=10**40))
+    def test_window_ends_at_large_genus(self, d):
+        # 2g = d(d+1) opens window d, the largest even 2g <= d(d+2) - 1
+        # closes it, and the first even 2g >= d(d+2) lies in the gap after it
+        assert d_range(d * (d + 1) // 2) == d
+        assert d_range((d * (d + 2) - 1) // 2) == d
+        assert d_range((d * (d + 2) + 1) // 2) is None
