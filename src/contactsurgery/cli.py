@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
-from .errors import SearchExhausted
+from .errors import ConditionViolation
 from .gauge import d3_certificate, d3_numerators, moy_check, omega_red_closed, omega_red_long
 from .homology import (
     admissible_points,
@@ -46,21 +46,14 @@ __all__ = ["build_report", "render_json", "main"]
 _EXPONENT_LIMIT = 4300
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+# sweep work: points at about 7 us each, (g, alpha) blocks (one mu order) at about 53 us
+_SWEEP_POINT_LIMIT = 250_000
+_SWEEP_BLOCK_LIMIT = 20_000
 
 
 def render_json(document: dict) -> str:
     """Canonical JSON: insertion-ordered keys, rationals as strings."""
-    return json.dumps(_jsonable(document), indent=2) + "\n"
+    return json.dumps(document, indent=2, default=str) + "\n"
 
 
 def _diagram_summary(coefficient: Fraction, tb: int = -1, rot: int = 0) -> dict:
@@ -94,8 +87,9 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
     check_admissible(g, n, alpha, sign, r)
     inv = SeifertInvariants(g, n, ((alpha, 1),))
     coefficient = coefficients_from_seifert(inv)[0]
-    h = homology(presentation(inv))
-    mu = mu_order(inv)
+    p = presentation(inv)
+    h = homology(p)
+    mu = h.order(p.mu_index)
     spinc = spinc_offset(g, n, alpha, sign, r)
     long_form = omega_red_long(g, n, alpha, sign, r)
     closed_form = omega_red_closed(g, n, alpha, sign, r)
@@ -171,8 +165,26 @@ def run_sweep(
     identity comparison.  The sandwich deg K < representative < 2g +
     1/alpha is compared in integer units of 1/alpha.  Counts are exact
     and added up per (g, n, alpha) block; any failure is recorded with
-    its coordinates.
+    its coordinates.  Before any evaluation the work is counted from the
+    three ranges: 2*sum(alpha) points per (g, n) (none with mu_only) and
+    one mu order per (g, alpha) block, or one empty block per g when the
+    alpha range is empty.  Above _SWEEP_POINT_LIMIT points
+    or _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation.
     """
+
+    def size(low: int, high: int) -> int:
+        return max(0, high - low + 1)
+
+    gs, alphas = size(*g_range), size(*alpha_range)
+    # 2*sum(alpha) = (first + last) * alphas per (g, n); a range reaching
+    # alpha < 1 undercounts, but fails at its first block
+    points = 0 if mu_only else gs * alphas * size(*n_span) * (alpha_range[0] + alpha_range[1])
+    # an empty alpha range still walks every g once
+    if points > _SWEEP_POINT_LIMIT or gs * max(alphas, 1) > _SWEEP_BLOCK_LIMIT:
+        raise ConditionViolation(
+            f"the sweep grid is limited to {_SWEEP_POINT_LIMIT:,} points"
+            f" and {_SWEEP_BLOCK_LIMIT:,} (g, alpha) blocks"
+        )
     counts = {"omega_identity": 0, "gap_law": 0, "moy": 0, "mu_order": 0}
     failures: list[dict] = []
 
@@ -502,9 +514,12 @@ def main(argv: list[str] | None = None) -> int:
         # rendered before writing: an integer above Python's digit limit
         # for str() (say from --r=-1e5000) is refused here, not midway
         text = render_json(document) if args.json else "\n".join(args.render(document)) + "\n"
-    except (ValueError, ZeroDivisionError, SearchExhausted) as error:
+    except (ValueError, ZeroDivisionError) as error:
         sys.stderr.write(f"error: {error}\n")
         return 2
+    except AssertionError as error:  # an internal cross-check, as in distinct_witness
+        sys.stderr.write(f"error: cross-check failed: {error}\n")
+        return 3
     sys.stdout.write(text)
     return 0 if args.passed(document) else 3
 

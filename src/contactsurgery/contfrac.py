@@ -23,6 +23,7 @@ the bound both raise ConditionViolation before building anything large.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ class NegContinuedFraction:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(c) for c in self.entries)
+        entries = tuple(operator.index(c) for c in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("expansion needs at least one entry")

@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 Every exception derives from ValueError so callers that do not care about
-the precise failure mode can catch invalid input uniformly.
+the precise failure mode can catch invalid input uniformly; the command
+line maps each of them to exit 2.  A bounded search that runs out
+(SearchExhausted) is invalid input too: the bound was too small for the
+request.  Internal cross-checks raise AssertionError instead, which the
+command line maps to exit 3.
 """
 
 
@@ -17,7 +21,7 @@ class ConditionViolation(ValueError):
     """Input violates an admissibility condition (range, parity, or shape)."""
 
 
-class SearchExhausted(RuntimeError):
+class SearchExhausted(ValueError):
     """A bounded search ran out of candidates before finding a witness."""
 
 

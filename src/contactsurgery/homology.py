@@ -30,11 +30,12 @@ particular c1 = r * PD(mu) at offset (r - alpha - 2)/2.  spinc_offset
 is the one place this arithmetic is done, for every admissible
 (g, n, alpha, sign, r); c1 is reported only at n = 2g.
 
-distinct_witness turns that arithmetic into a certificate: it searches
-for alpha such that `count` admissible rotation numbers yield c1 classes
-of pairwise distinct orders, which forces the corresponding contact
-structures apart.  Each order it returns is checked against the c1
-order that spinc_offset gives for that rotation.
+distinct_witness turns that arithmetic into a certificate by direct
+construction: the first `count` primes p = 2g*a + 1, used as rotation
+numbers, give c1 classes of pairwise distinct orders (2g*alpha + 1)/p at
+an alpha built from their product, which forces the corresponding
+contact structures apart.  Each order it returns is checked against the
+c1 order that spinc_offset gives for that rotation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress, islice
 
 from .contfrac import neg_cf_expand
 from .errors import ConditionViolation, SearchExhausted
@@ -63,6 +64,13 @@ __all__ = [
     "admissible_points",
     "distinct_witness",
 ]
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# witness bounds: every candidate 2g*a + 1 is at most 2 * 10^18 + 1, and the
+# largest document (count = 100) is about 0.15 MB
+_G_LIMIT = 10**12
+_COUNT_LIMIT = 100
+_BASE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,15 @@ class FirstHomology:
     torsion: tuple[int, ...]
     class_map: tuple[tuple[int, ...], ...]
     free_map: tuple[tuple[int, ...], ...]
+
+    def order(self, j: int) -> int:
+        """Order of the j-th meridian generator; raises if it has a free part."""
+        if any(c != 0 for c in self.free_map[j]):
+            raise ConditionViolation("meridian class has infinite order")
+        order = 1
+        for coordinate, d in zip(self.class_map[j], self.torsion):
+            order = math.lcm(order, d // math.gcd(coordinate, d))
+        return order
 
 
 @dataclass(frozen=True)
@@ -287,13 +304,7 @@ def mu_order(inv: SeifertInvariants) -> int:
     n >= 2g family never produces).
     """
     p = presentation(inv)
-    h = homology(p)
-    if any(c != 0 for c in h.free_map[p.mu_index]):
-        raise ConditionViolation("meridian class has infinite order")
-    order = 1
-    for coordinate, d in zip(h.class_map[p.mu_index], h.torsion):
-        order = math.lcm(order, d // math.gcd(coordinate, d))
-    return order
+    return homology(p).order(p.mu_index)
 
 
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
@@ -351,10 +362,15 @@ def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, in
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24.
+
+    The prime bases 2..41 are proven sufficient below
+    3,317,044,064,679,887,385,961,981 (Sorenson and Webster, Math. Comp.
+    86, 2017); the witness bounds keep every candidate below 2.1 * 10^18.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -362,7 +378,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -376,42 +392,39 @@ def _is_prime(n: int) -> bool:
 
 
 def distinct_witness(g: int, count: int, max_base: int = 10000) -> Witness:
-    """Find alpha and rotation numbers with pairwise distinct c1 orders.
+    """Construct alpha and rotation numbers with pairwise distinct c1 orders.
 
-    The recipe: choose bases a_1 < ... < a_count with each
-    p_i = 2g*a_i + 1 prime, set a = (prod p_i - 1)/(2g) (always integral
-    since each p_i = 1 mod 2g), and let alpha = a when a is odd, else
-    a*(2g+1) + 1, which keeps prod p_i dividing 2g*alpha + 1.  The
-    rotations are the p_i themselves, so the c1 orders
+    The rotations are the first `count` primes p_i = 2g*a_i + 1 (bases
+    a_1 < ... < a_count).  With a = (prod p_i - 1)/(2g), integral since
+    each p_i = 1 mod 2g, alpha is a when a is odd, else a*(2g+1) + 1,
+    which keeps prod p_i dividing 2g*alpha + 1; so the c1 orders
     (2g*alpha + 1)/p_i are pairwise distinct.
 
-    A candidate is valid only if every p_i <= alpha (rotations must be
-    admissible); invalid candidates are skipped and the search continues.
-    Base tuples are enumerated by increasing maximum element, then
-    lexicographically, so the result is canonical.  The tuples are drawn
-    from the bases whose 2g*a + 1 is prime, never from all integers below
-    the maximum.  Raises SearchExhausted if no valid tuple has maximum
-    <= max_base.
+    Rotations must be admissible, p_i <= alpha.  For count >= 2 this
+    always holds: prod p_i >= (2g + 1) * p_count, so a > p_count.  For
+    count = 1 the candidate (p,) is tried at each prime p in turn until
+    p <= alpha, that is at the first even base.  The result is canonical.
+    Raises ConditionViolation above g = 10^12, count = 100 or max_base =
+    10^6, before any search, and SearchExhausted if the construction
+    needs a base above max_base.
     """
     if g < 1 or count < 1:
         raise ConditionViolation("need g >= 1 and count >= 1")
-    primes: list[int] = []  # every prime 2g*a + 1 with a < top, increasing
-    for top in range(1, max_base + 1):
-        p_top = 2 * g * top + 1
-        if not _is_prime(p_top):
+    if g > _G_LIMIT or count > _COUNT_LIMIT or max_base > _BASE_LIMIT:
+        raise ConditionViolation("witness needs g <= 10^12, count <= 100 and max_base <= 10^6")
+    primes = filter(_is_prime, (2 * g * a + 1 for a in range(1, max_base + 1)))
+    first = tuple(islice(primes, count - 1))
+    for p_top in primes:
+        rotations = (*first, p_top)
+        a = (math.prod(rotations) - 1) // (2 * g)
+        alpha = a if a % 2 == 1 else a * (2 * g + 1) + 1
+        if p_top > alpha:
             continue
-        for rest in combinations(primes, count - 1):
-            rotations = (*rest, p_top)
-            a = (math.prod(rotations) - 1) // (2 * g)
-            alpha = a if a % 2 == 1 else a * (2 * g + 1) + 1
-            if p_top > alpha:
-                continue
-            modulus = 2 * g * alpha + 1
-            orders = tuple(modulus // p for p in rotations)
-            witness = Witness(alpha=alpha, rotations=rotations, orders=orders)
-            _validate_witness(g, witness)
-            return witness
-        primes.append(p_top)
+        modulus = 2 * g * alpha + 1
+        orders = tuple(modulus // p for p in rotations)
+        witness = Witness(alpha=alpha, rotations=rotations, orders=orders)
+        _validate_witness(g, witness)
+        return witness
     raise SearchExhausted(f"no valid witness with base elements <= {max_base}")
 
 

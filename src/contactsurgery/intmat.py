@@ -14,6 +14,7 @@ the diagonalized quotient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 __all__ = ["SmithForm", "determinant", "smith_normal_form"]
@@ -26,7 +27,7 @@ def determinant(matrix) -> int:
     Bareiss recurrence are exact), so there is no overflow or rounding at
     any size.
     """
-    m = [[int(x) for x in row] for row in matrix]
+    m = [[operator.index(x) for x in row] for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
@@ -71,7 +72,7 @@ def smith_normal_form(matrix) -> SmithForm:
     entry, so coefficient growth stays tame at the sizes this package
     produces (star-shaped plumbing matrices).
     """
-    a = [[int(x) for x in row] for row in matrix]
+    a = [[operator.index(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):

@@ -30,6 +30,7 @@ before building anything.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -60,7 +61,7 @@ class Lattice:
     rank: int
 
     def __post_init__(self) -> None:
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise ConditionViolation("gram matrix must be rank x rank")

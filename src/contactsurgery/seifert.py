@@ -23,6 +23,7 @@ deg K = 2g - 2 + (alpha - 1)/alpha in integer units of 1/alpha.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ class SeifertInvariants:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if self.g < 0:
             raise ConditionViolation(f"genus must be >= 0, got {self.g}")

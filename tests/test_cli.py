@@ -1,5 +1,6 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import importlib
 import inspect
 import json
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.homology import admissible_points
+from contactsurgery.homology import SpinCClass, admissible_points
+
+# the package root rebinds `homology` to the function of that name
+homology_module = importlib.import_module("contactsurgery.homology")
 
 
 class TestBuildReport:
@@ -71,6 +75,26 @@ class TestBuildReport:
             build_report(0, 0, 1, 1, 1)
         with pytest.raises(ConditionViolation):
             build_report(1, 2, 3, 1, 2)
+
+
+class TestOneEvaluationPerReport:
+    def test_one_presentation_and_homology(self, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("presentation", cli.presentation)
+        counted("homology", cli.homology)
+        monkeypatch.setattr(cli, "mu_order", None)  # mu is read from the one H1
+        report = build_report(1, 3, 5, -1, 1)
+        assert calls == ["presentation", "homology"]
+        assert report["homology"]["mu_order"] == 16
+        assert report["verdicts"]["checks"]["mu_order_matches_closed_form"] is True
 
 
 class TestRenderJson:
@@ -288,6 +312,66 @@ SWEEP_GRID_MU_ONLY_JSON = """\
 """
 
 
+class TestSweepBound:
+    """The grid's work is counted from its ranges before any evaluation."""
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(cli, "mu_order", refuse)
+        monkeypatch.setattr(cli, "admissible_points", refuse)
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            ["--mu-only", "--alpha-range", "1..1000000000"],
+            ["--alpha-range", "1..100000"],
+            ["--g-range", "1..20001", "--alpha-range", "1..1", "--n-range", "2g..2g"],
+            ["--g-range", "1..1", "--alpha-range", "1..20001", "--n-range", "1..0"],
+            ["--g-range", "1..1", "--alpha-range", "1..500", "--n-range", "2g..2g"],
+            ["--g-range", "1..1", "--alpha-range", "1..1", "--n-range", "0..125000"],
+            ["--g-range", f"1..{10**4000}", "--alpha-range", f"1..{10**4000}"],
+            # no alpha, but the g loop would still run 10^40 times
+            ["--g-range", f"1..{10**40}", "--alpha-range", "0..-1", "--mu-only"],
+            ["--g-range", "1..20001", "--alpha-range", "0..-1"],
+        ],
+    )
+    def test_refused_with_one_line(self, ranges, no_evaluation, capsys):
+        assert main(["sweep", *ranges, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: the sweep grid is limited to 250,000 points and 20,000 (g, alpha) blocks\n"
+        )
+
+    def test_caps_are_inclusive(self, monkeypatch):
+        # evaluation stubbed out: only the counts decide
+        monkeypatch.setattr(cli, "mu_order", lambda inv: 2 * inv.g * inv.pairs[0][0] + 1)
+        monkeypatch.setattr(cli, "admissible_points", lambda g, n, alpha: [])
+        # 20,000 (g, alpha) blocks; 2 * (1 + ... + 499) = 249,500 points
+        assert cli.run_sweep((1, 1), (0, 0), (1, 20000), mu_only=True)["all_pass"]
+        assert cli.run_sweep((1, 1), (0, 0), (1, 499))["all_pass"]
+        assert cli.run_sweep((1, 20000), (0, 0), (1, 0))["all_pass"]
+        with pytest.raises(ConditionViolation):
+            cli.run_sweep((1, 1), (0, 0), (1, 20001), mu_only=True)
+        with pytest.raises(ConditionViolation):
+            cli.run_sweep((1, 1), (0, 0), (1, 500))
+        with pytest.raises(ConditionViolation):
+            cli.run_sweep((1, 20001), (0, 0), (1, 0))
+
+    def test_alpha_below_one_is_refused_at_the_first_block(self):
+        with pytest.raises(ConditionViolation, match="multiplicity"):
+            cli.run_sweep((1, 1), (0, 0), (-500, 500))
+
+    def test_default_grid_is_below_the_caps(self, capsys):
+        # the largest test grid (104,000 points, 320 blocks) runs in TestSweepDocuments
+        assert main(["sweep", "--json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert (checks["omega_identity"], checks["mu_order"]) == (3600, 45)
+
+
 class TestSweepDocuments:
     def test_full_grid(self, capsys):
         assert main(SWEEP_GRID + ["--json"]) == 0
@@ -449,6 +533,46 @@ class TestWitnessCommand:
     def test_large_count_exhausts_with_exit_2(self, capsys):
         assert main(["witness", "--g", "1", "--count", "50", "--max-base", "60"]) == 2
         assert capsys.readouterr().err == "error: no valid witness with base elements <= 60\n"
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--g", "1", "--count", "1000000"],
+            ["--g", "1", "--count", "20000", "--max-base", "300000"],
+            ["--g", "1" + "0" * 1000, "--count", "2"],
+            ["--g", "1000000000001", "--count", "2"],
+            ["--g", "1", "--count", "101"],
+            ["--g", "1", "--count", "2", "--max-base", "1000001"],
+        ],
+    )
+    def test_bounds_refused_with_one_line(self, options, capsys):
+        assert main(["witness", *options, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: witness needs g <= 10^12, count <= 100 and max_base <= 10^6\n"
+
+    def test_largest_document_under_one_megabyte(self, capsys):
+        argv = ["witness", "--g", "1000000000000", "--count", "100", "--max-base", "1000000"]
+        assert main(argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["rotations"]) == 100
+        assert len(out.encode("utf-8")) < 1 << 20
+
+    def test_skewed_c1_fails_the_cross_check_with_exit_3(self, monkeypatch, capsys):
+        original = homology_module.spinc_offset
+
+        def skewed(*args):
+            cls = original(*args)
+            return SpinCClass(cls.offset, cls.modulus, cls.c1_coefficient + 2)
+
+        monkeypatch.setattr(homology_module, "spinc_offset", skewed)
+        assert main(["witness", "--g", "1", "--count", "2", "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: cross-check failed:"
+            " witness order disagrees with the c1 order of its rotation\n"
+        )
 
 
 class TestNormalizeCommand:

@@ -4,9 +4,11 @@ Every call of cli.main must end in exit 0, 2 or 3 (argparse's own exit
 through SystemExit counts, with its code), raise nothing else, and write
 less than 1 MB to stdout.  Arguments mix well-formed values, including
 --r denominators up to 10^12, exponents far beyond Python's digit limit,
-convert --tb/--rot beyond their bound of 10^12 and obstruction --g of
-any size, with junk.  Work is kept small only where the command has no
-bound of its own: sweep ranges of a few values, witness --count <= 12.
+convert --tb/--rot beyond their bound of 10^12, obstruction --g of any
+size, and witness g, --count and --max-base up to and past their bounds
+(10^12, 100, 10^6), with junk.  A sweep range is either a few values
+wide or reaches past the sweep's caps (250,000 points, 20,000 (g, alpha)
+blocks), so every grid is refused or small unless another range is empty.
 """
 
 import contextlib
@@ -62,6 +64,11 @@ def _range(low: int, high: int):
     return st.builds(lambda a, b: f"{a}..{b}", bound, bound) | junk
 
 
+def _wide_range(length: int):
+    """Ranges 1..b of at least `length` values, up to 4,300-digit b."""
+    return st.integers(length, 10**4299).map(lambda b: f"1..{b}")
+
+
 def _flags(**options):
     """One optional value per flag, written in --flag=value form."""
     return st.fixed_dictionaries({}, optional=options).map(
@@ -83,11 +90,19 @@ COMMANDS = {
         r=_int(-BIG, BIG) | _int(-20, 20),
     ),
     "sweep": st.tuples(
-        _flags(g_range=_range(-1, 3), n_range=_range(-1, 4), alpha_range=_range(-1, 12)),
+        _flags(
+            g_range=_range(-1, 3) | _wide_range(20_001),
+            n_range=_range(-1, 4) | _wide_range(125_001),
+            alpha_range=_range(-1, 12) | _wide_range(20_001),
+        ),
         st.sampled_from([[], ["--mu-only"]]),
     ).map(lambda parts: parts[0] + parts[1]),
     "obstruction": _flags(g=_int(-3, 800) | _int(-3, 10**4299)),
-    "witness": _flags(g=_int(-1, 6), count=_int(-1, 12), max_base=_int(-1, 10**4)),
+    "witness": _flags(
+        g=_int(-1, 6) | _int(-1, BIG) | _beyond(BIG),
+        count=_int(-1, 100) | _beyond(100),
+        max_base=_int(-1, 10**6) | _beyond(10**6),
+    ),
     "normalize": _flags(
         g=_int(-1, 5),
         n=_int(-BIG, BIG),

@@ -148,6 +148,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             NegContinuedFraction(())
 
+    def test_entries_must_be_exact_integers(self):
+        # (-2.7, -3.2) was silently truncated to (-2, -3)
+        with pytest.raises(TypeError):
+            NegContinuedFraction((-2.7, -3.2))
+        with pytest.raises(TypeError):
+            NegContinuedFraction((Fraction(-2), -3))
+
 
 class TestChainBound:
     def test_longest_expansions_accepted(self):

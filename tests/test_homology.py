@@ -1,5 +1,6 @@
 """First homology presentations, tracked fiber classes, and Spin^c offsets."""
 
+import importlib
 import itertools
 import math
 
@@ -22,6 +23,9 @@ from contactsurgery.homology import (
 )
 from contactsurgery.intmat import determinant, smith_normal_form
 from contactsurgery.seifert import SeifertInvariants
+
+# the package root rebinds `homology` to the function of that name
+homology_module = importlib.import_module("contactsurgery.homology")
 
 
 @st.composite
@@ -272,6 +276,13 @@ class TestMuOrder:
         with pytest.raises(ConditionViolation):
             mu_order(SeifertInvariants(0, 0))
 
+    def test_read_from_one_homology(self):
+        inv = SeifertInvariants(2, 5, ((7, 3), (5, 2)))
+        p = presentation(inv)
+        h = homology(p)
+        assert h.order(p.mu_index) == mu_order(inv)
+        assert all(h.order(j) >= 1 for j in range(len(p.matrix)))
+
 
 class TestC1Class:
     # c1 = r * PD(mu) on M(g, 2g; (alpha, 1)), read off spinc_offset at n = 2g
@@ -413,6 +424,26 @@ def _trial_prime(p: int) -> bool:
     return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def _witness_by_base_tuples(g: int, count: int, max_base: int, is_prime) -> Witness:
+    """The earlier search: every (count - 1)-subset of the earlier primes
+    2g*a + 1 at each new prime, lexicographically; raises as it did."""
+    primes: list[int] = []
+    for top in range(1, max_base + 1):
+        p_top = 2 * g * top + 1
+        if not is_prime(p_top):
+            continue
+        for rest in itertools.combinations(primes, count - 1):
+            rotations = (*rest, p_top)
+            a = (math.prod(rotations) - 1) // (2 * g)
+            alpha = a if a % 2 == 1 else a * (2 * g + 1) + 1
+            if p_top > alpha:
+                continue
+            modulus = 2 * g * alpha + 1
+            return Witness(alpha, rotations, tuple(modulus // p for p in rotations))
+        primes.append(p_top)
+    raise SearchExhausted(f"no valid witness with base elements <= {max_base}")
+
+
 def _witness_by_all_integers(g: int, count: int, max_base: int) -> Witness | None:
     """The original search: every integer tuple below the maximum base,
     primality filtered inside the loop; None where the search runs out."""
@@ -499,3 +530,82 @@ class TestDistinctWitness:
             distinct_witness(0, 1)
         with pytest.raises(ConditionViolation):
             distinct_witness(1, 0)
+
+    def test_matches_base_tuple_search(self):
+        # a sieve up to the largest candidate, 2*8*10000 + 1
+        limit = 2 * 8 * 10000 + 2
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+        inputs = exhausted = 0
+        for g in range(1, 9):
+            for count in range(1, 14):
+                for max_base in (*range(1, 80), 100, 300, 1000, 10000):
+                    inputs += 1
+                    try:
+                        expected = _witness_by_base_tuples(g, count, max_base, sieve.__getitem__)
+                    except SearchExhausted as error:
+                        exhausted += 1
+                        with pytest.raises(SearchExhausted) as raised:
+                            distinct_witness(g, count, max_base=max_base)
+                        assert str(raised.value) == str(error)
+                    else:
+                        assert distinct_witness(g, count, max_base=max_base) == expected
+        assert inputs == 8632
+        assert 0 < exhausted < inputs
+
+    def test_count_two_and_more_take_the_first_primes(self):
+        # prod p_i >= (2g + 1) * p_count, so the first candidate is valid
+        for g in (1, 2, 7, 1000):
+            for count in (2, 3, 6):
+                candidates = (2 * g * a + 1 for a in itertools.count(1))
+                primes = itertools.islice(filter(_trial_prime, candidates), count)
+                assert distinct_witness(g, count).rotations == tuple(primes)
+
+    def test_search_exhausted_is_invalid_input(self):
+        with pytest.raises(ValueError, match="<= 1"):
+            distinct_witness(1, 2, max_base=1)
+
+    @pytest.mark.parametrize(
+        "g, count, max_base",
+        [
+            (10**12 + 1, 2, 10000),
+            (10**1000, 2, 10000),
+            (1, 101, 10000),
+            (1, 10**6, 10000),
+            (1, 2, 10**6 + 1),
+            (1, 20000, 300000),
+        ],
+        ids=["g", "g-1001-digits", "count", "count-10^6", "max-base", "count-and-max-base"],
+    )
+    def test_bounds_refused_before_search(self, g, count, max_base, monkeypatch):
+        def no_search(n):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(homology_module, "_is_prime", no_search)
+        with pytest.raises(ConditionViolation, match="witness needs g <= 10\\^12"):
+            distinct_witness(g, count, max_base=max_base)
+
+    def test_largest_accepted_parameters(self):
+        w = distinct_witness(10**12, 100, max_base=10**6)
+        assert len(set(w.orders)) == 100
+        assert max(w.rotations) <= 2 * 10**18 + 1
+        assert len(str(w.alpha)) < 4300
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-2, 3000) if homology_module._is_prime(n)] == [
+            n for n in range(-2, 3000) if _trial_prime(n)
+        ]
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        # [DERIVED] psi_12 = 399165290221 * 798330580441 passes Miller-Rabin
+        # at every prime base up to 37 (Sorenson-Webster); base 41 exposes it
+        psi_12 = 318665857834031151167461
+        assert psi_12 == 399165290221 * 798330580441
+        assert not homology_module._is_prime(psi_12)
+        assert homology_module._is_prime(798330580441)
+        assert homology_module._is_prime(2**61 - 1)  # a Mersenne prime near 2.3 * 10^18

@@ -24,6 +24,13 @@ small_matrix = st.integers(1, 4).flatmap(
 
 
 class TestDeterminant:
+    def test_entries_must_be_exact_integers(self):
+        # [[1.5]] had determinant 1, its entry silently truncated
+        with pytest.raises(TypeError):
+            determinant([[1.5]])
+        with pytest.raises(TypeError):
+            smith_normal_form([[2, 0], [0, 1.5]])
+
     def test_identity(self):
         # [TRIVIAL] det I = 1
         assert determinant([[1, 0], [0, 1]]) == 1

@@ -159,6 +159,11 @@ class TestLattice:
         with pytest.raises(ConditionViolation):
             Lattice(gram=((-2,),), rank=2)
 
+    def test_gram_entries_must_be_exact_integers(self):
+        # -2.5 was silently truncated to -2
+        with pytest.raises(TypeError):
+            Lattice(gram=((-2.5,),), rank=1)
+
     def test_pairing_sign(self):
         # [TRIVIAL] rows (1,0) and (1,1) have Euclidean dot 1
         emb = DiagonalEmbedding(vectors=((1, 0), (1, 1)))

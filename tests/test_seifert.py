@@ -40,6 +40,12 @@ class TestInvariants:
         # beta = 0 is allowed regardless of alpha
         SeifertInvariants(0, 0, ((4, 0),))
 
+    @pytest.mark.parametrize("pair", [(3.9, 1), (3, 1.0), (Fraction(3), 1), ("3", 1)])
+    def test_pairs_must_be_exact_integers(self, pair):
+        # 3.9 was silently truncated to 3
+        with pytest.raises(TypeError):
+            SeifertInvariants(1, 2, (pair,))
+
 
 class TestTwist:
     def test_preserves_e(self):
