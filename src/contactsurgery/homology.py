@@ -17,7 +17,15 @@ the Smith normal form of that core, with generator tracking, gives the
 invariant factors and exact coordinates for every original generator.
 Those coordinates are relative to the Smith basis of the core, so they
 are fixed only up to an automorphism of the torsion group; orders of
-classes do not depend on that choice.
+classes do not depend on that choice.  `presentation` builds the dense
+n x n matrix, so this route costs O(n^2) in the number n of vertices.
+
+mu_order, the order of the tracked class mu below, takes a second
+route with no chain and no matrix: the Seifert presentation, the same
+(k+1)-generator core written straight from (g, n; (alpha_i, beta_i)) as
+the centre relation n x_0 + sum beta_i t_i and one relation
+x_0 - alpha_i t_i per fiber.  Its cost does not depend on leg length,
+and it shares only the Smith form with the first route.
 
 The tracked class mu is the meridian of the terminal vertex of the first
 chain: the fiber class whose order controls how many torsion Spin^c
@@ -153,14 +161,9 @@ class Witness:
 def presentation(inv: SeifertInvariants) -> IntegralPresentation:
     """Star-shaped linking matrix of M(g, n; pairs).
 
-    Pairs must satisfy alpha >= beta >= 1 (normal form, plus the boundary
-    case alpha = beta = 1 whose chain is a single (-1)-framed vertex).
+    Pairs must satisfy alpha >= beta >= 1 (see _check_presentable).
     """
-    for alpha, beta in inv.pairs:
-        if not (alpha >= beta >= 1):
-            raise ConditionViolation(
-                f"pair ({alpha},{beta}) is not presentable; need alpha >= beta >= 1"
-            )
+    _check_presentable(inv)
     legs = [
         list(neg_cf_expand(Fraction(-alpha, beta))) for alpha, beta in inv.pairs
     ]
@@ -199,6 +202,28 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     unless the matrix is square.
     """
     core, root, multiple = _collapse(p.matrix)
+    return _cokernel(core, root, multiple, p.free_rank)
+
+
+def _check_presentable(inv: SeifertInvariants) -> None:
+    """Raise unless every pair satisfies alpha >= beta >= 1.
+
+    That is normal form plus the boundary case alpha = beta = 1, whose
+    chain is a single (-1)-framed vertex.
+    """
+    for alpha, beta in inv.pairs:
+        if not (alpha >= beta >= 1):
+            raise ConditionViolation(
+                f"pair ({alpha},{beta}) is not presentable; need alpha >= beta >= 1"
+            )
+
+
+def _cokernel(core, root, multiple, free_rank: int) -> FirstHomology:
+    """Z^free_rank plus the cokernel of core, tracking x_j = multiple[j] * e_root[j].
+
+    Generator rows, relation columns; see `homology` for how the Smith
+    form's left transform gives the coordinates.
+    """
     snf = smith_normal_form(core)
     torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
@@ -211,7 +236,7 @@ def homology(p: IntegralPresentation) -> FirstHomology:
         tuple(snf.left[i][r] * a for i in free_rows) for r, a in zip(root, multiple)
     )
     return FirstHomology(
-        free_rank=p.free_rank + len(free_rows),
+        free_rank=free_rank + len(free_rows),
         torsion=torsion,
         class_map=class_map,
         free_map=free_map,
@@ -296,15 +321,40 @@ def _collapse(matrix) -> tuple[list[list[int]], list[int], list[int]]:
 
 
 def mu_order(inv: SeifertInvariants) -> int:
-    """Order of the tracked fiber meridian in H1.
+    """Order of the tracked fiber meridian in H1, from the Seifert presentation.
 
-    Equals n*alpha + 1 on the single-fiber family M(g, n; (alpha, 1)); in
-    particular 2g*alpha + 1 when n = 2g.  Raises if the class has a free
-    component (possible only for singular linking matrices, which the
-    n >= 2g family never produces).
+    No plumbing matrix is built.  Collapsing a leg -alpha/beta =
+    [c_1, ..., c_m] (c_1 next to the centre) from its terminal generator
+    t gives x_{v_j} = a_j t with a_m = 1, a_{m+1} = 0 and
+    a_{j-1} = -(c_j a_j + a_{j+1}); the ratios -a_{j-1}/a_j are the tails
+    [c_j, ..., c_m], so -a_0/a_1 = -alpha/beta with a_0, a_1 coprime and
+    positive: x_{v_1} = beta t and the head relation is x_0 - alpha t.
+    Modulo the free Z^{2g}, H1 is therefore the cokernel of the
+    (k+1) x (k+1) core on x_0, t_1, ..., t_k with relations
+
+        n x_0 + sum beta_i t_i   (centre),    x_0 - alpha_i t_i   (fiber i)
+
+    (Neumann-Raymond 1978; Neumann, Trans. AMS 268, 1981).  One Smith
+    form of the core gives the order of mu = t_1, or of x_0 when there
+    are no fibers: O(k^3), independent of leg length, so the chain bound
+    of `contfrac` does not apply here, as no chain is built.
+    `homology(presentation(inv))` stays the independent route.
+
+    Equals |n*alpha + beta| on a single fiber (alpha, beta); in particular
+    2g*alpha + 1 on M(g, 2g; (alpha, 1)).  Pairs must satisfy
+    alpha >= beta >= 1, as for `presentation`.  Raises if the class has a
+    free component (possible only for singular presentations, e = 0,
+    which the n >= 2g family never produces).
     """
-    p = presentation(inv)
-    return homology(p).order(p.mu_index)
+    _check_presentable(inv)
+    k = len(inv.pairs)
+    core = [[inv.n] + [1] * k]
+    for i, (alpha, beta) in enumerate(inv.pairs, 1):
+        row = [0] * (k + 1)
+        row[0], row[i] = beta, -alpha
+        core.append(row)
+    mu = 1 if k else 0
+    return _cokernel(core, [mu], [1], 2 * inv.g).order(0)
 
 
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:

@@ -5,9 +5,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactsurgery.contfrac import _CHAIN_LIMIT
 from contactsurgery.errors import ConditionViolation, SearchExhausted
 from contactsurgery.homology import (
     IntegralPresentation,
@@ -282,6 +283,82 @@ class TestMuOrder:
         h = homology(p)
         assert h.order(p.mu_index) == mu_order(inv)
         assert all(h.order(j) >= 1 for j in range(len(p.matrix)))
+
+
+@st.composite
+def wide_normal_forms(draw):
+    """g 0..3, n in [-8, 8] and 0..4 normal-form fibers with alpha up to 10^3."""
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(-8, 8))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = draw(st.integers(2, 1000))
+        beta = draw(st.integers(1, alpha - 1).filter(lambda b, a=alpha: math.gcd(a, b) == 1))
+        pairs.append((alpha, beta))
+    return SeifertInvariants(g, n, tuple(pairs))
+
+
+def _outcome(route):
+    try:
+        return route()
+    except ConditionViolation as error:
+        return str(error)
+
+
+class TestMuOrderSeifertRoute:
+    """mu_order from the (k+1)-generator core against the plumbing matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_normal_forms())
+    # e = 0: singular, on a path, on a three-leg star and with a long leg
+    @example(SeifertInvariants(0, -1, ((2, 1), (2, 1))))
+    @example(SeifertInvariants(1, -2, ((2, 1), (3, 2), (6, 5))))
+    @example(SeifertInvariants(3, -1, ((997, 996), (997, 1))))
+    @example(SeifertInvariants(2, 0))
+    def test_matches_plumbing_homology(self, inv):
+        def plumbing():
+            p = presentation(inv)
+            return homology(p).order(p.mu_index)
+
+        expected = _outcome(plumbing)
+        assert _outcome(lambda: mu_order(inv)) == expected
+        if inv.e_invariant == 0:
+            assert expected == "meridian class has infinite order"
+        else:
+            assert isinstance(expected, int)
+
+    @given(
+        st.integers(1, 1000).flatmap(
+            lambda a: st.tuples(st.just(a), st.sampled_from((0, a + 1, 2 * a + 1)))
+        ),
+        st.integers(0, 2),
+    )
+    def test_unpresentable_pair_message(self, bad, position):
+        pairs = [(3, 1), (5, 2)]
+        pairs.insert(position, bad)
+        inv = SeifertInvariants(1, 2, tuple(pairs))
+        with pytest.raises(ConditionViolation) as expected:
+            presentation(inv)
+        assert "not presentable" in str(expected.value)
+        with pytest.raises(ConditionViolation) as raised:
+            mu_order(inv)
+        assert str(raised.value) == str(expected.value)
+
+    def test_builds_no_chain_and_no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mu_order built a chain or a matrix")
+
+        for name in ("presentation", "neg_cf_expand", "_collapse"):
+            monkeypatch.setattr(homology_module, name, refuse)
+        # [DERIVED] the leg of -3000001/3000000 has 3,000,000 entries; the
+        # single-fiber closed form is |n*alpha + beta| = 6000002 + 3000000
+        inv = SeifertInvariants(1, 2, ((3000001, 3000000),))
+        assert 3000000 > _CHAIN_LIMIT
+        assert mu_order(inv) == 9000002
+        assert mu_order(SeifertInvariants(2, 4, ((1, 1),))) == 5
+        assert mu_order(SeifertInvariants(1, 2)) == 2
+        with pytest.raises(ConditionViolation, match="infinite order"):
+            mu_order(SeifertInvariants(0, 0))
 
 
 class TestC1Class:
