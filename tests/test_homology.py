@@ -315,6 +315,9 @@ class TestMuOrderSeifertRoute:
     @example(SeifertInvariants(1, -2, ((2, 1), (3, 2), (6, 5))))
     @example(SeifertInvariants(3, -1, ((997, 996), (997, 1))))
     @example(SeifertInvariants(2, 0))
+    # four-fiber cores on which interleaved partial Euclid steps blew up
+    @example(SeifertInvariants(1, 1, ((719, 628), (422, 331), (172, 121), (742, 597))))
+    @example(SeifertInvariants(2, -8, ((875, 332), (113, 104), (527, 252), (440, 67))))
     def test_matches_plumbing_homology(self, inv):
         def plumbing():
             p = presentation(inv)

@@ -1,5 +1,7 @@
 """Integer determinant and Smith normal form, cross-checked against each other."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,16 @@ small_matrix = st.integers(1, 4).flatmap(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
         min_size=1,
         max_size=4,
+    )
+)
+
+# dense rectangular matrices past the toy sizes; the default deadline fails
+# a call slowed by coefficient growth
+dense_matrix = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-99, 99), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
     )
 )
 
@@ -135,6 +147,28 @@ class TestSmithNormalForm:
     @given(small_matrix)
     def test_invariants_random(self, m):
         self.check_invariants(m)
+
+    @given(dense_matrix)
+    def test_invariants_dense(self, m):
+        snf = self.check_invariants(m)
+        if len(m) == len(m[0]):
+            assert math.prod(snf.diagonal) == abs(determinant(m))
+
+    def test_four_fiber_seifert_core(self):
+        # [DERIVED] the Seifert core of (g, n) = (1, 1) with fibers (719, 628),
+        # (422, 331), (172, 121), (742, 597): generator rows x_0, t_1..t_4,
+        # relation columns n x_0 + sum beta_i t_i and x_0 - alpha_i t_i.
+        # Interleaved partial Euclid steps grew its entries past 20,000 bits.
+        core = [
+            [1, 1, 1, 1, 1],
+            [628, -719, 0, 0, 0],
+            [331, 0, -422, 0, 0],
+            [121, 0, 0, -172, 0],
+            [597, 0, 0, 0, -742],
+        ]
+        snf = self.check_invariants(core)
+        assert snf.diagonal == (1, 1, 1, 2, 80658288870)
+        assert math.prod(snf.diagonal) == abs(determinant(core)) == 161316577740
 
     @given(
         st.integers(1, 4).flatmap(
