@@ -1,34 +1,35 @@
 """First homology of the surgered manifolds and torsion Spin^c bookkeeping.
 
 A Seifert fibration M(g, n; (alpha_i, beta_i)) has a star-shaped surgery
-presentation: a central unknot framed n, one chain per exceptional fiber
-with framings given by the negative continued fraction of -alpha_i/beta_i.
+presentation: a central unknot framed n, one leg (a chain of unknots) per
+exceptional fiber with framings given by the negative continued fraction
+of -alpha_i/beta_i.
 First homology is Z^{2g} plus the cokernel of the linking matrix.
 
-The cokernel is computed in two steps.  First every leaf chain (a path
-of degree <= 2 vertices that starts at a leaf and is joined by +-1
-entries) collapses by unimodular moves: the relation at each chain
-vertex writes the next generator as an exact integer multiple of the
-leaf generator, following the continued-fraction convergent recurrence
-(the plumbing calculus of Neumann, Trans. AMS 268, 1981).  What remains
-of a star with k chains is a (k+1)-generator core: the centre, one leaf
-per chain, the centre's relation and each chain's head relation.  Then
-the Smith normal form of that core, with generator tracking, gives the
-invariant factors and exact coordinates for every original generator.
-Those coordinates are relative to the Smith basis of the core, so they
-are fixed only up to an automorphism of the torsion group; orders of
-classes do not depend on that choice.  `presentation` builds the dense
-n x n matrix, so this route costs O(n^2) in the number n of vertices.
+`presentation` keeps that star as it is built: the centre's framing n and
+the framings of each leg, with no dense matrix.  `homology` collapses
+each leg from its terminal vertex t by the continued-fraction
+convergent recurrence, which writes every leg vertex as an exact
+integer multiple of t (the plumbing calculus of Neumann, Trans. AMS
+268, 1981).  What remains of a star with k legs is the (k+1)-generator
+Seifert core on the centre and the k terminal vertices, with the
+centre's relation and each leg's head relation.  The Smith normal form
+of that core, with generator tracking, gives the invariant factors and
+exact coordinates for every vertex.  Those coordinates are relative to
+the Smith basis of the core, so they are fixed only up to an
+automorphism of the torsion group; orders of classes do not depend on
+that choice.  The cost is linear in the number of vertices plus one
+Smith form of k + 1 rows.
 
-mu_order, the order of the tracked class mu below, takes a second
-route with no chain and no matrix: the Seifert presentation, the same
-(k+1)-generator core written straight from (g, n; (alpha_i, beta_i)) as
+mu_order, the order of the tracked class mu below, writes the same core
+straight from (g, n; (alpha_i, beta_i)), with no leg and no recurrence:
 the centre relation n x_0 + sum beta_i t_i and one relation
 x_0 - alpha_i t_i per fiber.  Its cost does not depend on leg length,
-and it shares only the Smith form with the first route.
+and it shares only the core's layout and the Smith form with the
+`homology` route, which reads alpha_i and beta_i off the legs.
 
 The tracked class mu is the meridian of the terminal vertex of the first
-chain: the fiber class whose order controls how many torsion Spin^c
+leg: the fiber class whose order controls how many torsion Spin^c
 structures the fibration supports.  For M(g, 2g; (alpha, 1)) that order
 is 2g*alpha + 1, and a Spin^c structure is pinned down by its offset j in
 t = t_can + j * PD(mu).  First Chern classes are multiples of PD(mu);
@@ -52,7 +53,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 
 from .contfrac import neg_cf_expand
 from .errors import ConditionViolation, SearchExhausted
@@ -83,18 +84,39 @@ _BASE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class IntegralPresentation:
-    """Linking matrix of the star-shaped surgery presentation.
+    """The star-shaped surgery presentation, kept as a star.
 
-    Vertex 0 is the central unknot (framing n); each exceptional fiber
-    contributes a chain, central vertex joined to the chain's first
-    entry.  mu_index is the column of the tracked meridian: the terminal
-    vertex of the first chain, or the central vertex when there is none.
-    free_rank carries the 2g surface summand of H1 alongside the matrix.
+    The central unknot is framed n; legs holds one tuple of framings
+    per exceptional fiber, the first entry next to the centre.
+    free_rank carries the 2g surface summand of H1.  Vertices are
+    numbered as in `matrix`: the centre is 0, then each leg in turn from
+    the centre outwards.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    mu_index: int
+    n: int
+    legs: tuple[tuple[int, ...], ...]
     free_rank: int
+
+    @property
+    def mu_index(self) -> int:
+        """Vertex of the tracked meridian: the first leg's terminal vertex, else the centre."""
+        return len(self.legs[0]) if self.legs else 0
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense linking matrix, built on each access."""
+        size = 1 + sum(map(len, self.legs))
+        m = [[0] * size for _ in range(size)]
+        m[0][0] = self.n
+        index = 1
+        for leg in self.legs:
+            previous = 0  # legs hang off the central vertex
+            for framing in leg:
+                m[index][index] = framing
+                m[previous][index] = m[index][previous] = 1
+                previous = index
+                index += 1
+        return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
@@ -159,50 +181,43 @@ class Witness:
 
 
 def presentation(inv: SeifertInvariants) -> IntegralPresentation:
-    """Star-shaped linking matrix of M(g, n; pairs).
+    """Star-shaped presentation of M(g, n; pairs): one leg -alpha/beta per fiber.
 
-    Pairs must satisfy alpha >= beta >= 1 (see _check_presentable).
+    Pairs must satisfy alpha >= beta >= 1 (see _check_presentable); each
+    leg is the negative continued fraction of -alpha/beta, so it obeys
+    the chain bound of `contfrac`.
     """
     _check_presentable(inv)
-    legs = [
-        list(neg_cf_expand(Fraction(-alpha, beta))) for alpha, beta in inv.pairs
-    ]
-    size = 1 + sum(len(leg) for leg in legs)
-    m = [[0] * size for _ in range(size)]
-    m[0][0] = inv.n
-    index = 1
-    first_leg_end = 0
-    for leg_number, leg in enumerate(legs):
-        previous = 0  # chains hang off the central vertex
-        for framing in leg:
-            m[index][index] = framing
-            m[previous][index] = 1
-            m[index][previous] = 1
-            previous = index
-            index += 1
-        if leg_number == 0:
-            first_leg_end = previous
-    return IntegralPresentation(
-        matrix=tuple(tuple(row) for row in m),
-        mu_index=first_leg_end,
-        free_rank=2 * inv.g,
-    )
+    legs = tuple(neg_cf_expand(Fraction(-alpha, beta)).entries for alpha, beta in inv.pairs)
+    return IntegralPresentation(n=inv.n, legs=legs, free_rank=2 * inv.g)
 
 
 def homology(p: IntegralPresentation) -> FirstHomology:
-    """Cokernel of the linking matrix with tracked meridian generators.
+    """First homology of the star with tracked meridian generators.
 
-    Leaf chains collapse first (see _collapse): each generator x_j
-    becomes multiple_j times a core generator, and the cokernel of the
-    matrix equals the cokernel of the small core matrix.  With
+    Leg i with framings c_1, ..., c_m (c_1 next to the centre) collapses
+    from its terminal vertex t_i: with a_m = 1, a_{m+1} = 0 and
+    a_{j-1} = -(c_j a_j + a_{j+1}), the relations at vertices m, ..., 2
+    write vertex j as a_j t_i.  The relation at vertex 1 becomes the head
+    relation x_0 - a_0 t_i, and vertex 1 enters the centre's relation as
+    a_1 t_i.  The ratios -a_{j-1}/a_j are the tails [c_j, ..., c_m], so on
+    a leg -alpha/beta the coprime pair (a_0, a_1) is (alpha, beta), and
+    the cokernel is that of the Seifert core (see `mu_order`).  With
     D = S C T the Smith form of the core C, the quotient Z^m / C Z^m is
-    Z^m / D Z^m under x -> Sx, so generator j lands at multiple_j times
-    the column of S of its core generator, read modulo the diagonal.  A
-    matrix with nothing to collapse is its own core.  Raises ValueError
-    unless the matrix is square.
+    Z^m / D Z^m under x -> Sx, so vertex j lands at a_j times the column
+    of S of its core generator, read modulo the diagonal.  Linear in the
+    vertex count, plus one Smith form of k + 1 rows.
     """
-    core, root, multiple = _collapse(p.matrix)
-    return _cokernel(core, root, multiple, p.free_rank)
+    root, multiple, ends = [0], [1], []
+    for i, leg in enumerate(p.legs, 1):
+        after, a, tail = 0, 1, []
+        for framing in reversed(leg):
+            tail.append(a)
+            after, a = a, -(framing * a + after)
+        root += [i] * len(leg)
+        multiple += reversed(tail)
+        ends.append((a, after))
+    return _cokernel(_seifert_core(p.n, ends), root, multiple, p.free_rank)
 
 
 def _check_presentable(inv: SeifertInvariants) -> None:
@@ -243,102 +258,36 @@ def _cokernel(core, root, multiple, free_rank: int) -> FirstHomology:
     )
 
 
-def _leaf_chains(matrix, support) -> list[list[int]]:
-    """Vertex-disjoint leaf chains v_0, ..., v_m (m >= 1) of a symmetric matrix.
+def _seifert_core(n: int, ends) -> list[list[int]]:
+    """The (k+1) x (k+1) core on x_0, t_1, ..., t_k, one (a_0, a_1) per leg.
 
-    v_0 is a leaf (one off-diagonal neighbour), every later vertex has at
-    most two neighbours and consecutive vertices are joined by +-1
-    entries.  So each v_j with j < m has all its neighbours among
-    v_{j-1} and v_{j+1}; only the head v_m may touch the rest.
+    Generator rows, relation columns: the centre's relation
+    n x_0 + sum a_1 t_i and each leg's head relation x_0 - a_0 t_i.
     """
-    degree = [len(s) - (matrix[v][v] != 0) for v, s in enumerate(support)]
-    far_ends = set()  # a chain along a whole path ends at another leaf
-    chains = []
-    for leaf, leaf_degree in enumerate(degree):
-        if leaf_degree != 1 or leaf in far_ends:
-            continue
-        chain = [leaf]
-        ahead = [v for v in support[leaf] if v != leaf]
-        # a walk never enters an earlier chain: by symmetry that chain
-        # would have crossed the same +-1 edge into this degree <= 2 vertex
-        while ahead:
-            step, last = ahead[0], chain[-1]
-            if degree[step] > 2 or abs(matrix[last][step]) != 1:
-                break
-            chain.append(step)
-            ahead = [v for v in support[step] if v not in (step, last)]
-        if len(chain) > 1:
-            chains.append(chain)
-            far_ends.add(chain[-1])
-    return chains
-
-
-def _collapse(matrix) -> tuple[list[list[int]], list[int], list[int]]:
-    """Collapse the leaf chains of a linking matrix into a small core.
-
-    Column r of the matrix is the relation at vertex r.  Along a chain
-    v_0, ..., v_m the relation at v_j has coefficient +-1 on x_{v_{j+1}},
-    so it writes x_{v_{j+1}} = a_{j+1} x_{v_0} with
-
-        a_0 = 1,  a_{j+1} = -s_j (b_j a_{j-1} + c_j a_j)
-
-    where s_j is the entry joining v_j to v_{j+1}, b_j the one joining
-    it to v_{j-1} (0 at the leaf) and c_j its framing: the
-    continued-fraction convergent recurrence.  These unimodular moves
-    spend the relations at v_0, ..., v_{m-1} and the generators
-    x_{v_1}, ..., x_{v_m}; the head relation at v_m is kept.  Chains are
-    looked for only in symmetric matrices.  The core has one row per
-    remaining generator and one column per remaining relation.  Returns
-    (core, root, multiple): x_j = multiple[j] times core generator
-    number root[j].
-    """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("linking matrix must be square")
-    support = [list(compress(range(size), row)) for row in matrix]
-    root = list(range(size))
-    multiple = [1] * size
-    spent = [False] * size
-    if all(matrix[j][i] == matrix[i][j] for i in range(size) for j in support[i]):
-        for chain in _leaf_chains(matrix, support):
-            before, a = 0, 1
-            for j, (v, w) in enumerate(zip(chain, chain[1:])):
-                back = matrix[v][chain[j - 1]] if j else 0
-                before, a = a, -matrix[v][w] * (back * before + matrix[v][v] * a)
-                root[w], multiple[w] = chain[0], a
-                spent[v] = True
-    kept = [i for i in range(size) if root[i] == i]
-    relations = [r for r in range(size) if not spent[r]]
-    position = {i: k for k, i in enumerate(kept)}
-    column = {r: k for k, r in enumerate(relations)}
-    core = [[0] * len(relations) for _ in kept]
-    for i, row in enumerate(matrix):
-        target = core[position[root[i]]]
-        for r in support[i]:
-            if not spent[r]:
-                target[column[r]] += row[r] * multiple[i]
-    return core, [position[r] for r in root], multiple
+    core = [[n] + [1] * len(ends)]
+    for i, (head, first) in enumerate(ends, 1):
+        row = [0] * (len(ends) + 1)
+        row[0], row[i] = first, -head
+        core.append(row)
+    return core
 
 
 def mu_order(inv: SeifertInvariants) -> int:
     """Order of the tracked fiber meridian in H1, from the Seifert presentation.
 
-    No plumbing matrix is built.  Collapsing a leg -alpha/beta =
-    [c_1, ..., c_m] (c_1 next to the centre) from its terminal generator
-    t gives x_{v_j} = a_j t with a_m = 1, a_{m+1} = 0 and
-    a_{j-1} = -(c_j a_j + a_{j+1}); the ratios -a_{j-1}/a_j are the tails
-    [c_j, ..., c_m], so -a_0/a_1 = -alpha/beta with a_0, a_1 coprime and
-    positive: x_{v_1} = beta t and the head relation is x_0 - alpha t.
-    Modulo the free Z^{2g}, H1 is therefore the cokernel of the
-    (k+1) x (k+1) core on x_0, t_1, ..., t_k with relations
+    No leg and no plumbing matrix is built.  Modulo the free Z^{2g}, H1
+    is the cokernel of the (k+1) x (k+1) core on x_0, t_1, ..., t_k with
+    relations
 
         n x_0 + sum beta_i t_i   (centre),    x_0 - alpha_i t_i   (fiber i)
 
-    (Neumann-Raymond 1978; Neumann, Trans. AMS 268, 1981).  One Smith
-    form of the core gives the order of mu = t_1, or of x_0 when there
-    are no fibers: O(k^3), independent of leg length, so the chain bound
-    of `contfrac` does not apply here, as no chain is built.
-    `homology(presentation(inv))` stays the independent route.
+    (Neumann-Raymond 1978; Neumann, Trans. AMS 268, 1981): the core
+    `homology` reaches by collapsing the legs, here written from the
+    invariants.  One Smith form of the core gives the order of mu = t_1,
+    or of x_0 when there are no fibers: O(k^3), independent of leg
+    length, so the chain bound of `contfrac` does not apply here.
+    `homology(presentation(inv))` stays the second route; it reads
+    alpha_i and beta_i off the legs by the convergent recurrence.
 
     Equals |n*alpha + beta| on a single fiber (alpha, beta); in particular
     2g*alpha + 1 on M(g, 2g; (alpha, 1)).  Pairs must satisfy
@@ -347,13 +296,8 @@ def mu_order(inv: SeifertInvariants) -> int:
     which the n >= 2g family never produces).
     """
     _check_presentable(inv)
-    k = len(inv.pairs)
-    core = [[inv.n] + [1] * k]
-    for i, (alpha, beta) in enumerate(inv.pairs, 1):
-        row = [0] * (k + 1)
-        row[0], row[i] = beta, -alpha
-        core.append(row)
-    mu = 1 if k else 0
+    core = _seifert_core(inv.n, inv.pairs)
+    mu = 1 if inv.pairs else 0
     return _cokernel(core, [mu], [1], 2 * inv.g).order(0)
 
 

@@ -103,8 +103,7 @@ class TestHomology:
 
     def test_raw_matrix(self):
         # [TRIVIAL] |det| = 13, prime, so coker = Z/13
-        p = IntegralPresentation(matrix=((4, 1), (1, -3)), mu_index=1, free_rank=0)
-        h = homology(p)
+        h = _whole_matrix_homology(((4, 1), (1, -3)))
         assert h.torsion == (13,)
         assert h.free_rank == 0
 
@@ -137,8 +136,21 @@ class TestHomology:
             assert y % x == 0
 
 
+def _whole_matrix_homology(rows, free_rank=0):
+    """H1 of a raw linking matrix: one Smith form of the whole matrix.
+
+    Raw matrices (cycles, weight-2 edges, non-symmetric entries) are no
+    star, so they skip the leg collapse and go straight to the cokernel,
+    each generator tracked as itself.
+    """
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise ValueError("linking matrix must be square")
+    return homology_module._cokernel(rows, range(size), [1] * size, free_rank)
+
+
 def _raw(rows, free_rank=0):
-    return IntegralPresentation(matrix=tuple(map(tuple, rows)), mu_index=0, free_rank=free_rank)
+    return tuple(map(tuple, rows)), free_rank
 
 
 @st.composite
@@ -153,50 +165,59 @@ def raw_presentations(draw):
     return _raw(m, draw(st.integers(0, 2)))
 
 
+# raw (matrix, free_rank) pairs take the whole-matrix route; Seifert
+# invariants take homology(presentation(inv)), the leg collapse
 RAW_CASES = {
-    # would be a chain if it were symmetric; nothing collapses
     "non_symmetric": _raw(((-2, 1, 0), (2, -3, 1), (0, 1, -2))),
     "four_cycle": _raw(((-2, 1, 0, 1), (1, -2, 1, 0), (0, 1, -2, 1), (1, 0, 1, -3))),
-    # a triangle with a two-vertex tail: the chain stops at the degree-3 vertex
+    # a triangle with a two-vertex tail
     "cycle_with_tail": _raw(
         ((-2, 1, 1, 1, 0), (1, -3, 1, 0, 0), (1, 1, -2, 0, 0), (1, 0, 0, -2, 1), (0, 0, 0, 1, -3))
     ),
-    # vertex 0 hangs by a weight-2 edge, so the chain from vertex 2 stops before it
+    # vertex 0 hangs by a weight-2 edge
     "leaf_edge_weight_two": _raw(((3, 2, 0), (2, -2, 1), (0, 1, -3))),
     "minus_one_edges": _raw(((-2, -1, 0), (-1, 3, 1), (0, 1, -2))),
     "isolated_vertex": _raw(((0, 0, 0), (0, -2, 1), (0, 1, -3))),
-    # a (1, 1) fiber: a leaf framed -1 beside a two-vertex chain
-    "unit_pair": presentation(SeifertInvariants(1, 2, ((1, 1), (3, 2)))),
+    # a (1, 1) fiber: a one-vertex leg framed -1 beside a two-vertex leg
+    "unit_pair": SeifertInvariants(1, 2, ((1, 1), (3, 2))),
     # one leg: a path whose both ends are leaves
-    "single_leg": presentation(SeifertInvariants(0, 3, ((7, 3),))),
-    "singular_one_vertex": presentation(SeifertInvariants(0, 0)),
-    # e = 0: singular, and the whole path collapses to a 1x1 zero core
-    "singular_path": presentation(SeifertInvariants(0, -1, ((2, 1), (2, 1)))),
+    "single_leg": SeifertInvariants(0, 3, ((7, 3),)),
+    "singular_one_vertex": SeifertInvariants(0, 0),
+    # e = 0: singular, on a two-leg path
+    "singular_path": SeifertInvariants(0, -1, ((2, 1), (2, 1))),
     # e = 0 on a three-leg star: singular 4x4 core
-    "singular_star": presentation(SeifertInvariants(0, -2, ((2, 1), (3, 2), (6, 5)))),
+    "singular_star": SeifertInvariants(0, -2, ((2, 1), (3, 2), (6, 5))),
 }
 
 
-def _assert_matches_full_smith_form(p):
-    """The collapsed route against a Smith form of the whole matrix.
+def _assert_star_matches_full_smith_form(inv):
+    p = presentation(inv)
+    _assert_matches_full_smith_form(p.matrix, p.free_rank, homology(p))
+
+
+def _assert_raw_matches_full_smith_form(matrix, free_rank):
+    _assert_matches_full_smith_form(matrix, free_rank, _whole_matrix_homology(matrix, free_rank))
+
+
+def _assert_matches_full_smith_form(matrix, free_rank, h):
+    """A tracked homology h of matrix against a Smith form of the whole matrix.
 
     Equal invariants, a class map that kills every relation, and a class
     map onto the group together force the induced map from the cokernel
     to be an isomorphism: a surjection between isomorphic finitely
     generated abelian groups is one.
     """
-    h = homology(p)
-    full = smith_normal_form(p.matrix)
+    full = smith_normal_form(matrix)
     assert h.torsion == tuple(d for d in full.diagonal if d > 1)
-    assert h.free_rank == p.free_rank + full.diagonal.count(0)
-    size = len(p.matrix)
-    free = h.free_rank - p.free_rank
+    assert h.free_rank == free_rank + full.diagonal.count(0)
+    size = len(matrix)
+    free = h.free_rank - free_rank
     images = [h.class_map[j] + h.free_map[j] for j in range(size)]
     assert all(len(v) == len(h.torsion) + free for v in images)
     moduli = h.torsion + (0,) * free
     for r in range(size):
         for t, d in enumerate(moduli):
-            total = sum(p.matrix[i][r] * images[i][t] for i in range(size))
+            total = sum(matrix[i][r] * images[i][t] for i in range(size))
             assert (total % d if d else total) == 0
     for coords in h.class_map:
         assert all(0 <= c < d for c, d in zip(coords, h.torsion))
@@ -212,25 +233,44 @@ class TestCollapsedRoute:
     @settings(max_examples=150)
     @given(normal_form_invariants())
     def test_normal_forms(self, inv):
-        _assert_matches_full_smith_form(presentation(inv))
+        _assert_star_matches_full_smith_form(inv)
 
     @settings(max_examples=150)
     @given(raw_presentations())
-    def test_raw_matrices(self, p):
-        _assert_matches_full_smith_form(p)
+    def test_raw_matrices(self, raw):
+        _assert_raw_matches_full_smith_form(*raw)
 
     @pytest.mark.parametrize("name", sorted(RAW_CASES))
     def test_hand_built(self, name):
-        _assert_matches_full_smith_form(RAW_CASES[name])
+        case = RAW_CASES[name]
+        if isinstance(case, SeifertInvariants):
+            _assert_star_matches_full_smith_form(case)
+        else:
+            _assert_raw_matches_full_smith_form(*case)
 
     def test_singular_core_has_free_coordinates(self):
-        h = homology(RAW_CASES["singular_star"])
+        h = homology(presentation(RAW_CASES["singular_star"]))
         assert h.free_rank == 1
         assert any(any(v) for v in h.free_map)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            homology(_raw(((1, 2),)))
+            _whole_matrix_homology(((1, 2),))
+
+    def test_reads_no_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("homology read the dense matrix")
+
+        monkeypatch.setattr(IntegralPresentation, "matrix", property(refuse))
+        for inv in (
+            SeifertInvariants(1, 2),
+            SeifertInvariants(1, 2, ((1, 1), (3, 2))),
+            SeifertInvariants(0, -2, ((2, 1), (3, 2), (6, 5))),
+            SeifertInvariants(2, 5, ((7, 3), (5, 2), (401, 400))),
+        ):
+            p = presentation(inv)
+            h = homology(p)
+            assert len(h.class_map) == 1 + sum(map(len, p.legs))
 
 
 class TestLargePresentations:
@@ -298,6 +338,25 @@ def wide_normal_forms(draw):
     return SeifertInvariants(g, n, tuple(pairs))
 
 
+class TestTorsionOrder:
+    @given(wide_normal_forms())
+    @example(SeifertInvariants(1, 2, ((2999, 2998), (2998, 2997), (2997, 2996))))
+    def test_matches_euler_numerator(self, inv):
+        # [DERIVED] |H1 torsion| = |E| with E = e * prod alpha_j
+        # = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i, when E != 0
+        # (Neumann-Raymond 1978)
+        alphas = [alpha for alpha, _ in inv.pairs]
+        e_numerator = inv.n * math.prod(alphas) + sum(
+            beta * math.prod(alphas[:j] + alphas[j + 1 :]) for j, (_, beta) in enumerate(inv.pairs)
+        )
+        h = homology(presentation(inv))
+        if e_numerator != 0:
+            assert math.prod(h.torsion) == abs(e_numerator)
+            assert h.free_rank == 2 * inv.g
+        else:
+            assert h.free_rank == 2 * inv.g + 1
+
+
 def _outcome(route):
     try:
         return route()
@@ -318,6 +377,8 @@ class TestMuOrderSeifertRoute:
     # four-fiber cores on which interleaved partial Euclid steps blew up
     @example(SeifertInvariants(1, 1, ((719, 628), (422, 331), (172, 121), (742, 597))))
     @example(SeifertInvariants(2, -8, ((875, 332), (113, 104), (527, 252), (440, 67))))
+    # three legs of 2,998, 2,997 and 2,996 vertices, 8,992 in all
+    @example(SeifertInvariants(1, 2, ((2999, 2998), (2998, 2997), (2997, 2996))))
     def test_matches_plumbing_homology(self, inv):
         def plumbing():
             p = presentation(inv)
@@ -351,7 +412,7 @@ class TestMuOrderSeifertRoute:
         def refuse(*args):
             raise AssertionError("mu_order built a chain or a matrix")
 
-        for name in ("presentation", "neg_cf_expand", "_collapse"):
+        for name in ("presentation", "neg_cf_expand", "homology"):
             monkeypatch.setattr(homology_module, name, refuse)
         # [DERIVED] the leg of -3000001/3000000 has 3,000,000 entries; the
         # single-fiber closed form is |n*alpha + beta| = 6000002 + 3000000
