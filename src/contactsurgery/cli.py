@@ -157,10 +157,10 @@ def run_sweep(
     Checks (per point of homology.admissible_points): the omega_red
     closed-form identity, the gap law, the n = 2g MOY verdict with its
     sandwich inequality, and the mu-order closed form (one
-    homology.mu_order, from the Seifert presentation, per (g, alpha)
-    block).  Each omega_red route is evaluated once per point and read as
-    an integer ratio; every check is then integer arithmetic, and each
-    stays independent.  The
+    homology.mu_order per (g, alpha) block: O(k) integer arithmetic on
+    the Seifert invariants, with no Smith form).  Each omega_red route
+    is evaluated once per point and read as an integer ratio; every
+    check is then integer arithmetic, and each stays independent.  The
     identity compares the two ratios by cross-multiplication.  The gap
     law comes from gauge.d3_numerators, which takes d3_contact from the
     closed value and d3_canonical from the long one, never from the

@@ -78,16 +78,25 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
     r = Fraction(r)
     if r >= 0:
         raise NonNegativeCoefficient(f"expected a negative coefficient, got {r}")
-    p, q = r.numerator, r.denominator
+    return NegContinuedFraction(_neg_cf_entries(r.numerator, r.denominator))
+
+
+def _neg_cf_entries(p: int, q: int) -> tuple[int, ...]:
+    """Entries of the expansion of p/q < 0, in lowest terms with q > 0.
+
+    The integer Euclid loop behind `neg_cf_expand`, with its chain bound
+    and no validation of the entries; callers that already hold a
+    coprime pair skip the Fraction round trip.
+    """
     entries = []
     while q != 1:
-        c = p // q  # floor for negative r
+        c = p // q  # floor for negative p/q
         entries.append(c)
         if len(entries) == _CHAIN_LIMIT:  # the last entry is still to come
             raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
         p, q = -q, p - c * q
     entries.append(p)
-    return NegContinuedFraction(tuple(entries))
+    return tuple(entries)
 
 
 def neg_cf_value(cf: NegContinuedFraction) -> Fraction:

@@ -21,12 +21,12 @@ automorphism of the torsion group; orders of classes do not depend on
 that choice.  The cost is linear in the number of vertices plus one
 Smith form of k + 1 rows.
 
-mu_order, the order of the tracked class mu below, writes the same core
-straight from (g, n; (alpha_i, beta_i)), with no leg and no recurrence:
-the centre relation n x_0 + sum beta_i t_i and one relation
-x_0 - alpha_i t_i per fiber.  Its cost does not depend on leg length,
-and it shares only the core's layout and the Smith form with the
-`homology` route, which reads alpha_i and beta_i off the legs.
+mu_order, the order of the tracked class mu below, solves that core in
+closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
+matrix and no Smith form: O(k) integer operations over the Euler
+numerator E = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i.  It
+shares nothing with the Smith form behind `homology`, so the two routes
+check each other.
 
 The tracked class mu is the meridian of the terminal vertex of the first
 leg: the fiber class whose order controls how many torsion Spin^c
@@ -52,10 +52,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
-from .contfrac import neg_cf_expand
+from .contfrac import _neg_cf_entries
 from .errors import ConditionViolation, SearchExhausted
 from .intmat import smith_normal_form
 from .seifert import SeifertInvariants
@@ -184,11 +183,12 @@ def presentation(inv: SeifertInvariants) -> IntegralPresentation:
     """Star-shaped presentation of M(g, n; pairs): one leg -alpha/beta per fiber.
 
     Pairs must satisfy alpha >= beta >= 1 (see _check_presentable); each
-    leg is the negative continued fraction of -alpha/beta, so it obeys
-    the chain bound of `contfrac`.
+    leg is the negative continued fraction of -alpha/beta, expanded by
+    the integer Euclid loop of `contfrac` on the coprime pair, so it
+    obeys the chain bound there.
     """
     _check_presentable(inv)
-    legs = tuple(neg_cf_expand(Fraction(-alpha, beta)).entries for alpha, beta in inv.pairs)
+    legs = tuple(_neg_cf_entries(-alpha, beta) for alpha, beta in inv.pairs)
     return IntegralPresentation(n=inv.n, legs=legs, free_rank=2 * inv.g)
 
 
@@ -208,16 +208,16 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     of S of its core generator, read modulo the diagonal.  Linear in the
     vertex count, plus one Smith form of k + 1 rows.
     """
-    root, multiple, ends = [0], [1], []
+    tracked, ends = [(0, (1,))], []
     for i, leg in enumerate(p.legs, 1):
         after, a, tail = 0, 1, []
         for framing in reversed(leg):
             tail.append(a)
             after, a = a, -(framing * a + after)
-        root += [i] * len(leg)
-        multiple += reversed(tail)
+        tail.reverse()
+        tracked.append((i, tail))
         ends.append((a, after))
-    return _cokernel(_seifert_core(p.n, ends), root, multiple, p.free_rank)
+    return _cokernel(_seifert_core(p.n, ends), tracked, p.free_rank)
 
 
 def _check_presentable(inv: SeifertInvariants) -> None:
@@ -233,28 +233,30 @@ def _check_presentable(inv: SeifertInvariants) -> None:
             )
 
 
-def _cokernel(core, root, multiple, free_rank: int) -> FirstHomology:
-    """Z^free_rank plus the cokernel of core, tracking x_j = multiple[j] * e_root[j].
+def _cokernel(core, tracked, free_rank: int) -> FirstHomology:
+    """Z^free_rank plus the cokernel of core, tracking generators a * e_r.
 
-    Generator rows, relation columns; see `homology` for how the Smith
-    form's left transform gives the coordinates.
+    tracked holds (r, multiples) pairs, one for the centre and one per
+    leg: the next generators, in order, are a * e_r for a in multiples.  Generator rows, relation
+    columns; see `homology` for how the Smith form's left transform gives
+    the coordinates.  Column r of S is read once per leg, and each
+    torsion or free row is one pass over the leg's multiples.
     """
     snf = smith_normal_form(core)
-    torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    torsion = [(i, d) for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
-    torsion = tuple(snf.diagonal[i] for i in torsion_rows)
-    class_map = tuple(
-        tuple(snf.left[i][r] * a % snf.diagonal[i] for i in torsion_rows)
-        for r, a in zip(root, multiple)
-    )
-    free_map = tuple(
-        tuple(snf.left[i][r] * a for i in free_rows) for r, a in zip(root, multiple)
-    )
+    class_map, free_map = [], []
+    for r, multiples in tracked:
+        column = [row[r] for row in snf.left]
+        rows = [[column[i] * a % d for a in multiples] for i, d in torsion]
+        class_map += zip(*rows) if rows else [()] * len(multiples)
+        if free_rows:
+            free_map += zip(*[[column[i] * a for a in multiples] for i in free_rows])
     return FirstHomology(
         free_rank=free_rank + len(free_rows),
-        torsion=torsion,
-        class_map=class_map,
-        free_map=free_map,
+        torsion=tuple(d for _, d in torsion),
+        class_map=tuple(class_map),
+        free_map=tuple(free_map) if free_rows else ((),) * len(class_map),
     )
 
 
@@ -262,7 +264,9 @@ def _seifert_core(n: int, ends) -> list[list[int]]:
     """The (k+1) x (k+1) core on x_0, t_1, ..., t_k, one (a_0, a_1) per leg.
 
     Generator rows, relation columns: the centre's relation
-    n x_0 + sum a_1 t_i and each leg's head relation x_0 - a_0 t_i.
+    n x_0 + sum a_1 t_i and each leg's head relation x_0 - a_0 t_i.  On
+    a leg -alpha/beta, (a_0, a_1) = (alpha, beta): the core of
+    Neumann-Raymond 1978 (Neumann, Trans. AMS 268, 1981).
     """
     core = [[n] + [1] * len(ends)]
     for i, (head, first) in enumerate(ends, 1):
@@ -273,32 +277,46 @@ def _seifert_core(n: int, ends) -> list[list[int]]:
 
 
 def mu_order(inv: SeifertInvariants) -> int:
-    """Order of the tracked fiber meridian in H1, from the Seifert presentation.
+    """Order of the tracked fiber meridian in H1, in closed form.
 
-    No leg and no plumbing matrix is built.  Modulo the free Z^{2g}, H1
-    is the cokernel of the (k+1) x (k+1) core on x_0, t_1, ..., t_k with
-    relations
+    No leg, no matrix and no Smith form.  Modulo the free Z^{2g}, H1 is
+    the cokernel of the Seifert core (see `_seifert_core`) with columns
+    n x_0 + sum beta_j t_j and x_0 - alpha_j t_j, and the order of
+    mu = t_1 is the lcm of the denominators of the solution y of
+    C y = e_{t_1}.  With Q = prod_{j >= 2} alpha_j,
+    s_j = beta_j Q / alpha_j and E = alpha_1 (n Q + sum_{j >= 2} s_j)
+    + beta_1 Q, the Euler numerator
+    n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i:
 
-        n x_0 + sum beta_i t_i   (centre),    x_0 - alpha_i t_i   (fiber i)
+        y_0 = Q / E,   y_1 = -(n Q + sum s_j) / E,   y_j = s_j / E (j >= 2).
 
-    (Neumann-Raymond 1978; Neumann, Trans. AMS 268, 1981): the core
-    `homology` reaches by collapsing the legs, here written from the
-    invariants.  One Smith form of the core gives the order of mu = t_1,
-    or of x_0 when there are no fibers: O(k^3), independent of leg
-    length, so the chain bound of `contfrac` does not apply here.
-    `homology(presentation(inv))` stays the second route; it reads
-    alpha_i and beta_i off the legs by the convergent recurrence.
+    Coordinate y_i = u_i / E has reduced denominator |E| / gcd(u_i, E),
+    so the lcm over all of them is |E| / gcd(E, u_0, ..., u_k); u_1 is
+    an integer combination of Q and the s_j, so that is
+    |E| / gcd(E, Q, s_2, ..., s_k).  With no fibers the class is x_0,
+    with y_0 = 1/n: order |n|.  O(k) big-integer operations, whatever
+    the leg lengths, so the chain bound of `contfrac` does not apply
+    here; `homology(presentation(inv))`, which reads alpha_j and beta_j
+    off the legs and takes a Smith form, is the independent second
+    route.
 
     Equals |n*alpha + beta| on a single fiber (alpha, beta); in particular
     2g*alpha + 1 on M(g, 2g; (alpha, 1)).  Pairs must satisfy
-    alpha >= beta >= 1, as for `presentation`.  Raises if the class has a
-    free component (possible only for singular presentations, e = 0,
-    which the n >= 2g family never produces).
+    alpha >= beta >= 1, as for `presentation`.  Raises if the class has
+    infinite order, which happens exactly when E = 0 (e = 0, a singular
+    core, which the n >= 2g family never produces).
     """
     _check_presentable(inv)
-    core = _seifert_core(inv.n, inv.pairs)
-    mu = 1 if inv.pairs else 0
-    return _cokernel(core, [mu], [1], 2 * inv.g).order(0)
+    if not inv.pairs:
+        euler, numerators = inv.n, (1,)
+    else:
+        (alpha_1, beta_1), others = inv.pairs[0], inv.pairs[1:]
+        q = math.prod(alpha for alpha, _ in others)
+        numerators = (q, *(beta * (q // alpha) for alpha, beta in others))
+        euler = alpha_1 * (inv.n * q + sum(numerators[1:])) + beta_1 * q
+    if euler == 0:
+        raise ConditionViolation("meridian class has infinite order")
+    return abs(euler) // math.gcd(euler, *numerators)
 
 
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from contactsurgery.contfrac import _CHAIN_LIMIT
 from contactsurgery.errors import ConditionViolation, SearchExhausted
 from contactsurgery.homology import (
+    FirstHomology,
     IntegralPresentation,
     SpinCClass,
     Witness,
@@ -146,7 +148,7 @@ def _whole_matrix_homology(rows, free_rank=0):
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("linking matrix must be square")
-    return homology_module._cokernel(rows, range(size), [1] * size, free_rank)
+    return homology_module._cokernel(rows, [(j, (1,)) for j in range(size)], free_rank)
 
 
 def _raw(rows, free_rank=0):
@@ -187,12 +189,54 @@ RAW_CASES = {
     "singular_path": SeifertInvariants(0, -1, ((2, 1), (2, 1))),
     # e = 0 on a three-leg star: singular 4x4 core
     "singular_star": SeifertInvariants(0, -2, ((2, 1), (3, 2), (6, 5))),
+    # H1 = 0: no torsion row and no free row
+    "trivial_group": SeifertInvariants(0, 1),
+    # e = 0 with a torsion row beside the free row, (3,)
+    "singular_with_torsion": SeifertInvariants(0, -1, ((3, 1), (3, 1), (3, 1))),
+    # three torsion rows, (2, 2, 4)
+    "three_torsion_rows": SeifertInvariants(0, -1, ((2, 1), (2, 1), (2, 1), (2, 1))),
+    # two torsion rows on 46 leg vertices, (2, 80658288870)
+    "two_torsion_rows": SeifertInvariants(1, 1, ((719, 628), (422, 331), (172, 121), (742, 597))),
 }
+
+
+def _leg_multiples(leg):
+    """a_j with vertex j of the leg = a_j * t, its terminal vertex, c_1 first."""
+    a = [0] * (len(leg) + 2)
+    a[len(leg)] = 1
+    for j in range(len(leg), 1, -1):
+        a[j - 1] = -(leg[j - 1] * a[j] + a[j + 1])
+    return a[1 : len(leg) + 1]
+
+
+def _per_vertex_homology(inv):
+    """H1 read vertex by vertex off the Smith form of the Seifert core.
+
+    Vertex v = a * e_r (r its core generator) has torsion coordinate
+    S[i][r] * a mod d_i on each torsion row i and S[i][r] * a on each
+    free row, with D = S C T.
+    """
+    p = presentation(inv)
+    snf = smith_normal_form(homology_module._seifert_core(inv.n, inv.pairs))
+    vertices = [(0, 1)] + [(r, a) for r, leg in enumerate(p.legs, 1) for a in _leg_multiples(leg)]
+    torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
+    return FirstHomology(
+        free_rank=2 * inv.g + len(free_rows),
+        torsion=tuple(snf.diagonal[i] for i in torsion_rows),
+        class_map=tuple(
+            tuple(snf.left[i][r] * a % snf.diagonal[i] for i in torsion_rows)
+            for r, a in vertices
+        ),
+        free_map=tuple(tuple(snf.left[i][r] * a for i in free_rows) for r, a in vertices),
+    )
 
 
 def _assert_star_matches_full_smith_form(inv):
     p = presentation(inv)
-    _assert_matches_full_smith_form(p.matrix, p.free_rank, homology(p))
+    h = homology(p)
+    assert h == _per_vertex_homology(inv)
+    _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
 
 
 def _assert_raw_matches_full_smith_form(matrix, free_rank):
@@ -365,7 +409,7 @@ def _outcome(route):
 
 
 class TestMuOrderSeifertRoute:
-    """mu_order from the (k+1)-generator core against the plumbing matrix."""
+    """mu_order in closed form against the order read off the plumbing's H1."""
 
     @settings(max_examples=150, deadline=None)
     @given(wide_normal_forms())
@@ -410,9 +454,16 @@ class TestMuOrderSeifertRoute:
 
     def test_builds_no_chain_and_no_matrix(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("mu_order built a chain or a matrix")
+            raise AssertionError("mu_order built a chain, a matrix or a Smith form")
 
-        for name in ("presentation", "neg_cf_expand", "homology"):
+        for name in (
+            "presentation",
+            "_neg_cf_entries",
+            "homology",
+            "smith_normal_form",
+            "_cokernel",
+            "_seifert_core",
+        ):
             monkeypatch.setattr(homology_module, name, refuse)
         # [DERIVED] the leg of -3000001/3000000 has 3,000,000 entries; the
         # single-fiber closed form is |n*alpha + beta| = 6000002 + 3000000
@@ -423,6 +474,103 @@ class TestMuOrderSeifertRoute:
         assert mu_order(SeifertInvariants(1, 2)) == 2
         with pytest.raises(ConditionViolation, match="infinite order"):
             mu_order(SeifertInvariants(0, 0))
+
+
+# the 16 three-digit and 24 two-digit fibers of the ROADMAP Baseline, on
+# which the Smith form of the Seifert core took 13-16 s and over 20 s
+SIXTEEN_FIBERS = (
+    (470, 241), (592, 427), (332, 229), (105, 53), (974, 729), (365, 122), (750, 11), (403, 172),
+    (782, 617), (417, 113), (717, 260), (120, 59), (713, 642), (820, 371), (364, 45), (456, 217),
+)  # fmt: skip
+TWENTY_FOUR_FIBERS = (
+    (59, 54), (84, 25), (31, 22), (97, 12), (29, 26), (46, 1), (66, 47), (94, 5),
+    (37, 21), (53, 48), (18, 5), (72, 37), (44, 13), (21, 19), (73, 20), (93, 19),
+    (51, 31), (35, 9), (70, 29), (78, 11), (90, 41), (92, 51), (36, 5), (70, 47),
+)  # fmt: skip
+
+
+@st.composite
+def many_fiber_normal_forms(draw):
+    """g 0..3, n in [-8, 8] and 8..64 normal-form fibers with alpha up to 10^4."""
+    g = draw(st.integers(0, 3))
+    n = draw(st.integers(-8, 8))
+    pairs = []
+    for _ in range(draw(st.integers(8, 64))):
+        alpha = draw(st.integers(2, 10**4))
+        # the nearest coprime beta at or below the draw: a filter rejects
+        # too many of 64 draws
+        beta = draw(st.integers(1, alpha - 1))
+        while math.gcd(alpha, beta) != 1:
+            beta -= 1
+        pairs.append((alpha, beta))
+    return SeifertInvariants(g, n, tuple(pairs))
+
+
+def _fraction_solve(matrix, rhs):
+    """x with matrix x = rhs by Gaussian elimination over Fraction; None if singular."""
+    size = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [v - factor * w if w else v for v, w in zip(rows[r], rows[col])]
+    x = [Fraction(0)] * size
+    for r in reversed(range(size)):
+        terms = (rows[r][c] * x[c] for c in range(r + 1, size) if rows[r][c])
+        x[r] = (rows[r][size] - sum(terms)) / rows[r][r]
+    return x
+
+
+def _mu_order_by_elimination(inv):
+    """Order of t_1 in the cokernel of the Seifert core, by a Fraction solve.
+
+    The core's unknowns are ordered t_k, ..., t_1, x_0 and its equations
+    to match, so elimination runs down the arrowhead with no fill-in.
+    Equation j is the t_j row beta_j y_0 - alpha_j y_j = [j = 1], the
+    last the centre's n y_0 + sum y_j = 0.
+    """
+    k = len(inv.pairs)
+    matrix, rhs = [], []
+    for j in range(k, 0, -1):
+        alpha, beta = inv.pairs[j - 1]
+        row = [0] * (k + 1)
+        row[k - j], row[k] = -alpha, beta
+        matrix.append(row)
+        rhs.append(int(j == 1))
+    matrix.append([1] * k + [inv.n])
+    rhs.append(0)
+    y = _fraction_solve(matrix, rhs)
+    if y is None:
+        return "meridian class has infinite order"
+    return math.lcm(*(v.denominator for v in y))
+
+
+class TestMuOrderManyFibers:
+    """The closed form against a Fraction solve of C y = e_{t_1}, no Smith form."""
+
+    @given(many_fiber_normal_forms())
+    @example(SeifertInvariants(0, 1, SIXTEEN_FIBERS))
+    @example(SeifertInvariants(0, 1, TWENTY_FOUR_FIBERS))
+    # e = 0 with eight fibers
+    @example(SeifertInvariants(0, -4, ((2, 1),) * 8))
+    def test_matches_fraction_solve(self, inv):
+        assert _outcome(lambda: mu_order(inv)) == _mu_order_by_elimination(inv)
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            (SIXTEEN_FIBERS, 77508411988109660819023240190),
+            (TWENTY_FOUR_FIBERS, 58109112580332781624277),
+        ],
+        ids=["16-fibers", "24-fibers"],
+    )
+    def test_baseline_values(self, pairs, expected):
+        assert mu_order(SeifertInvariants(0, 1, pairs)) == expected
 
 
 class TestC1Class:
