@@ -156,15 +156,18 @@ def run_sweep(
 
     Checks (per point of homology.admissible_points): the omega_red
     closed-form identity, the gap law, the n = 2g MOY verdict with its
-    sandwich inequality, and the mu-order closed form (one
-    homology.mu_order per (g, alpha) block: O(k) integer arithmetic on
-    the Seifert invariants, with no Smith form).  Each omega_red route
+    sandwich inequality, and the mu order (one homology.mu_order per
+    (g, alpha) block, against 2g*alpha + 1).  The mu check is not an
+    independent route: at (alpha, 1) and n = 2g, mu_order's closed form
+    is |n*alpha + beta|, the same expression as 2g*alpha + 1.  The
+    independent mu cross-checks are the report's Smith-form H1
+    (mu_order_matches_closed_form) and the tests.  Each omega_red route
     is evaluated once per point and read as an integer ratio; every
-    check is then integer arithmetic, and each stays independent.  The
-    identity compares the two ratios by cross-multiplication.  The gap
-    law comes from gauge.d3_numerators, which takes d3_contact from the
-    closed value and d3_canonical from the long one, never from the
-    identity comparison.  The sandwich deg K < representative < 2g +
+    check is then integer arithmetic.  The identity compares the two
+    ratios by cross-multiplication.  The gap law comes from
+    gauge.d3_numerators, which takes d3_contact from the closed value
+    and d3_canonical from the long one, never from the identity
+    comparison.  The sandwich deg K < representative < 2g +
     1/alpha is compared in integer units of 1/alpha.  Counts are exact
     and added up per (g, n, alpha) block; any failure is recorded with
     its coordinates.  Before any evaluation the work is counted from the

@@ -50,6 +50,7 @@ c1 order that spinc_offset gives for that rotation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -327,13 +328,15 @@ def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     admissible ranges are -alpha < r <= alpha (sign +1) and
     -alpha <= r < alpha (sign -1), with r = alpha (mod 2).  c1 is pinned
     down only at n = 2g, where it equals (alpha + 2 + 2*offset) * PD(mu),
-    that is r * PD(mu).
+    that is r * PD(mu).  Every argument must be an integer (TypeError
+    otherwise).
     """
+    g, n, alpha, sign, r = map(operator.index, (g, n, alpha, sign, r))
     check_admissible(g, n, alpha, sign, r)
     modulus = n * alpha + 1
     shift = 0 if sign == 1 else 2 * alpha * (n - 2 * g)
     offset = ((r - alpha - 2 - shift) // 2) % modulus
-    c1 = (alpha + 2 + (r - alpha - 2 - shift)) % modulus if n == 2 * g else None
+    c1 = r % modulus if n == 2 * g else None  # shift = 0 at n = 2g
     return SpinCClass(offset=offset, modulus=modulus, c1_coefficient=c1)
 
 
@@ -365,8 +368,10 @@ def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, in
     Sign +1 first with r = 2 - alpha, 4 - alpha, ..., alpha, then sign -1
     with r = -alpha, 2 - alpha, ..., alpha - 2: alpha values of r each.
     Raises ConditionViolation, as check_admissible does, when g, n or
-    alpha is out of range; the check runs when iteration starts.
+    alpha is out of range, and TypeError when one is not an integer; the
+    checks run when iteration starts.
     """
+    g, n, alpha = map(operator.index, (g, n, alpha))
     check_admissible(g, n, alpha, 1, alpha)
     for sign, low in ((1, 2 - alpha), (-1, -alpha)):
         for r in range(low, low + 2 * alpha, 2):

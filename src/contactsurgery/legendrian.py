@@ -1,17 +1,13 @@
 """Conversion of rational contact surgeries into (+1)/(-1) surgery chains.
 
-A contact r-surgery (r != 0) on a Legendrian knot can always be traded
-for a sequence of contact (+1)- and (-1)-surgeries on a chain of
-Legendrian pushoffs:
-
-  * r < 0: expand r as a negative continued fraction; each entry yields
-    one (-1)-surgered pushoff carrying the stabilizations prescribed by
-    `contfrac.stabilization_counts`.
-  * r = 1/k (k a positive integer): k unstabilized (+1)-surgered
-    pushoffs.
-  * any other r = p/q > 0: first k (+1)-pushoffs with k minimal such
-    that q - kp < 0, then the chain for the residual coefficient
-    p/(q - kp) < 0.
+A contact r-surgery (r = p/q != 0, q > 0) on a Legendrian knot can
+always be traded for a sequence of contact (+1)- and (-1)-surgeries on a
+chain of Legendrian pushoffs (Ding-Geiges-Stipsicz): k = ceil(q/p)
+unstabilized (+1)-surgered pushoffs, then one (-1)-surgered pushoff per
+entry of the negative continued fraction of the residual p/(q - kp) < 0,
+carrying the stabilizations prescribed by `contfrac.stabilization_counts`.
+For r < 0 this is k = 0 and the residual is r itself; for r = 1/k the
+residual is empty (q = kp).
 
 Each stabilization can be taken with either sign; a chain whose
 components carry s_0, ..., s_m stabilizations therefore supports
@@ -38,8 +34,6 @@ __all__ = [
     "LegendrianComponent",
     "PlusMinusDiagram",
     "StabilizationChoice",
-    "reduce_positive",
-    "one_over_k_to_plus_ones",
     "convert",
     "enumerate_choices",
     "smooth_coefficient",
@@ -109,98 +103,43 @@ class StabilizationChoice:
         return self.rotations[-1]
 
 
-def reduce_positive(p: int, q: int) -> tuple[int, Fraction]:
-    """Split a positive surgery coefficient p/q (p >= 2) into (+1)-steps.
-
-    Returns the minimal k >= 1 with q - kp < 0 together with the residual
-    coefficient p/(q - kp) < 0: k contact (+1)-pushoff surgeries followed
-    by a contact residual-surgery on one further pushoff reproduce the
-    p/q-surgery.
-    """
-    if p <= 0 or q <= 0:
-        raise ConditionViolation("reduce_positive needs positive p and q")
-    if math.gcd(p, q) != 1:
-        raise ConditionViolation("p/q must be in lowest terms")
-    if p < 2:
-        raise ConditionViolation("p = 1 coefficients go through one_over_k_to_plus_ones")
-    k = q // p + 1  # q is never a multiple of p since gcd(p, q) = 1 and p >= 2
-    return k, Fraction(p, q - k * p)
-
-
-def one_over_k_to_plus_ones(
-    k: int, root_tb: int = -1, root_rot: int = 0
-) -> PlusMinusDiagram:
-    """Replace a contact 1/k-surgery (k >= 1) by k (+1)-surgered pushoffs.
-
-    Raises ConditionViolation, before building anything, when k exceeds
-    the chain bound of `contfrac` (3000).
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > _CHAIN_LIMIT:
-        raise ConditionViolation(f"the chain needs more than {_CHAIN_LIMIT} (+1)-pushoffs")
-    components = tuple(
-        LegendrianComponent(
-            contact_coefficient=1,
-            stab_count=0,
-            parent=ROOT if i == 0 else i - 1,
-            tb=root_tb,
-            rot=root_rot,
-        )
-        for i in range(k)
-    )
-    return PlusMinusDiagram(components, root_tb, root_rot)
-
-
-def _negative_chain(
-    r: Fraction, first_parent: int, tb: int, rot: int
-) -> tuple[LegendrianComponent, ...]:
-    """The (-1)-surgered chain realizing a negative coefficient r."""
-    counts = stabilization_counts(neg_cf_expand(r))
-    components = []
-    parent = first_parent
-    for s in counts:
-        tb -= s
-        rot -= s  # all-negative stabilization convention
-        components.append(
-            LegendrianComponent(
-                contact_coefficient=-1,
-                stab_count=s,
-                parent=parent,
-                tb=tb,
-                rot=rot,
-            )
-        )
-        parent = first_parent + len(components)  # ROOT is -1, so this is the global index
-    return tuple(components)
-
-
 def convert(
     r: Fraction | int, root_tb: int = -1, root_rot: int = 0
 ) -> PlusMinusDiagram:
-    """Convert a contact r-surgery (r != 0) into a (+1)/(-1) chain.
+    """Convert a contact r-surgery (r = p/q != 0, q > 0) into a (+1)/(-1) chain.
 
-    The root Legendrian knot is never part of the output; the first
-    component is its contact pushoff.  Defaults (tb, rot) = (-1, 0) are
-    the standard Legendrian unknot and are configurable because only
-    rotation numbers relative to the root matter downstream.  The run of
-    (+1)-pushoffs and the negative continued fraction are each bounded by
-    the chain bound of `contfrac` (3000): ConditionViolation is raised for
-    a longer run before any component is built, and for a longer
-    expansion before any (-1)-component is built.
+    The chain is k = ceil(q/p) unstabilized (+1)-pushoffs (k = 0 when
+    r < 0), then, unless q = kp, the (-1)-chain of the residual
+    p/(q - kp) < 0, one pushoff per entry of its negative continued
+    fraction, carrying the stabilizations `contfrac.stabilization_counts`
+    prescribes.  Component i is a pushoff of component i - 1, the first
+    of the root Legendrian knot, which is never part of the output.
+    Defaults (tb, rot) = (-1, 0) are the standard Legendrian unknot and
+    are configurable because only rotation numbers relative to the root
+    matter downstream.  The run of (+1)-pushoffs and the negative
+    continued fraction are each bounded by the chain bound of `contfrac`
+    (3000): ConditionViolation is raised for a longer run or expansion
+    before any component is built.
     """
     r = Fraction(r)
     if r == 0:
         raise ZeroCoefficient("contact 0-surgery cannot be converted")
-    if r < 0:
-        chain = _negative_chain(r, ROOT, root_tb, root_rot)
-        return PlusMinusDiagram(chain, root_tb, root_rot)
-    if r.numerator == 1:
-        return one_over_k_to_plus_ones(r.denominator, root_tb, root_rot)
-    k, residual = reduce_positive(r.numerator, r.denominator)
-    head = one_over_k_to_plus_ones(k, root_tb, root_rot).components
-    tail = _negative_chain(residual, k - 1, root_tb, root_rot)
-    return PlusMinusDiagram(head + tail, root_tb, root_rot)
+    p, q = r.numerator, r.denominator
+    k = -(-q // p) if p > 0 else 0
+    if k > _CHAIN_LIMIT:
+        raise ConditionViolation(f"the chain needs more than {_CHAIN_LIMIT} (+1)-pushoffs")
+    steps = [(1, 0)] * k
+    if q != k * p:
+        residual = Fraction(p, q - k * p)
+        steps += [(-1, s) for s in stabilization_counts(neg_cf_expand(residual))]
+    components = []
+    tb, rot = root_tb, root_rot
+    for i, (coefficient, s) in enumerate(steps):
+        tb -= s
+        rot -= s  # all-negative stabilization convention
+        # a pushoff of component i - 1, so of the root (ROOT = -1) at i = 0
+        components.append(LegendrianComponent(coefficient, s, i - 1, tb, rot))
+    return PlusMinusDiagram(tuple(components), root_tb, root_rot)
 
 
 def enumerate_choices(diagram: PlusMinusDiagram) -> list[StabilizationChoice]:
@@ -209,7 +148,8 @@ def enumerate_choices(diagram: PlusMinusDiagram) -> list[StabilizationChoice]:
     Component i with s_i stabilizations admits choices (j, s_i - j) for
     j = 0..s_i, enumerated with j (the positive count) increasing, so the
     full list has prod (s_i + 1) entries in a fixed deterministic order.
-    A pushoff inherits its parent's rotation before its own shifts apply.
+    Each component is a pushoff of the one before it, so it inherits that
+    rotation before its own shifts apply.
     """
     per_component = [
         [(j, c.stab_count - j) for j in range(c.stab_count + 1)]
@@ -217,15 +157,9 @@ def enumerate_choices(diagram: PlusMinusDiagram) -> list[StabilizationChoice]:
     ]
     choices = []
     for signs in itertools.product(*per_component):
-        rotations = []
-        for component, (pos, neg) in zip(diagram.components, signs):
-            base = (
-                diagram.root_rot
-                if component.parent == ROOT
-                else rotations[component.parent]
-            )
-            rotations.append(base + pos - neg)
-        choices.append(StabilizationChoice(tuple(signs), tuple(rotations)))
+        shifts = (pos - neg for pos, neg in signs)
+        rotations = tuple(itertools.accumulate(shifts, initial=diagram.root_rot))[1:]
+        choices.append(StabilizationChoice(tuple(signs), rotations))
     return choices
 
 

@@ -53,6 +53,8 @@ class SeifertInvariants:
 
     def __post_init__(self) -> None:
         pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
+        object.__setattr__(self, "g", operator.index(self.g))
+        object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "pairs", pairs)
         if self.g < 0:
             raise ConditionViolation(f"genus must be >= 0, got {self.g}")

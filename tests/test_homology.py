@@ -686,6 +686,15 @@ class TestSpinCOffset:
             SpinCClass(offset=0, modulus=0, c1_coefficient=None)
         assert SpinCClass(offset=0, modulus=1, c1_coefficient=None).modulus == 1
 
+    @pytest.mark.parametrize(
+        "args", [(1.0, 2, 3, 1, 1), (1, 2.0, 3, 1, 1), (1, 2, 3.0, 1, 1), (1, 2, 3, 1.0, 1),
+                 (1, 2, 3, 1, 1.0), (1, 2, Fraction(3), 1, 1)]
+    )
+    def test_arguments_must_be_exact_integers(self, args):
+        # spinc_offset(1, 2, 3.0, 1, 1) returned offset 5.0, modulus 7.0, c1 1.0
+        with pytest.raises(TypeError):
+            spinc_offset(*args)
+
 
 class TestAdmissiblePoints:
     def test_matches_check_admissible(self):
@@ -707,6 +716,12 @@ class TestAdmissiblePoints:
         for g, n, alpha in ((0, 0, 3), (1, 1, 3), (1, 2, 0), (-1, 2, 3)):
             with pytest.raises(ConditionViolation):
                 list(admissible_points(g, n, alpha))
+
+    @pytest.mark.parametrize("args", [(1.0, 2, 1), (1, 2.0, 1), (1, 2, 1.0), (1, 2, Fraction(1))])
+    def test_arguments_must_be_exact_integers(self, args):
+        # admissible_points(1, 2.0, 1) yielded points with float n
+        with pytest.raises(TypeError):
+            list(admissible_points(*args))
 
 
 def _trial_prime(p: int) -> bool:

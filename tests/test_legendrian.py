@@ -1,49 +1,159 @@
 """Rational surgery to (+-1)-surgery conversion and stabilization choices."""
 
+import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from contactsurgery import legendrian
+from contactsurgery.contfrac import _CHAIN_LIMIT, neg_cf_expand, stabilization_counts
 from contactsurgery.errors import ConditionViolation, ZeroCoefficient
 from contactsurgery.legendrian import (
     ROOT,
+    LegendrianComponent,
     PlusMinusDiagram,
+    StabilizationChoice,
     convert,
     enumerate_choices,
-    one_over_k_to_plus_ones,
-    reduce_positive,
     smooth_coefficient,
 )
 
 
+# Reference: the three-branch construction (r < 0, r = 1/k, other r > 0)
+# that `convert` replaced, with `enumerate_choices` reading each
+# component's parent rotation by index.
+def _reference_reduce_positive(p, q):
+    if p <= 0 or q <= 0:
+        raise ConditionViolation("reduce_positive needs positive p and q")
+    if math.gcd(p, q) != 1:
+        raise ConditionViolation("p/q must be in lowest terms")
+    if p < 2:
+        raise ConditionViolation("p = 1 coefficients go through one_over_k_to_plus_ones")
+    k = q // p + 1
+    return k, Fraction(p, q - k * p)
+
+
+def _reference_plus_ones(k, root_tb, root_rot):
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if k > _CHAIN_LIMIT:
+        raise ConditionViolation(f"the chain needs more than {_CHAIN_LIMIT} (+1)-pushoffs")
+    return tuple(
+        LegendrianComponent(1, 0, ROOT if i == 0 else i - 1, root_tb, root_rot)
+        for i in range(k)
+    )
+
+
+def _reference_negative_chain(r, first_parent, tb, rot):
+    components = []
+    parent = first_parent
+    for s in stabilization_counts(neg_cf_expand(r)):
+        tb -= s
+        rot -= s
+        components.append(LegendrianComponent(-1, s, parent, tb, rot))
+        parent = first_parent + len(components)
+    return tuple(components)
+
+
+def _reference_convert(r, root_tb=-1, root_rot=0):
+    r = Fraction(r)
+    if r == 0:
+        raise ZeroCoefficient("contact 0-surgery cannot be converted")
+    if r < 0:
+        chain = _reference_negative_chain(r, ROOT, root_tb, root_rot)
+        return PlusMinusDiagram(chain, root_tb, root_rot)
+    if r.numerator == 1:
+        chain = _reference_plus_ones(r.denominator, root_tb, root_rot)
+        return PlusMinusDiagram(chain, root_tb, root_rot)
+    k, residual = _reference_reduce_positive(r.numerator, r.denominator)
+    head = _reference_plus_ones(k, root_tb, root_rot)
+    tail = _reference_negative_chain(residual, k - 1, root_tb, root_rot)
+    return PlusMinusDiagram(head + tail, root_tb, root_rot)
+
+
+def _reference_choices(diagram):
+    per_component = [
+        [(j, c.stab_count - j) for j in range(c.stab_count + 1)]
+        for c in diagram.components
+    ]
+    choices = []
+    for signs in itertools.product(*per_component):
+        rotations = []
+        for component, (pos, neg) in zip(diagram.components, signs):
+            base = (
+                diagram.root_rot
+                if component.parent == ROOT
+                else rotations[component.parent]
+            )
+            rotations.append(base + pos - neg)
+        choices.append(StabilizationChoice(tuple(signs), tuple(rotations)))
+    return choices
+
+
+def _outcome(build, r, tb, rot):
+    try:
+        return build(r, tb, rot)
+    except ValueError as exc:  # every package error is a ValueError
+        return type(exc), str(exc)
+
+
+class TestSingleConstruction:
+    @given(
+        st.integers(min_value=-300, max_value=300).filter(lambda p: p != 0),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-9, max_value=9),
+    )
+    @example(1, 3000, -1, 0)
+    @example(1, 3001, -1, 0)
+    @example(2, 5999, -1, 0)
+    @example(2, 6001, -1, 0)
+    @example(-1, 3000, -1, 0)
+    @example(-1, 3001, -1, 0)
+    @example(3001, 3000 * 3001 + 1, -1, 0)
+    @example(10**6, 10**6 + 1, -1, 0)
+    def test_matches_three_branch_reference(self, p, q, tb, rot):
+        r = Fraction(p, q)
+        got = _outcome(convert, r, tb, rot)
+        assert got == _outcome(_reference_convert, r, tb, rot)
+        if isinstance(got, PlusMinusDiagram) and got.choice_count <= 512:
+            assert enumerate_choices(got) == _reference_choices(got)
+
+
 class TestReducePositive:
+    """The positive reduction inside `convert`: k (+1)s, then the residual's chain."""
+
+    @staticmethod
+    def _split(r):
+        d = convert(r)
+        k = d.plus_count
+        residual = Fraction(r.numerator, r.denominator - k * r.numerator)
+        return d, k, residual
+
     def test_examples(self):
         # [DERIVED] k = q//p + 1; residual = p/(q - kp) < 0
-        assert reduce_positive(3, 2) == (1, Fraction(-3, 1))
-        assert reduce_positive(2, 3) == (2, Fraction(-2, 1))
-        assert reduce_positive(3, 5) == (2, Fraction(-3, 1))
-        assert reduce_positive(7, 5) == (1, Fraction(-7, 2))
+        for r, k, residual in [
+            (Fraction(3, 2), 1, Fraction(-3, 1)),
+            (Fraction(2, 3), 2, Fraction(-2, 1)),
+            (Fraction(3, 5), 2, Fraction(-3, 1)),
+            (Fraction(7, 5), 1, Fraction(-7, 2)),
+        ]:
+            d, got_k, got_residual = self._split(r)
+            assert (got_k, got_residual) == (k, residual)
+            assert d.stab_counts[k:] == convert(residual).stab_counts
 
     def test_residual_negative(self):
         for p, q in [(2, 1), (3, 2), (5, 3), (7, 11), (9, 2)]:
-            k, residual = reduce_positive(p, q)
+            d, k, residual = self._split(Fraction(p, q))
             assert k >= 1
             assert residual < 0
-            # the reduction inverts: 1/(k + 1/residual... ) no; check identity
             # 1/r = k + 1/residual with r = p/q
             assert Fraction(q, p) == k + Fraction(residual.denominator, residual.numerator)
-
-    def test_rejects(self):
-        with pytest.raises(ConditionViolation):
-            reduce_positive(1, 2)
-        with pytest.raises(ConditionViolation):
-            reduce_positive(4, 2)
-        with pytest.raises(ConditionViolation):
-            reduce_positive(-3, 2)
+            assert d.stab_counts[k:] == convert(residual).stab_counts
 
 
 class TestConvertNegative:
@@ -133,8 +243,8 @@ class TestConvertPositive:
         elif r.numerator == 1:
             assert k == r.denominator and len(signs) == k
         else:
-            kk, residual = reduce_positive(r.numerator, r.denominator)
-            assert k == kk
+            assert k == r.denominator // r.numerator + 1
+            residual = Fraction(r.numerator, r.denominator - k * r.numerator)
             tail = convert(residual)
             assert d.stab_counts[k:] == tail.stab_counts
         # tb decreases along the chain by exactly the stabilizations done
@@ -210,6 +320,7 @@ class TestChainBound:
             convert(Fraction(10**6, 10**6 + 1))
 
     def test_plus_ones_bounded(self):
-        assert len(one_over_k_to_plus_ones(3000).components) == 3000
+        d = convert(Fraction(1, 3000))
+        assert (d.plus_count, len(d.components)) == (3000, 3000)
         with pytest.raises(ConditionViolation):
-            one_over_k_to_plus_ones(3001)
+            convert(Fraction(1, 3001))

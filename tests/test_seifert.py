@@ -46,6 +46,12 @@ class TestInvariants:
         with pytest.raises(TypeError):
             SeifertInvariants(1, 2, (pair,))
 
+    @pytest.mark.parametrize("g, n", [(0, 1.5), (1.0, 2), (1, 2.0), (Fraction(1), 2), (1, "2")])
+    def test_genus_and_framing_must_be_exact_integers(self, g, n):
+        # SeifertInvariants(0, 1.5, ((3, 1),)).e_invariant was the float 1.8333...
+        with pytest.raises(TypeError):
+            SeifertInvariants(g, n, ((3, 1),))
+
 
 class TestTwist:
     def test_preserves_e(self):
