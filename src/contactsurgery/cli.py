@@ -46,7 +46,8 @@ __all__ = ["build_report", "render_json", "main"]
 _EXPONENT_LIMIT = 4300
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
-# sweep work: points at about 7 us each, (g, alpha) blocks (one mu order) at about 53 us
+# sweep work (best of five in-process runs, Python 3.11 on a shared Xeon): a point
+# costs about 7 us and a (g, alpha) block, one closed-form mu order, about 4 us
 _SWEEP_POINT_LIMIT = 250_000
 _SWEEP_BLOCK_LIMIT = 20_000
 
@@ -154,36 +155,41 @@ def run_sweep(
 ) -> dict:
     """Identity-suite sweep; n_span holds offsets added to 2g.
 
-    Checks (per point of homology.admissible_points): the omega_red
-    closed-form identity, the gap law, the n = 2g MOY verdict with its
-    sandwich inequality, and the mu order (one homology.mu_order per
-    (g, alpha) block, against 2g*alpha + 1).  The mu check is not an
+    One loop serves both modes: mu_only is the empty offset span (0, -1),
+    so it counts no points and evaluates none.  Every g of the grid must
+    satisfy the family's g >= 1 (homology.check_admissible at n = 2g)
+    before its first (g, alpha) block, in either mode.  Per block, one
+    homology.mu_order is checked against 2g*alpha + 1.  That is not an
     independent route: at (alpha, 1) and n = 2g, mu_order's closed form
-    is |n*alpha + beta|, the same expression as 2g*alpha + 1.  The
-    independent mu cross-checks are the report's Smith-form H1
-    (mu_order_matches_closed_form) and the tests.  Each omega_red route
-    is evaluated once per point and read as an integer ratio; every
-    check is then integer arithmetic.  The identity compares the two
-    ratios by cross-multiplication.  The gap law comes from
-    gauge.d3_numerators, which takes d3_contact from the closed value
-    and d3_canonical from the long one, never from the identity
-    comparison.  The sandwich deg K < representative < 2g +
-    1/alpha is compared in integer units of 1/alpha.  Counts are exact
-    and added up per (g, n, alpha) block; any failure is recorded with
-    its coordinates.  Before any evaluation the work is counted from the
-    three ranges: 2*sum(alpha) points per (g, n) (none with mu_only) and
-    one mu order per (g, alpha) block, or one empty block per g when the
-    alpha range is empty.  Above _SWEEP_POINT_LIMIT points
-    or _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation.
+    is |n*alpha + beta|, the same expression; the independent mu
+    cross-checks are the report's Smith-form H1
+    (mu_order_matches_closed_form) and the tests.  Per point of
+    homology.admissible_points over the offsets: the omega_red
+    closed-form identity, the gap law, and at n = 2g the MOY verdict
+    with its sandwich inequality.  Each omega_red route is evaluated
+    once per point and read as an integer ratio; every check is then
+    integer arithmetic.  The identity compares the two ratios by
+    cross-multiplication.  The gap law comes from gauge.d3_numerators,
+    which takes d3_contact from the closed value and d3_canonical from
+    the long one, never from the identity comparison.  The sandwich
+    deg K < representative < 2g + 1/alpha is compared in integer units
+    of 1/alpha.  Counts are exact and added up per (g, n, alpha) block;
+    any failure is recorded with its coordinates.  Before any evaluation
+    the work is counted from the ranges: 2*sum(alpha) points per (g, n)
+    and one mu order per (g, alpha) block, or one empty block per g when
+    the alpha range is empty.  Above _SWEEP_POINT_LIMIT points or
+    _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation, and so it
+    does for g < 1, after the size check.
     """
 
     def size(low: int, high: int) -> int:
         return max(0, high - low + 1)
 
+    span = (0, -1) if mu_only else n_span
     gs, alphas = size(*g_range), size(*alpha_range)
     # 2*sum(alpha) = (first + last) * alphas per (g, n); a range reaching
     # alpha < 1 undercounts, but fails at its first block
-    points = 0 if mu_only else gs * alphas * size(*n_span) * (alpha_range[0] + alpha_range[1])
+    points = gs * alphas * size(*span) * (alpha_range[0] + alpha_range[1])
     # an empty alpha range still walks every g once
     if points > _SWEEP_POINT_LIMIT or gs * max(alphas, 1) > _SWEEP_BLOCK_LIMIT:
         raise ConditionViolation(
@@ -197,16 +203,15 @@ def run_sweep(
         failures.append({"check": kind, **dict(zip(("g", "n", "alpha", "sign", "r"), point))})
 
     for g in range(g_range[0], g_range[1] + 1):
+        check_admissible(g, 2 * g, 1, 1, 1)
         for alpha in range(alpha_range[0], alpha_range[1] + 1):
             inv = SeifertInvariants(g, 2 * g, ((alpha, 1),))
             counts["mu_order"] += 1
             if mu_order(inv) != 2 * g * alpha + 1:
                 failures.append({"check": "mu_order", "g": g, "alpha": alpha})
-            if mu_only:
-                continue
             # the sandwich's ends in units of 1/alpha
             deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
-            for offset in range(n_span[0], n_span[1] + 1):
+            for offset in range(span[0], span[1] + 1):
                 n = 2 * g + offset
                 points = list(admissible_points(g, n, alpha))
                 counts["omega_identity"] += len(points)

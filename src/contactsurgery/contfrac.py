@@ -23,11 +23,12 @@ the bound both raise ConditionViolation before building anything large.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConditionViolation, NonNegativeCoefficient
+from .errors import ConditionViolation
 
 __all__ = [
     "NegContinuedFraction",
@@ -59,9 +60,6 @@ class NegContinuedFraction:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
     """Expand a negative rational into its unique negative continued fraction.
@@ -72,13 +70,21 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
     one step is c = p // q, (p, q) -> (-q, p - c*q): the pair stays in
     lowest terms and q stays positive.
 
-    Raises NonNegativeCoefficient for r >= 0, and ConditionViolation when
-    the expansion would have more than _CHAIN_LIMIT entries.
+    Raises ConditionViolation for r >= 0 and when the expansion would
+    have more than _CHAIN_LIMIT entries, and TypeError for a non-rational
+    r such as a float.
     """
-    r = Fraction(r)
+    r = _exact(r)
     if r >= 0:
-        raise NonNegativeCoefficient(f"expected a negative coefficient, got {r}")
+        raise ConditionViolation(f"expected a negative coefficient, got {r}")
     return NegContinuedFraction(_neg_cf_entries(r.numerator, r.denominator))
+
+
+def _exact(r: Fraction | int) -> Fraction:
+    """r as a Fraction; a float or any other non-rational r raises TypeError."""
+    if not isinstance(r, numbers.Rational):
+        raise TypeError(f"expected an int or a Fraction, got {type(r).__name__}")
+    return Fraction(r)
 
 
 def _neg_cf_entries(p: int, q: int) -> tuple[int, ...]:

@@ -423,8 +423,10 @@ def distinct_witness(g: int, count: int, max_base: int = 10000) -> Witness:
     p <= alpha, that is at the first even base.  The result is canonical.
     Raises ConditionViolation above g = 10^12, count = 100 or max_base =
     10^6, before any search, and SearchExhausted if the construction
-    needs a base above max_base.
+    needs a base above max_base.  A float g, count or max_base raises
+    TypeError.
     """
+    g, count, max_base = map(operator.index, (g, count, max_base))
     if g < 1 or count < 1:
         raise ConditionViolation("need g >= 1 and count >= 1")
     if g > _G_LIMIT or count > _COUNT_LIMIT or max_base > _BASE_LIMIT:

@@ -33,12 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import (
-    ConditionViolation,
-    DegenerateLattice,
-    NoValidD,
-    NotNegativeDefinite,
-)
+from .errors import ConditionViolation
 from .seifert import d_range
 
 __all__ = [
@@ -90,7 +85,7 @@ def lambda_q(q: int) -> Lattice:
     w a square-0 vector, degenerating the form.
     """
     if q <= 1:
-        raise DegenerateLattice(f"need q >= 2, got {q}")
+        raise ConditionViolation(f"need q >= 2, got {q}")
     rank = 2 * q
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank - 1):  # vectors v_1 .. v_{2q-1} at indices 0 .. 2q-2
@@ -147,7 +142,7 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     is accepted or rejected at once.
     """
     if not is_negative_definite(lattice):
-        raise NotNegativeDefinite("embedding search needs a negative definite form")
+        raise ConditionViolation("embedding search needs a negative definite form")
     gram = lattice.gram
     rank = lattice.rank
     columns = sum(-gram[i][i] for i in range(rank))
@@ -235,18 +230,18 @@ def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 def nonfillability_obstruction(g: int) -> dict:
     """The diagonal-lattice obstruction at genus g.
 
-    Picks d with d(d+1) <= 2g <= d(d+2) - 1 (raising NoValidD when no
-    such d exists), builds lambda_{d+2}, and searches all diagonal
-    lattices.  A lattice that would have to embed in a diagonal lattice
-    by diagonalization of a negative definite filling, but does not,
-    certifies that no such filling exists.  Raises ConditionViolation
-    when q = d + 2 exceeds _Q_LIMIT, before any search.
+    Picks d with d(d+1) <= 2g <= d(d+2) - 1, builds lambda_{d+2}, and
+    searches all diagonal lattices.  A lattice that would have to embed
+    in a diagonal lattice by diagonalization of a negative definite
+    filling, but does not, certifies that no such filling exists.
+    Raises ConditionViolation, before any search, when g < 1, when no
+    such d exists, or when q = d + 2 exceeds _Q_LIMIT.
     """
     if g < 1:
         raise ConditionViolation(f"need g >= 1, got {g}")
     d = d_range(g)
     if d is None:
-        raise NoValidD(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
+        raise ConditionViolation(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
     q = d + 2
     if q > _Q_LIMIT:
         g_max = ((_Q_LIMIT - 2) * _Q_LIMIT - 1) // 2

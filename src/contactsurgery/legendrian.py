@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contfrac import _CHAIN_LIMIT, neg_cf_expand, stabilization_counts
-from .errors import ConditionViolation, ZeroCoefficient
+from .contfrac import _CHAIN_LIMIT, _exact, neg_cf_expand, stabilization_counts
+from .errors import ConditionViolation
 
 __all__ = [
     "LegendrianComponent",
@@ -119,11 +120,13 @@ def convert(
     matter downstream.  The run of (+1)-pushoffs and the negative
     continued fraction are each bounded by the chain bound of `contfrac`
     (3000): ConditionViolation is raised for a longer run or expansion
-    before any component is built.
+    before any component is built.  A non-rational r (a float, say) or a
+    non-integer tb or rot raises TypeError.
     """
-    r = Fraction(r)
+    r = _exact(r)
+    root_tb, root_rot = operator.index(root_tb), operator.index(root_rot)
     if r == 0:
-        raise ZeroCoefficient("contact 0-surgery cannot be converted")
+        raise ConditionViolation("contact 0-surgery cannot be converted")
     p, q = r.numerator, r.denominator
     k = -(-q // p) if p > 0 else 0
     if k > _CHAIN_LIMIT:

@@ -1,5 +1,6 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -12,7 +13,7 @@ import pytest
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.homology import SpinCClass, admissible_points
+from contactsurgery.homology import SpinCClass, admissible_points, spinc_offset
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")
@@ -247,6 +248,26 @@ class TestSweepCommand:
         assert data["all_pass"] is True
         assert all(count == 0 for count in data["checks"].values())
 
+    def test_empty_range_with_mu_only(self, capsys):
+        # an empty g range checks no genus, so it passes in both modes
+        assert main(["sweep", "--g-range", "2..1", "--mu-only"]) == 0
+        assert capsys.readouterr().out == (
+            "omega_identity: 0 checks\ngap_law: 0 checks\nmoy: 0 checks\n"
+            "mu_order: 0 checks\nall pass\n"
+        )
+        assert main(["sweep", "--g-range", "2..1", "--mu-only", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)["checks"].values()) == {0}
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_mu_only_obeys_the_family_genus_rule(self, mode, capsys):
+        assert main(["sweep", "--g-range", "0..0", "--mu-only", *mode]) == 2
+        assert capsys.readouterr() == ("", "error: need g >= 1, got 0\n")
+
+    def test_run_sweep_refuses_genus_zero_in_both_modes(self):
+        for mu_only in (True, False):
+            with pytest.raises(ConditionViolation, match="^need g >= 1, got 0$"):
+                cli.run_sweep((0, 0), (0, 0), (1, 3), mu_only=mu_only)
+
     def test_malformed_range(self, capsys):
         assert main(["sweep", "--g-range", "1-3"]) == 2
 
@@ -463,6 +484,51 @@ class TestRouteDisagreement:
         assert not checks["omega_red_forms_agree"]
         assert not checks["gap_is_2g_plus_1"]
         assert data["invariants"]["gap"] == "20/7"
+
+
+class TestMuAndMoyFailures:
+    """A mu order off by one at one block, or one failed MOY verdict, is recorded alone."""
+
+    SWEEP = ["sweep", "--g-range", "1..2", "--n-range", "2g..2g+1", "--alpha-range", "1..3"]
+    # 2 g values x 2 offsets x 2*(1 + 2 + 3) points, half of them at n = 2g
+    COUNTS = {"omega_identity": 48, "gap_law": 48, "moy": 24, "mu_order": 6}
+    MU_ONLY_COUNTS = {"omega_identity": 0, "gap_law": 0, "moy": 0, "mu_order": 6}
+
+    @pytest.mark.parametrize("mode, counts", [([], COUNTS), (["--mu-only"], MU_ONLY_COUNTS)])
+    def test_mu_order_off_by_one(self, mode, counts, monkeypatch, capsys):
+        original = homology_module.mu_order
+
+        def skewed(inv):
+            value = original(inv)
+            return value + 1 if (inv.g, inv.pairs[0][0]) == (2, 3) else value
+
+        monkeypatch.setattr(cli, "mu_order", skewed)
+        assert main(self.SWEEP + mode + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data["failures"] == [{"check": "mu_order", "g": 2, "alpha": 3}]
+        assert data["checks"] == counts
+        assert data["all_pass"] is False
+
+    def test_moy_verdict_failing_at_one_point(self, monkeypatch, capsys):
+        point = (2, 4, 3, 1, 3)
+        target = spinc_offset(*point).offset
+        offsets = [spinc_offset(*p).offset for p in admissible_points(2, 4, 3)]
+        assert offsets.count(target) == 1  # so the patch fails this point alone
+        original = gauge.moy_check
+
+        def failing(g, n, alpha, k):
+            verdict = original(g, n, alpha, k)
+            if (g, n, alpha, k) == (*point[:3], target):
+                return dataclasses.replace(verdict, reducibles_only=False)
+            return verdict
+
+        monkeypatch.setattr(cli, "moy_check", failing)
+        assert main(self.SWEEP + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        where = dict(zip(("g", "n", "alpha", "sign", "r"), point))
+        assert data["failures"] == [{"check": "moy", **where}]
+        assert data["checks"] == self.COUNTS
+        assert data["all_pass"] is False
 
 
 class TestObstructionCommand:

@@ -13,7 +13,7 @@ from contactsurgery.contfrac import (
     neg_cf_value,
     stabilization_counts,
 )
-from contactsurgery.errors import ConditionViolation, NonNegativeCoefficient
+from contactsurgery.errors import ConditionViolation
 
 
 class TestExpand:
@@ -50,9 +50,9 @@ class TestExpand:
         assert neg_cf_expand(Fraction(-4, 3)).entries == (-2, -2, -2)
 
     def test_nonnegative_rejected(self):
-        with pytest.raises(NonNegativeCoefficient):
+        with pytest.raises(ConditionViolation, match="expected a negative coefficient, got 3/2"):
             neg_cf_expand(Fraction(3, 2))
-        with pytest.raises(NonNegativeCoefficient):
+        with pytest.raises(ConditionViolation, match="expected a negative coefficient, got 0"):
             neg_cf_expand(Fraction(0))
 
     def test_entry_bounds(self):
@@ -154,6 +154,12 @@ class TestValidation:
             NegContinuedFraction((-2.7, -3.2))
         with pytest.raises(TypeError):
             NegContinuedFraction((Fraction(-2), -3))
+
+    @pytest.mark.parametrize("r", [-0.5, -2.0, 0.5])
+    def test_expand_refuses_a_float(self, r):
+        # neg_cf_expand(-0.5) read the float as the Fraction -1/2
+        with pytest.raises(TypeError):
+            neg_cf_expand(r)
 
 
 class TestChainBound:

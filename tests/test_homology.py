@@ -16,6 +16,7 @@ from contactsurgery.homology import (
     IntegralPresentation,
     SpinCClass,
     Witness,
+    _validate_witness,
     admissible_points,
     check_admissible,
     distinct_witness,
@@ -834,6 +835,19 @@ class TestDistinctWitness:
             distinct_witness(0, 1)
         with pytest.raises(ConditionViolation):
             distinct_witness(1, 0)
+
+    @pytest.mark.parametrize(
+        "args", [(1, 2.0), (1.0, 2), (1, 2, 100.0), (1, Fraction(2)), (1, "2")]
+    )
+    def test_arguments_must_be_exact_integers(self, args):
+        # distinct_witness(1, 2.0) failed inside islice with its own message
+        with pytest.raises(TypeError):
+            distinct_witness(*args)
+
+    def test_repeated_orders_fail_the_distinctness_check(self):
+        # each order matches its rotation's c1 order, but the two coincide
+        with pytest.raises(AssertionError, match="^witness orders are not pairwise distinct$"):
+            _validate_witness(1, Witness(alpha=7, rotations=(3, 3), orders=(5, 5)))
 
     def test_matches_base_tuple_search(self):
         # a sieve up to the largest candidate, 2*8*10000 + 1

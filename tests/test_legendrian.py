@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from contactsurgery import legendrian
 from contactsurgery.contfrac import _CHAIN_LIMIT, neg_cf_expand, stabilization_counts
-from contactsurgery.errors import ConditionViolation, ZeroCoefficient
+from contactsurgery.errors import ConditionViolation
 from contactsurgery.legendrian import (
     ROOT,
     LegendrianComponent,
@@ -62,7 +62,7 @@ def _reference_negative_chain(r, first_parent, tb, rot):
 def _reference_convert(r, root_tb=-1, root_rot=0):
     r = Fraction(r)
     if r == 0:
-        raise ZeroCoefficient("contact 0-surgery cannot be converted")
+        raise ConditionViolation("contact 0-surgery cannot be converted")
     if r < 0:
         chain = _reference_negative_chain(r, ROOT, root_tb, root_rot)
         return PlusMinusDiagram(chain, root_tb, root_rot)
@@ -219,7 +219,7 @@ class TestConvertPositive:
             assert d.choice_count == alpha + 1
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroCoefficient):
+        with pytest.raises(ConditionViolation, match="contact 0-surgery cannot be converted"):
             convert(Fraction(0))
 
     @given(
@@ -324,3 +324,28 @@ class TestChainBound:
         assert (d.plus_count, len(d.components)) == (3000, 3000)
         with pytest.raises(ConditionViolation):
             convert(Fraction(1, 3001))
+
+
+class TestComponentGuards:
+    @pytest.mark.parametrize("coefficient", [0, 2, -2])
+    def test_contact_coefficient_is_plus_or_minus_one(self, coefficient):
+        with pytest.raises(ValueError, match=r"^contact coefficient must be \+1 or -1$"):
+            LegendrianComponent(coefficient, 0, ROOT, -1, 0)
+
+    def test_stabilization_count_is_nonnegative(self):
+        with pytest.raises(ValueError, match="^stabilization count must be >= 0$"):
+            LegendrianComponent(-1, -1, ROOT, -1, 0)
+
+
+class TestExactInputs:
+    @pytest.mark.parametrize("tb, rot", [(-1.0, 0), (-1, 0.0), (Fraction(-1), 0)])
+    def test_root_tb_and_rot_must_be_integers(self, tb, rot):
+        # convert(1/2, -1.0, 0) built components with float tb and rot
+        with pytest.raises(TypeError):
+            convert(Fraction(1, 2), tb, rot)
+
+    @pytest.mark.parametrize("r", [0.5, -0.5, 2.0, "1/2"])
+    def test_coefficient_must_be_rational(self, r):
+        # convert(0.5) read the float as the Fraction 1/2
+        with pytest.raises(TypeError):
+            convert(r)

@@ -65,6 +65,11 @@ class TestTwist:
         up = rolfsen_twist(inv, 0, 1)
         assert up == SeifertInvariants(1, 2, ((5, 7),))
 
+    @pytest.mark.parametrize("direction", [0, 2, -2])
+    def test_rejects_other_directions(self, direction):
+        with pytest.raises(ValueError, match=r"^direction must be \+1 or -1$"):
+            rolfsen_twist(SeifertInvariants(1, 3, ((5, 2),)), 0, direction)
+
 
 class TestNormalize:
     def test_already_normal(self):
@@ -137,6 +142,36 @@ class TestCoefficientDictionary:
             coefficients_from_seifert(SeifertInvariants(2, 3, ((3, 1),)))
         with pytest.raises(ConditionViolation):
             coefficients_from_seifert(SeifertInvariants(0, 2, ((3, 1),)))
+
+    def test_rejects_a_head_pair_with_beta_above_alpha(self):
+        message = r"^first pair must have alpha >= beta >= 0, got \(3, 5\)$"
+        with pytest.raises(ConditionViolation, match=message):
+            coefficients_from_seifert(SeifertInvariants(1, 2, ((3, 5),)))
+
+    @pytest.mark.parametrize("tail", [(2, 3), (3, 0), (5, 7)])
+    def test_rejects_a_later_pair_outside_normal_form(self, tail):
+        message = rf"^pair \({tail[0]},{tail[1]}\) is not in normal form$"
+        with pytest.raises(ConditionViolation, match=message):
+            coefficients_from_seifert(SeifertInvariants(1, 2, ((3, 1), tail)))
+
+    @pytest.mark.parametrize(
+        "g, rs, message",
+        [
+            (0, [Fraction(2, 3)], r"^need g >= 1, got 0$"),
+            (1, [], r"^need at least one coefficient$"),
+            (1, [Fraction(1)], r"^first coefficient must lie in \[1/2, 1\), got 1$"),
+            (1, [Fraction(1, 3)], r"^first coefficient must lie in \[1/2, 1\), got 1/3$"),
+            (
+                1,
+                [Fraction(2, 3), Fraction(-1, 2), Fraction(1, 2)],
+                r"^later coefficients must be negative, got 1/2$",
+            ),
+            (1, [Fraction(2, 3), 0], r"^later coefficients must be negative, got 0$"),
+        ],
+    )
+    def test_inverse_rejects_each_guard(self, g, rs, message):
+        with pytest.raises(ConditionViolation, match=message):
+            seifert_from_coefficients(g, rs)
 
     def test_round_trip_example(self):
         # [DERIVED] worked inversion: g=2, r1 = 5/7 -> alpha1 = 2, then
