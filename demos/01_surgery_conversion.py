@@ -16,7 +16,7 @@ def show(label, r):
     diagram = convert(Fraction(r))
     print(f"{label}: contact {r}-surgery")
     for i, c in enumerate(diagram.components):
-        parent = "root" if c.parent == -1 else f"#{c.parent}"
+        parent = "root" if i == 0 else f"#{i - 1}"
         print(
             f"  #{i}: ({c.contact_coefficient:+d})-surgery on a pushoff of {parent},"
             f" {c.stab_count} stabilizations, tb={c.tb},"

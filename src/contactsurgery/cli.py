@@ -37,7 +37,7 @@ from .homology import (
     spinc_offset,
 )
 from .lattice import nonfillability_obstruction
-from .legendrian import ROOT, convert
+from .legendrian import convert
 from .seifert import SeifertInvariants, coefficients_from_seifert, normalize
 
 __all__ = ["build_report", "render_json", "main"]
@@ -65,11 +65,11 @@ def _diagram_summary(coefficient: Fraction, tb: int = -1, rot: int = 0) -> dict:
             {
                 "contact_coefficient": c.contact_coefficient,
                 "stabilizations": c.stab_count,
-                "parent": "root" if c.parent == ROOT else c.parent,
+                "parent": "root" if i == 0 else i - 1,
                 "tb": c.tb,
                 "rot": c.rot,
             }
-            for c in diagram.components
+            for i, c in enumerate(diagram.components)
         ],
         "stabilization_counts": list(diagram.stab_counts),
         "choice_count": diagram.choice_count,
@@ -287,14 +287,14 @@ def _rational(text: str) -> Fraction:
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if marker and digits.isdecimal():
         if len(digits) > len(str(_EXPONENT_LIMIT)) or int(digits) > _EXPONENT_LIMIT:
-            raise ValueError(f"the exponent of --r must be at most {_EXPONENT_LIMIT}")
+            raise ConditionViolation(f"the exponent of --r must be at most {_EXPONENT_LIMIT}")
     return Fraction(text)
 
 
 def _convert(args) -> dict:
     for flag, value in (("tb", args.tb), ("rot", args.rot)):
         if abs(value) > _TB_ROT_LIMIT:
-            raise ValueError(f"--{flag} must lie within -10^12..10^12")
+            raise ConditionViolation(f"--{flag} must lie within -10^12..10^12")
     return _diagram_summary(_rational(args.r), args.tb, args.rot)
 
 

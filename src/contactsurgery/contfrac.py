@@ -50,7 +50,7 @@ class NegContinuedFraction:
         entries = tuple(operator.index(c) for c in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
-            raise ValueError("expansion needs at least one entry")
+            raise ConditionViolation("expansion needs at least one entry")
         if entries[0] > -1:
             raise ConditionViolation(f"leading entry must be <= -1, got {entries[0]}")
         for c in entries[1:]:

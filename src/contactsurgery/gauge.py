@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConditionViolation
 from .homology import check_admissible
 
 __all__ = [
@@ -98,7 +97,7 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     l = n + Fraction(1, alpha)
     rho = Fraction(alpha * (n - sign * (n - 2 * g)) - r + 1, 2 * n * alpha + 2)
     if not (0 < rho < 1):
-        raise ConditionViolation(f"rho = {rho} outside (0, 1)")
+        raise AssertionError(f"rho = {rho} outside (0, 1)")
     gamma = Fraction(r + alpha - 2, 2)
     s = Fraction(alpha * alpha + 2, 12 * alpha) - Fraction(1, 4)
     f_rho = (gamma + rho) / alpha
@@ -122,7 +121,7 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     q = 2 * n * alpha + 2
     rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
     if not (0 < rho_num < q):
-        raise ConditionViolation(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
+        raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
     gamma2 = r + alpha - 2  # 2 gamma
     q2 = q * q
     numerator = (
@@ -167,11 +166,10 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     deg K / 2 is not in D at all.  Both are coset conditions, so the
     verdict does not depend on the representative chosen for k.  The
     representative returned is the largest member of D that is at most
-    deg K + n + 1/alpha.  Raises ConditionViolation unless g >= 1,
-    n >= 2g and alpha >= 1.
+    deg K + n + 1/alpha.  Raises ConditionViolation, as check_admissible
+    does, when g, n or alpha is out of range.
     """
-    if g < 1 or n < 2 * g or alpha < 1:
-        raise ConditionViolation("need g >= 1, n >= 2g, alpha >= 1")
+    check_admissible(g, n, alpha, 1, alpha)
     # in units of 1/alpha: deg K = (2g - 1) alpha - 1, coset step n alpha + 1
     deg_k = (2 * g - 1) * alpha - 1
     step = n * alpha + 1

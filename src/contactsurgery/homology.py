@@ -161,7 +161,7 @@ class SpinCClass:
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
+            raise ConditionViolation("modulus must be a positive integer")
 
     @property
     def c1_order(self) -> int:

@@ -27,6 +27,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from .errors import ConditionViolation
+
 __all__ = ["SmithForm", "determinant", "smith_normal_form"]
 
 
@@ -40,7 +42,7 @@ def determinant(matrix) -> int:
     m = [[operator.index(x) for x in row] for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
+        raise ConditionViolation("matrix must be square")
     if n == 0:
         return 1
     sign = 1
@@ -93,7 +95,7 @@ def smith_normal_form(matrix) -> SmithForm:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
-        raise ValueError("matrix rows must have equal length")
+        raise ConditionViolation("matrix rows must have equal length")
     m = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
     m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
     k = 0

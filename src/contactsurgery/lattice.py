@@ -25,6 +25,12 @@ of a plain recursion over columns, so the first embedding found, or
 None, is the same.  Its cost still grows about as q^3 on lambda_q, so
 nonfillability_obstruction refuses q above _Q_LIMIT (g above 759)
 before building anything.
+
+nonfillability_obstruction only ever meets q >= 3, where lambda_q embeds
+in no diagonal lattice (Lisca, Geom. Topol. 11 (2007)): an embedding
+found there would mean the search is wrong, so it raises AssertionError
+(exit 3 on the command line) rather than reporting that the obstruction
+fails.
 """
 
 from __future__ import annotations
@@ -234,11 +240,12 @@ def nonfillability_obstruction(g: int) -> dict:
     searches all diagonal lattices.  A lattice that would have to embed
     in a diagonal lattice by diagonalization of a negative definite
     filling, but does not, certifies that no such filling exists.
-    Raises ConditionViolation, before any search, when g < 1, when no
-    such d exists, or when q = d + 2 exceeds _Q_LIMIT.
+    Raises ConditionViolation, before any search, when g < 1 (from
+    d_range), when no such d exists, or when q = d + 2 exceeds _Q_LIMIT.
+    An embedding found by the search raises AssertionError, since
+    q >= 3 rules one out, so the document's embedding keys always read
+    the same.
     """
-    if g < 1:
-        raise ConditionViolation(f"need g >= 1, got {g}")
     d = d_range(g)
     if d is None:
         raise ConditionViolation(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
@@ -249,20 +256,19 @@ def nonfillability_obstruction(g: int) -> dict:
             f"q = {q} is above the search limit q <= {_Q_LIMIT} (g <= {g_max})"
         )
     lattice = lambda_q(q)
-    embedding = embeds_in_diagonal(lattice)
+    if embeds_in_diagonal(lattice) is not None:
+        raise AssertionError(f"lambda_{q} embeds in a diagonal lattice, against the q >= 3 lemma")
     return {
         "g": g,
         "d": d,
         "q": q,
         "rank": lattice.rank,
-        "embeddable": embedding is not None,
-        "embedding": None if embedding is None else embedding.vectors,
-        "obstruction_holds": embedding is None,
+        "embeddable": False,
+        "embedding": None,
+        "obstruction_holds": True,
         "narrative": (
             "a negative definite filling forces the lattice into a diagonal "
-            "form; the certified search "
-            + ("found an embedding, so this obstruction does not apply"
-               if embedding is not None
-               else "found none, so no negative definite filling exists")
+            "form; the certified search found none, so no negative definite "
+            "filling exists"
         ),
     }

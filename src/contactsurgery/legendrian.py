@@ -40,30 +40,29 @@ __all__ = [
     "smooth_coefficient",
 ]
 
-ROOT = -1  # parent index of a pushoff taken directly off the surgered knot
-
 
 @dataclass(frozen=True)
 class LegendrianComponent:
     """One component of a (+1)/(-1) surgery chain.
 
-    tb and rot are accumulated down the pushoff chain: tb equals the root
-    tb minus all stabilizations above and including this component, and
-    rot is the root rotation shifted by the chosen stabilization signs
-    (all negative for the diagram as built).
+    Component i of a chain is a pushoff of component i - 1, the first of
+    the root Legendrian knot.  tb and rot are accumulated down the
+    pushoff chain: tb equals the root tb minus all stabilizations above
+    and including this component, and rot is the root rotation shifted
+    by the chosen stabilization signs (all negative for the diagram as
+    built).
     """
 
     contact_coefficient: int  # +1 or -1
     stab_count: int
-    parent: int  # index of the parent component, ROOT for the first
     tb: int
     rot: int
 
     def __post_init__(self) -> None:
         if self.contact_coefficient not in (1, -1):
-            raise ValueError("contact coefficient must be +1 or -1")
+            raise ConditionViolation("contact coefficient must be +1 or -1")
         if self.stab_count < 0:
-            raise ValueError("stabilization count must be >= 0")
+            raise ConditionViolation("stabilization count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,10 @@ def convert(
         steps += [(-1, s) for s in stabilization_counts(neg_cf_expand(residual))]
     components = []
     tb, rot = root_tb, root_rot
-    for i, (coefficient, s) in enumerate(steps):
+    for coefficient, s in steps:
         tb -= s
         rot -= s  # all-negative stabilization convention
-        # a pushoff of component i - 1, so of the root (ROOT = -1) at i = 0
-        components.append(LegendrianComponent(coefficient, s, i - 1, tb, rot))
+        components.append(LegendrianComponent(coefficient, s, tb, rot))
     return PlusMinusDiagram(tuple(components), root_tb, root_rot)
 
 

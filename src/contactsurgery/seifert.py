@@ -27,6 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .contfrac import _exact
 from .errors import ConditionViolation
 
 __all__ = [
@@ -81,7 +82,7 @@ def rolfsen_twist(inv: SeifertInvariants, i: int, direction: int) -> SeifertInva
     and n to n - 1; direction -1 is the inverse.  e_invariant is unchanged.
     """
     if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
+        raise ConditionViolation("direction must be +1 or -1")
     alpha, beta = inv.pairs[i]
     pairs = list(inv.pairs)
     pairs[i] = (alpha, beta + direction * alpha)
@@ -142,13 +143,15 @@ def seifert_from_coefficients(g: int, rs: list[Fraction]) -> SeifertInvariants:
 
     Given g >= 1 and coefficients with 1/2 <= r_1 < 1 and r_i < 0, recover
     the unique (g, n; pairs) with n >= 2g whose coefficients they are.  A
-    first pair with beta_1 = 0 (a trivial surgery) is dropped.
+    first pair with beta_1 = 0 (a trivial surgery) is dropped.  A
+    coefficient that is not an int or a Fraction (a float, say) raises
+    TypeError.
     """
     if g < 1:
         raise ConditionViolation(f"need g >= 1, got {g}")
     if not rs:
         raise ConditionViolation("need at least one coefficient")
-    rs = [Fraction(r) for r in rs]
+    rs = [_exact(r) for r in rs]
     r1 = rs[0]
     if not (Fraction(1, 2) <= r1 < 1):
         raise ConditionViolation(f"first coefficient must lie in [1/2, 1), got {r1}")

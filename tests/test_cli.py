@@ -14,6 +14,7 @@ from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.homology import SpinCClass, admissible_points, spinc_offset
+from contactsurgery.lattice import DiagonalEmbedding
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")
@@ -547,6 +548,15 @@ class TestObstructionCommand:
     def test_gap_genus(self, capsys):
         assert main(["obstruction", "--g", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_an_embedding_exits_3(self, monkeypatch, capsys):
+        embedding = DiagonalEmbedding(vectors=((1,),))
+        monkeypatch.setattr("contactsurgery.lattice.embeds_in_diagonal", lambda _: embedding)
+        assert main(["obstruction", "--g", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cross-check failed: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_largest_q_still_certifies(self, capsys):
         assert main(["obstruction", "--g", "741", "--json"]) == 0

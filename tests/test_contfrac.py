@@ -145,7 +145,7 @@ class TestValidation:
             NegContinuedFraction((-2, -1))
 
     def test_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionViolation):
             NegContinuedFraction(())
 
     def test_entries_must_be_exact_integers(self):

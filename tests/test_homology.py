@@ -683,7 +683,7 @@ class TestSpinCOffset:
         check_admissible(1, 2, 3, -1, -3)
 
     def test_modulus_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionViolation):
             SpinCClass(offset=0, modulus=0, c1_coefficient=None)
         assert SpinCClass(offset=0, modulus=1, c1_coefficient=None).modulus == 1
 
@@ -883,7 +883,7 @@ class TestDistinctWitness:
                 assert distinct_witness(g, count).rotations == tuple(primes)
 
     def test_search_exhausted_is_invalid_input(self):
-        with pytest.raises(ValueError, match="<= 1"):
+        with pytest.raises(SearchExhausted, match="<= 1"):
             distinct_witness(1, 2, max_base=1)
 
     @pytest.mark.parametrize(

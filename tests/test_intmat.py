@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contactsurgery.errors import ConditionViolation
 from contactsurgery.intmat import determinant, smith_normal_form
 
 
@@ -73,7 +74,7 @@ class TestDeterminant:
         assert determinant([[3, 17, -4], [0, -2, 9], [0, 0, 5]]) == -30
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionViolation):
             determinant([[1, 2, 3], [4, 5, 6]])
 
     @given(
@@ -107,7 +108,7 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2], [4]]).diagonal == (2,)
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConditionViolation):
             smith_normal_form([[1, 2], [3]])
 
     def test_known_presentation(self):

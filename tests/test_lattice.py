@@ -393,3 +393,11 @@ class TestNonfillabilityObstruction:
     def test_rejects_nonpositive_genus(self):
         with pytest.raises(ConditionViolation):
             nonfillability_obstruction(0)
+
+    def test_an_embedding_is_a_broken_invariant(self, monkeypatch):
+        # q = d + 2 >= 3, where lambda_q embeds in no diagonal lattice, so
+        # an embedding found by the search is a bug, not a verdict
+        embedding = DiagonalEmbedding(vectors=((1,),))
+        monkeypatch.setattr("contactsurgery.lattice.embeds_in_diagonal", lambda _: embedding)
+        with pytest.raises(AssertionError, match="^lambda_3 embeds in a diagonal lattice"):
+            nonfillability_obstruction(1)

@@ -13,7 +13,6 @@ from contactsurgery import legendrian
 from contactsurgery.contfrac import _CHAIN_LIMIT, neg_cf_expand, stabilization_counts
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.legendrian import (
-    ROOT,
     LegendrianComponent,
     PlusMinusDiagram,
     StabilizationChoice,
@@ -24,8 +23,8 @@ from contactsurgery.legendrian import (
 
 
 # Reference: the three-branch construction (r < 0, r = 1/k, other r > 0)
-# that `convert` replaced, with `enumerate_choices` reading each
-# component's parent rotation by index.
+# that `convert` replaced, with `enumerate_choices` reading the rotation
+# of each component's parent, the component before it, by index.
 def _reference_reduce_positive(p, q):
     if p <= 0 or q <= 0:
         raise ConditionViolation("reduce_positive needs positive p and q")
@@ -42,20 +41,15 @@ def _reference_plus_ones(k, root_tb, root_rot):
         raise ValueError("k must be a positive integer")
     if k > _CHAIN_LIMIT:
         raise ConditionViolation(f"the chain needs more than {_CHAIN_LIMIT} (+1)-pushoffs")
-    return tuple(
-        LegendrianComponent(1, 0, ROOT if i == 0 else i - 1, root_tb, root_rot)
-        for i in range(k)
-    )
+    return tuple(LegendrianComponent(1, 0, root_tb, root_rot) for _ in range(k))
 
 
-def _reference_negative_chain(r, first_parent, tb, rot):
+def _reference_negative_chain(r, tb, rot):
     components = []
-    parent = first_parent
     for s in stabilization_counts(neg_cf_expand(r)):
         tb -= s
         rot -= s
-        components.append(LegendrianComponent(-1, s, parent, tb, rot))
-        parent = first_parent + len(components)
+        components.append(LegendrianComponent(-1, s, tb, rot))
     return tuple(components)
 
 
@@ -64,14 +58,14 @@ def _reference_convert(r, root_tb=-1, root_rot=0):
     if r == 0:
         raise ConditionViolation("contact 0-surgery cannot be converted")
     if r < 0:
-        chain = _reference_negative_chain(r, ROOT, root_tb, root_rot)
+        chain = _reference_negative_chain(r, root_tb, root_rot)
         return PlusMinusDiagram(chain, root_tb, root_rot)
     if r.numerator == 1:
         chain = _reference_plus_ones(r.denominator, root_tb, root_rot)
         return PlusMinusDiagram(chain, root_tb, root_rot)
     k, residual = _reference_reduce_positive(r.numerator, r.denominator)
     head = _reference_plus_ones(k, root_tb, root_rot)
-    tail = _reference_negative_chain(residual, k - 1, root_tb, root_rot)
+    tail = _reference_negative_chain(residual, root_tb, root_rot)
     return PlusMinusDiagram(head + tail, root_tb, root_rot)
 
 
@@ -83,12 +77,8 @@ def _reference_choices(diagram):
     choices = []
     for signs in itertools.product(*per_component):
         rotations = []
-        for component, (pos, neg) in zip(diagram.components, signs):
-            base = (
-                diagram.root_rot
-                if component.parent == ROOT
-                else rotations[component.parent]
-            )
+        for i, (pos, neg) in enumerate(signs):
+            base = diagram.root_rot if i == 0 else rotations[i - 1]
             rotations.append(base + pos - neg)
         choices.append(StabilizationChoice(tuple(signs), tuple(rotations)))
     return choices
@@ -163,14 +153,12 @@ class TestConvertNegative:
         (c,) = d.components
         assert c.contact_coefficient == -1
         assert c.stab_count == 0
-        assert c.parent == ROOT
 
     def test_minus_seven_fifths(self):
         # [DERIVED] -7/5 -> chain [-2,-2,-3] -> stabs [1,0,1], all (-1)s
         d = convert(Fraction(-7, 5))
         assert [c.contact_coefficient for c in d.components] == [-1, -1, -1]
         assert d.stab_counts == (1, 0, 1)
-        assert [c.parent for c in d.components] == [ROOT, 0, 1]
 
     def test_tb_accumulates_stabs(self):
         # tb walks down from root_tb = -1 by one per stabilization
@@ -196,7 +184,6 @@ class TestConvertOneOverK:
         d = convert(Fraction(1, 3))
         assert [c.contact_coefficient for c in d.components] == [1, 1, 1]
         assert d.stab_counts == (0, 0, 0)
-        assert [c.parent for c in d.components] == [ROOT, 0, 1]
         assert d.choice_count == 1
 
 
@@ -206,7 +193,6 @@ class TestConvertPositive:
         d = convert(Fraction(3, 2))
         assert [c.contact_coefficient for c in d.components] == [1, -1]
         assert d.stab_counts == (0, 2)
-        assert [c.parent for c in d.components] == [ROOT, 0]
 
     def test_family_member(self):
         # [DERIVED] (alpha+1)/(2 alpha+1) -> two (+1)s then one (-1) with
@@ -237,7 +223,6 @@ class TestConvertPositive:
         k = signs.count(1)
         assert signs == [1] * k + [-1] * (len(signs) - k)
         assert all(s == 0 for s in d.stab_counts[:k])
-        assert [c.parent for c in d.components] == [ROOT] + list(range(len(signs) - 1))
         if r < 0:
             assert k == 0
         elif r.numerator == 1:
@@ -329,12 +314,12 @@ class TestChainBound:
 class TestComponentGuards:
     @pytest.mark.parametrize("coefficient", [0, 2, -2])
     def test_contact_coefficient_is_plus_or_minus_one(self, coefficient):
-        with pytest.raises(ValueError, match=r"^contact coefficient must be \+1 or -1$"):
-            LegendrianComponent(coefficient, 0, ROOT, -1, 0)
+        with pytest.raises(ConditionViolation, match=r"^contact coefficient must be \+1 or -1$"):
+            LegendrianComponent(coefficient, 0, -1, 0)
 
     def test_stabilization_count_is_nonnegative(self):
-        with pytest.raises(ValueError, match="^stabilization count must be >= 0$"):
-            LegendrianComponent(-1, -1, ROOT, -1, 0)
+        with pytest.raises(ConditionViolation, match="^stabilization count must be >= 0$"):
+            LegendrianComponent(-1, -1, -1, 0)
 
 
 class TestExactInputs:

@@ -67,7 +67,7 @@ class TestTwist:
 
     @pytest.mark.parametrize("direction", [0, 2, -2])
     def test_rejects_other_directions(self, direction):
-        with pytest.raises(ValueError, match=r"^direction must be \+1 or -1$"):
+        with pytest.raises(ConditionViolation, match=r"^direction must be \+1 or -1$"):
             rolfsen_twist(SeifertInvariants(1, 3, ((5, 2),)), 0, direction)
 
 
@@ -172,6 +172,15 @@ class TestCoefficientDictionary:
     def test_inverse_rejects_each_guard(self, g, rs, message):
         with pytest.raises(ConditionViolation, match=message):
             seifert_from_coefficients(g, rs)
+
+    @pytest.mark.parametrize(
+        "rs", [[Fraction(2, 3), -0.5], [0.5], [Fraction(2, 3), Fraction(-1, 2), -2.0]]
+    )
+    def test_inverse_rejects_floats(self, rs):
+        # [Fraction(2, 3), -0.5] went through Fraction(-0.5) and came back
+        # as SeifertInvariants(1, 3, ((3, 2),))
+        with pytest.raises(TypeError, match="^expected an int or a Fraction, got float$"):
+            seifert_from_coefficients(1, rs)
 
     def test_round_trip_example(self):
         # [DERIVED] worked inversion: g=2, r1 = 5/7 -> alpha1 = 2, then
