@@ -26,8 +26,18 @@ from fractions import Fraction
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import ConditionViolation
-from .gauge import d3_certificate, d3_numerators, moy_check, omega_red_closed, omega_red_long
+from .gauge import (
+    _moy_units,
+    _omega_closed_ratio,
+    _omega_long_ratio,
+    d3_certificate,
+    d3_numerators,
+    moy_check,
+    omega_red_closed,
+    omega_red_long,
+)
 from .homology import (
+    _spinc_offset,
     admissible_points,
     check_admissible,
     distinct_witness,
@@ -46,8 +56,9 @@ __all__ = ["build_report", "render_json", "main"]
 _EXPONENT_LIMIT = 4300
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
-# sweep work (best of five in-process runs, Python 3.11 on a shared Xeon): a point
-# costs about 7 us and a (g, alpha) block, one closed-form mu order, about 4 us
+# sweep work (best of three in-process runs, Python 3.11 on a shared 2-vCPU VM): a
+# point costs about 4 us on the integer cores and a (g, alpha) block, one
+# closed-form mu order, about 5 us; the largest grid runs in about 1 s as one process
 _SWEEP_POINT_LIMIT = 250_000
 _SWEEP_BLOCK_LIMIT = 20_000
 
@@ -166,20 +177,29 @@ def run_sweep(
     (mu_order_matches_closed_form) and the tests.  Per point of
     homology.admissible_points over the offsets: the omega_red
     closed-form identity, the gap law, and at n = 2g the MOY verdict
-    with its sandwich inequality.  Each omega_red route is evaluated
-    once per point and read as an integer ratio; every check is then
-    integer arithmetic.  The identity compares the two ratios by
-    cross-multiplication.  The gap law comes from gauge.d3_numerators,
-    which takes d3_contact from the closed value and d3_canonical from
-    the long one, never from the identity comparison.  The sandwich
-    deg K < representative < 2g + 1/alpha is compared in integer units
-    of 1/alpha.  Counts are exact and added up per (g, n, alpha) block;
-    any failure is recorded with its coordinates.  Before any evaluation
-    the work is counted from the ranges: 2*sum(alpha) points per (g, n)
-    and one mu order per (g, alpha) block, or one empty block per g when
-    the alpha range is empty.  Above _SWEEP_POINT_LIMIT points or
-    _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation, and so it
-    does for g < 1, after the size check.
+    with its sandwich inequality.
+
+    The points run on the guard-free integer cores alone, each evaluated
+    once per point: gauge._omega_long_ratio and
+    gauge._omega_closed_ratio give each omega_red route as an unreduced
+    integer pair, and homology._spinc_offset and gauge._moy_units give
+    the offset and the MOY verdict in units of 1/alpha.  No point is put
+    through check_admissible: admissible_points checks its (g, n, alpha)
+    once and yields only the rotations that check accepts, and the long
+    core still asserts rho in (0, 1) at every point.  The identity
+    compares the two pairs by cross-multiplication.  The gap law comes
+    from gauge.d3_numerators on the same pairs, which takes d3_contact
+    from the closed value and d3_canonical from the long one, never from
+    the identity comparison; its verdict does not depend on reducing the
+    pairs.  The sandwich deg K < representative < 2g + 1/alpha is
+    compared in integer units of 1/alpha.  Counts are exact and added up
+    per (g, n, alpha) block; any failure is recorded with its
+    coordinates.  Before any evaluation the work is counted from the
+    ranges: 2*sum(alpha) points per (g, n) and one mu order per
+    (g, alpha) block, or one empty block per g when the alpha range is
+    empty.  Above _SWEEP_POINT_LIMIT points or _SWEEP_BLOCK_LIMIT blocks
+    it raises ConditionViolation, and so it does for g < 1, after the
+    size check.
     """
 
     def size(low: int, high: int) -> int:
@@ -219,20 +239,17 @@ def run_sweep(
                 if n == 2 * g:
                     counts["moy"] += len(points)
                 for point in points:
-                    long_num, long_den = omega_red_long(*point).as_integer_ratio()
-                    closed_num, closed_den = omega_red_closed(*point).as_integer_ratio()
+                    long_num, long_den = _omega_long_ratio(*point)
+                    closed_num, closed_den = _omega_closed_ratio(*point)
                     if long_num * closed_den != closed_num * long_den:
                         fail("omega_identity", point)
                     if not d3_numerators(g, long_num, long_den, closed_num, closed_den)[3]:
                         fail("gap_law", point)
                     if n == 2 * g:
-                        moy = moy_check(g, n, alpha, spinc_offset(*point).offset)
-                        rep_num, rep_den = moy.representative.as_integer_ratio()
-                        if not (
-                            moy.reducibles_only
-                            and moy.dirac_kernels_trivial
-                            and deg_k * rep_den < rep_num * alpha < top * rep_den
-                        ):
+                        reducibles_only, dirac_trivial, _, representative = _moy_units(
+                            g, n, alpha, _spinc_offset(*point)
+                        )
+                        if not (reducibles_only and dirac_trivial and deg_k < representative < top):
                             fail("moy", point)
     return {
         "grid": {

@@ -9,8 +9,11 @@ omega_red: a long form assembled term by term from Dedekind-type sums
 S(1, alpha), S_rho, F_rho and the fractional part data (l, rho, gamma),
 and a closed form in (g, n, alpha, r) alone.  Their exact agreement on
 the whole admissible grid is the central self-check of the package.
-Both run on integer numerators over one common denominator and build a
-single Fraction at the end; the long form is never reduced algebraically
+Each route's arithmetic is a guard-free integer core,
+_omega_long_ratio over 24 alpha Q^2 and _omega_closed_ratio over
+4 (n alpha + 1), returning the unreduced (numerator, denominator);
+omega_red_long and omega_red_closed are check_admissible plus one
+Fraction built from it.  The long form is never reduced algebraically
 into the closed one, so the check stays a comparison of two routes.
 
 d3_numerators is the one source of the d3 invariants: from one value of
@@ -32,7 +35,14 @@ from deg K / 2, and all Dirac kernels vanish when alpha is even or
 deg K / 2 avoids the coset, and it returns the coset's canonical
 representative with the verdict.  Degrees are handled as integers in
 units of 1/alpha (deg K = 2g - 2 + (alpha - 1)/alpha for the one fiber),
-which turns the coset and half-degree tests into congruences.
+which turns the coset and half-degree tests into congruences; that
+arithmetic is the guard-free core _moy_units.
+
+The cores skip check_admissible, so they are for callers whose points
+are admissible by construction, such as cli.run_sweep over
+homology.admissible_points.  The long core keeps its assertion that rho
+lies in (0, 1): admissibility implies it by arithmetic, and it stays
+checked, not assumed.
 """
 
 from __future__ import annotations
@@ -107,17 +117,13 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     return DedekindContext(l=l, rho=rho, gamma=gamma, S=s, S_rho=s_rho, F_rho=f_rho)
 
 
-def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
-    """The correction term via the Dedekind-sum route.
+def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, r: int) -> tuple[int, int]:
+    """omega_red_long as an unreduced (numerator, 24 alpha Q^2), unguarded.
 
-    (2g-1)/2 - (l-1)/4 + l rho (1-rho) - rho + (1-alpha)/(2 alpha) (1-2 rho)
-    + S + F_rho + 2 S_rho, with the ingredients of dedekind_context.
-    The -(l-1)/4 term uses sign(l) = 1, valid since l = n + 1/alpha > 0.
-    Each term is put over the common denominator 24 alpha Q^2, where
-    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), and one Fraction is
-    built from the summed numerators.
+    The caller has checked admissibility; rho's place in (0, 1) is still
+    asserted, since it holds on the admissible range by arithmetic, not
+    by that check.
     """
-    check_admissible(g, n, alpha, sign, r)
     q = 2 * n * alpha + 2
     rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
     if not (0 < rho_num < q):
@@ -140,20 +146,63 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
             + 3 * gamma2 * gamma2
         )
     )
-    return Fraction(numerator, 24 * alpha * q2)
+    return numerator, 24 * alpha * q2
+
+
+def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
+    """The correction term via the Dedekind-sum route.
+
+    (2g-1)/2 - (l-1)/4 + l rho (1-rho) - rho + (1-alpha)/(2 alpha) (1-2 rho)
+    + S + F_rho + 2 S_rho, with the ingredients of dedekind_context.
+    The -(l-1)/4 term uses sign(l) = 1, valid since l = n + 1/alpha > 0.
+    Each term is put over the common denominator 24 alpha Q^2, where
+    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), by _omega_long_ratio,
+    and one Fraction is built from the summed numerators.
+    """
+    check_admissible(g, n, alpha, sign, r)
+    return Fraction(*_omega_long_ratio(g, n, alpha, sign, r))
+
+
+def _omega_closed_ratio(g: int, n: int, alpha: int, sign: int, r: int) -> tuple[int, int]:
+    """omega_red_closed as an unreduced (numerator, 4 (n alpha + 1)), unguarded."""
+    numerator = (n - 2 * g) ** 2 * alpha - r * r * n + sign * 2 * (n - 2 * g) * r
+    m = n * alpha + 1
+    return 2 * (2 * g - 1) * m - numerator, 4 * m
 
 
 def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     """The correction term in closed form.
 
     -((n-2g)^2 alpha - r^2 n + sign * 2 (n-2g) r) / (4 (n alpha + 1))
-    + (2g-1)/2, as one Fraction over 4 (n alpha + 1); must agree with
-    omega_red_long exactly.
+    + (2g-1)/2, as one Fraction over 4 (n alpha + 1) from
+    _omega_closed_ratio; must agree with omega_red_long exactly.
     """
     check_admissible(g, n, alpha, sign, r)
-    numerator = (n - 2 * g) ** 2 * alpha - r * r * n + sign * 2 * (n - 2 * g) * r
-    m = n * alpha + 1
-    return Fraction(2 * (2 * g - 1) * m - numerator, 4 * m)
+    return Fraction(*_omega_closed_ratio(g, n, alpha, sign, r))
+
+
+def _moy_units(g: int, n: int, alpha: int, k: int) -> tuple[bool, bool, int, int]:
+    """moy_check's verdict in integer units of 1/alpha, unguarded.
+
+    Returns (reducibles_only, dirac_kernels_trivial, candidate,
+    representative): the two verdicts, the one coset member that can lie
+    in the window [0, deg K], and the canonical representative.
+    """
+    # in units of 1/alpha: deg K = (2g - 1) alpha - 1, coset step n alpha + 1
+    deg_k = (2 * g - 1) * alpha - 1
+    step = n * alpha + 1
+    representative = k + (deg_k + step - k) // step * step
+    # the window [0, deg K] is shorter than the coset step, so it holds
+    # at most one coset member: the one just below the representative
+    candidate = representative - step
+    # deg K / 2 - k/alpha is a multiple of step/alpha iff 2 step | deg K - 2k
+    half_in_coset = (deg_k - 2 * k) % (2 * step) == 0
+    return (
+        not 0 <= candidate <= deg_k or 2 * candidate == deg_k,
+        alpha % 2 == 0 or not half_in_coset,
+        candidate,
+        representative,
+    )
 
 
 def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
@@ -166,23 +215,16 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     deg K / 2 is not in D at all.  Both are coset conditions, so the
     verdict does not depend on the representative chosen for k.  The
     representative returned is the largest member of D that is at most
-    deg K + n + 1/alpha.  Raises ConditionViolation, as check_admissible
-    does, when g, n or alpha is out of range.
+    deg K + n + 1/alpha.  The arithmetic is _moy_units'.  Raises
+    ConditionViolation, as check_admissible does, when g, n or alpha is
+    out of range.
     """
     check_admissible(g, n, alpha, 1, alpha)
-    # in units of 1/alpha: deg K = (2g - 1) alpha - 1, coset step n alpha + 1
-    deg_k = (2 * g - 1) * alpha - 1
-    step = n * alpha + 1
-    representative = k + (deg_k + step - k) // step * step
-    # the window [0, deg K] is shorter than the coset step, so it holds
-    # at most one coset member: the one just below the representative
-    candidate = representative - step
-    in_window = 0 <= candidate <= deg_k
-    # deg K / 2 - k/alpha is a multiple of step/alpha iff 2 step | deg K - 2k
-    half_in_coset = (deg_k - 2 * k) % (2 * step) == 0
+    reducibles_only, dirac_kernels_trivial, candidate, representative = _moy_units(g, n, alpha, k)
+    in_window = 0 <= candidate <= (2 * g - 1) * alpha - 1
     return MoyVerdict(
-        reducibles_only=not in_window or 2 * candidate == deg_k,
-        dirac_kernels_trivial=alpha % 2 == 0 or not half_in_coset,
+        reducibles_only=reducibles_only,
+        dirac_kernels_trivial=dirac_kernels_trivial,
         witness_degrees=(Fraction(candidate, alpha),) if in_window else (),
         representative=Fraction(representative, alpha),
     )
@@ -198,7 +240,11 @@ def d3_numerators(
     gap_law): d3 of the contact structure, (2g - 1) - omega_closed, over
     closed_den; d3 of the canonical plane field, -2 - omega_long, over
     long_den; their difference over long_den * closed_den; and whether
-    that difference is 2g + 1, decided by one integer comparison.
+    that difference is 2g + 1, decided by one integer comparison.  The
+    pairs need not be reduced: scaling the long pair by a > 0 and the
+    closed one by c > 0 scales contact by c, canonical by a, and both gap
+    and (2g + 1) long_den closed_den by ac, so gap_law and the sign of
+    the gap stay the same.
     """
     contact = (2 * g - 1) * closed_den - closed_num
     canonical = -2 * long_den - long_num

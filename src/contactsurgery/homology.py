@@ -37,7 +37,9 @@ the canonical structure carries c1(t_can) = (alpha + 2) * PD(mu), which
 makes c1 of the offset-j structure (alpha + 2 + 2j) * PD(mu) and in
 particular c1 = r * PD(mu) at offset (r - alpha - 2)/2.  spinc_offset
 is the one place this arithmetic is done, for every admissible
-(g, n, alpha, sign, r); c1 is reported only at n = 2g.
+(g, n, alpha, sign, r); c1 is reported only at n = 2g.  Its offset
+comes from the unguarded _spinc_offset, which the sweep calls directly
+on points that are admissible by construction.
 
 distinct_witness turns that arithmetic into a certificate by direct
 construction: the first `count` primes p = 2g*a + 1, used as rotation
@@ -320,6 +322,12 @@ def mu_order(inv: SeifertInvariants) -> int:
     return abs(euler) // math.gcd(euler, *numerators)
 
 
+def _spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> int:
+    """spinc_offset's offset for an admissible point, unguarded."""
+    shift = 0 if sign == 1 else 2 * alpha * (n - 2 * g)
+    return ((r - alpha - 2 - shift) // 2) % (n * alpha + 1)
+
+
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     """Offset of t_{xi^sign_r} from the canonical Spin^c structure.
 
@@ -334,10 +342,10 @@ def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     g, n, alpha, sign, r = map(operator.index, (g, n, alpha, sign, r))
     check_admissible(g, n, alpha, sign, r)
     modulus = n * alpha + 1
-    shift = 0 if sign == 1 else 2 * alpha * (n - 2 * g)
-    offset = ((r - alpha - 2 - shift) // 2) % modulus
-    c1 = r % modulus if n == 2 * g else None  # shift = 0 at n = 2g
-    return SpinCClass(offset=offset, modulus=modulus, c1_coefficient=c1)
+    c1 = r % modulus if n == 2 * g else None  # the sign -1 shift is 0 at n = 2g
+    return SpinCClass(
+        offset=_spinc_offset(g, n, alpha, sign, r), modulus=modulus, c1_coefficient=c1
+    )
 
 
 def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:

@@ -1,6 +1,5 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -446,14 +445,15 @@ class TestRouteDisagreement:
 
     @pytest.fixture(autouse=True)
     def skewed_closed_route(self, monkeypatch):
-        original = gauge.omega_red_closed
+        # the closed route's integer core, read by report and sweep alike
+        original = gauge._omega_closed_ratio
 
         def skewed(*args):
-            value = original(*args)
-            return value + Fraction(1, 7) if args == self.POINT else value
+            num, den = original(*args)
+            return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
 
-        monkeypatch.setattr(cli, "omega_red_closed", skewed)
-        monkeypatch.setattr(gauge, "omega_red_closed", skewed)
+        monkeypatch.setattr(cli, "_omega_closed_ratio", skewed)
+        monkeypatch.setattr(gauge, "_omega_closed_ratio", skewed)
 
     def test_sweep_records_both_failures(self, capsys):
         code = main(
@@ -487,6 +487,45 @@ class TestRouteDisagreement:
         assert data["invariants"]["gap"] == "20/7"
 
 
+class TestLongRouteDisagreement:
+    """A long route off by 1/7 at one point must fail A1 and the gap law too."""
+
+    POINT = (1, 3, 2, 1, 0)
+
+    @pytest.fixture(autouse=True)
+    def skewed_long_route(self, monkeypatch):
+        original = gauge._omega_long_ratio
+
+        def skewed(*args):
+            num, den = original(*args)
+            return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
+
+        monkeypatch.setattr(cli, "_omega_long_ratio", skewed)
+        monkeypatch.setattr(gauge, "_omega_long_ratio", skewed)
+
+    def test_sweep_records_both_failures(self, capsys):
+        argv = ["sweep", "--g-range", "1..1", "--n-range", "2g..2g+1", "--alpha-range", "1..3"]
+        assert main(argv + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        where = dict(zip(("g", "n", "alpha", "sign", "r"), self.POINT))
+        assert data["failures"] == [
+            {"check": "omega_identity", **where},
+            {"check": "gap_law", **where},
+        ]
+        assert data["checks"]["omega_identity"] == data["checks"]["gap_law"] == 24
+        assert data["all_pass"] is False
+
+    def test_report_fails_checks(self, capsys):
+        argv = ["report", "--g", "1", "--n", "3", "--alpha", "2", "--sign", "+", "--r", "0"]
+        assert main(argv + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        checks = data["verdicts"]["checks"]
+        assert not checks["omega_red_forms_agree"]
+        assert not checks["gap_is_2g_plus_1"]
+        # gap = 2g + 1 + (omega_long - omega_closed) = 3 + 1/7
+        assert data["invariants"]["gap"] == "22/7"
+
+
 class TestMuAndMoyFailures:
     """A mu order off by one at one block, or one failed MOY verdict, is recorded alone."""
 
@@ -515,15 +554,15 @@ class TestMuAndMoyFailures:
         target = spinc_offset(*point).offset
         offsets = [spinc_offset(*p).offset for p in admissible_points(2, 4, 3)]
         assert offsets.count(target) == 1  # so the patch fails this point alone
-        original = gauge.moy_check
+        original = gauge._moy_units
 
         def failing(g, n, alpha, k):
             verdict = original(g, n, alpha, k)
             if (g, n, alpha, k) == (*point[:3], target):
-                return dataclasses.replace(verdict, reducibles_only=False)
+                return (False, *verdict[1:])
             return verdict
 
-        monkeypatch.setattr(cli, "moy_check", failing)
+        monkeypatch.setattr(cli, "_moy_units", failing)
         assert main(self.SWEEP + ["--json"]) == 3
         data = json.loads(capsys.readouterr().out)
         where = dict(zip(("g", "n", "alpha", "sign", "r"), point))

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
     MoyVerdict,
+    _moy_units,
+    _omega_closed_ratio,
+    _omega_long_ratio,
     d3_certificate,
     d3_numerators,
     dedekind_context,
@@ -18,7 +21,7 @@ from contactsurgery.gauge import (
     omega_red_closed,
     omega_red_long,
 )
-from contactsurgery.homology import spinc_offset
+from contactsurgery.homology import _spinc_offset, spinc_offset
 
 
 def admissible_rotations(alpha, sign):
@@ -274,12 +277,13 @@ class TestD3Certificate:
         assert not verdict["gap_law"]
 
 
-# Sizes well beyond the toy grid: g <= 40, n <= 2g + 50, alpha <= 10^6.
+# Sizes well beyond the toy grid: g <= 40 (50 for the integer cores),
+# n <= 2g + 50, alpha <= 10^6.
 
 
 @st.composite
-def large_admissible_inputs(draw):
-    g = draw(st.integers(1, 40))
+def large_admissible_inputs(draw, max_g=40):
+    g = draw(st.integers(1, max_g))
     n = 2 * g + draw(st.integers(0, 50))
     alpha = draw(st.integers(1, 10**6))
     sign = draw(st.sampled_from((1, -1)))
@@ -376,6 +380,30 @@ class TestLargeInputs:
 
     @settings(max_examples=300)
     @given(
+        large_admissible_inputs(),
+        st.sampled_from((0, "zero gap")) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
+        st.integers(1, 10**9),
+        st.integers(1, 10**9),
+    )
+    def test_d3_numerators_ignore_positive_scaling(self, params, skew, a, c):
+        # the sweep feeds d3_numerators unreduced pairs; the verdict and the
+        # sign of the gap must be those of the reduced ones
+        g = params[0]
+        if skew == "zero gap":
+            skew = 2 * g + 1  # the closed route pushed up to d3_contact == d3_canonical
+        long_num, long_den = omega_red_long(*params).as_integer_ratio()
+        closed_num, closed_den = (omega_red_closed(*params) + skew).as_integer_ratio()
+        contact, canonical, gap, gap_law = d3_numerators(
+            g, long_num, long_den, closed_num, closed_den
+        )
+        scaled = d3_numerators(g, a * long_num, a * long_den, c * closed_num, c * closed_den)
+        assert scaled == (c * contact, a * canonical, a * c * gap, gap_law)
+        assert (scaled[2] > 0) - (scaled[2] < 0) == (gap > 0) - (gap < 0)
+        assert gap_law == (skew == 0)
+        assert (gap == 0) == (skew == 2 * g + 1)
+
+    @settings(max_examples=300)
+    @given(
         st.integers(1, 40),
         st.integers(0, 50),
         st.integers(1, 10**6),
@@ -405,6 +433,32 @@ class TestLargeInputs:
         shift = {"half": 0, "half step away": step // 2, "next": 1}[where]
         k = deg_k // 2 + shift + j * step
         assert moy_check(g, n, alpha, k) == _moy_reference(g, n, alpha, k)
+
+    @settings(max_examples=300)
+    @given(large_admissible_inputs(max_g=50))
+    def test_omega_cores_are_the_routes_unreduced(self, params):
+        _, n, alpha, _, _ = params
+        long_num, long_den = _omega_long_ratio(*params)
+        closed_num, closed_den = _omega_closed_ratio(*params)
+        assert Fraction(long_num, long_den) == omega_red_long(*params)
+        assert Fraction(closed_num, closed_den) == omega_red_closed(*params)
+        assert long_den == 24 * alpha * (2 * n * alpha + 2) ** 2
+        assert closed_den == 4 * (n * alpha + 1)
+
+    @settings(max_examples=300)
+    @given(large_admissible_inputs(max_g=50))
+    def test_moy_and_offset_cores_match_the_guarded_routes(self, params):
+        g, n, alpha, _, _ = params
+        k = _spinc_offset(*params)
+        assert k == spinc_offset(*params).offset
+        reducibles_only, dirac_kernels_trivial, candidate, representative = _moy_units(
+            g, n, alpha, k
+        )
+        verdict = moy_check(g, n, alpha, k)
+        assert verdict.reducibles_only == reducibles_only
+        assert verdict.dirac_kernels_trivial == dirac_kernels_trivial
+        assert verdict.representative == Fraction(representative, alpha)
+        assert verdict.witness_degrees in ((), (Fraction(candidate, alpha),))
 
     @given(inadmissible_inputs())
     def test_inadmissible_inputs_raise(self, params):
