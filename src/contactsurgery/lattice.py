@@ -20,11 +20,13 @@ to exactly one canonical assignment, so an empty search certifies
 non-embeddability for every m.
 
 The search runs on an explicit stack, so no rank reaches Python's
-recursion limit, and a node costs O(rank); its order and cut are those
-of a plain recursion over columns, so the first embedding found, or
-None, is the same.  Its cost still grows about as q^3 on lambda_q, so
-nonfillability_obstruction refuses q above _Q_LIMIT (g above 759)
-before building anything.
+recursion limit; its order and cut are those of a plain recursion over
+columns, so the first embedding found, or None, is the same.  It keeps
+only the nonzero column entries and the nonzero remaining dots, so a
+node costs O(nonzeros), not O(rank): on lambda_q, where a vector meets
+one or two placed rows, the search grows about as q^2.
+nonfillability_obstruction still refuses q above _Q_LIMIT (g above
+759) before building anything.
 
 nonfillability_obstruction only ever meets q >= 3, where lambda_q embeds
 in no diagonal lattice (Lisca, Geom. Topol. 11 (2007)): an embedding
@@ -51,7 +53,7 @@ __all__ = [
     "nonfillability_obstruction",
 ]
 
-_Q_LIMIT = 40  # largest lambda_q the obstruction searches: about 0.2 s, g <= 759
+_Q_LIMIT = 40  # largest lambda_q the obstruction searches: about 30 ms, g <= 759
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,38 @@ def lambda_q(q: int) -> Lattice:
 def is_negative_definite(lattice: Lattice) -> bool:
     """Sylvester test: k-th leading principal minor has sign (-1)^k.
 
-    One Bareiss pass without pivoting: after step k the pivot at (k, k)
-    is the (k+1)-th leading principal minor, so the test stops at the
-    first pivot of the wrong sign (zero included), before dividing by it.
+    One fraction-free (Bareiss) elimination without pivoting: after step
+    k the pivot p_k at (k, k) is the (k+1)-th leading principal minor, so
+    the test stops at the first pivot of the wrong sign (zero included),
+    before dividing by it.  A row whose entry in the pivot column is zero
+    would only be scaled by p_k / p_{k-1}, so it is skipped; the scalings
+    it skipped telescope to p_k / p_s, with p_s the pivot of its last
+    update, so when it is next touched its step divides by p_s instead,
+    exactly.  On a tree such as lambda_q a step touches one or two rows,
+    and the pass costs O(rank^2) rather than O(rank^3).
     """
     m = [list(row) for row in lattice.gram]
     n = lattice.rank
-    prev = 1
+    pivots = [1]  # pivots[k]: the k-th leading minor, 1 for k = 0
+    level = [0] * n  # row i is exact up to pivots[k] / pivots[level[i]]
     for k in range(n):
-        pivot = m[k][k]
+        top = m[k]
+        stale = pivots[level[k]]
+        if stale != pivots[k]:
+            for j in range(k, n):
+                top[j] = top[j] * pivots[k] // stale
+        pivot = top[k]
         if pivot * (-1) ** (k + 1) <= 0:
             return False
         for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
-        prev = pivot
+            row = m[i]
+            lead = row[k]
+            if lead:
+                stale = pivots[level[i]]
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - lead * top[j]) // stale
+                level[i] = k + 1
+        pivots.append(pivot)
     return True
 
 
@@ -138,23 +156,37 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
 
     The search is depth first on an explicit stack, one frame per open
     column of the vector being placed: [column, next value, upper bound,
-    norm left, dots left].  Each placed row is entered once into column
-    views: the history of every column and the row's squared length
-    after it, which is all the Cauchy-Schwarz cut needs, at one product
-    per placed row.  When a vector's placement starts, whether each
-    column shares the previous column's class and whether it is fresh
-    follow from the last row in one pass over the columns.  Once the
-    norm is used up, the rest of the row is forced to zero and the row
-    is accepted or rejected at once.
+    norm left, dots left], the dots a dict of the nonzero remaining
+    Euclidean dots by placed row.  Each placed row is entered once into
+    column views: the nonzero (row, value) pairs of every column's
+    history, and the row's squared length after each column, which is
+    all the Cauchy-Schwarz cut needs.  A value updates the dots only
+    where the column's history is nonzero, and the cut runs only over
+    the nonzero dots, since a zero dot always passes, so a node costs
+    O(nonzeros) rather than O(rank).  When a vector's placement starts,
+    whether each column shares the previous column's class and whether
+    it is fresh follow from the last row in one pass over the columns.
+    Once the norm is used up, the rest of the row is forced to zero and
+    the row is accepted or rejected at once.
     """
     if not is_negative_definite(lattice):
         raise ConditionViolation("embedding search needs a negative definite form")
+    return _search(lattice)[0]
+
+
+def _search(lattice: Lattice) -> tuple[DiagonalEmbedding | None, int]:
+    """embeds_in_diagonal's search, on a form already known definite,
+    with its node count: the steps of its loop, each one value tried or
+    one column given up."""
     gram = lattice.gram
     rank = lattice.rank
+    if rank == 0:
+        return DiagonalEmbedding(vectors=()), 0
     columns = sum(-gram[i][i] for i in range(rank))
     placed: list[list[int]] = []
-    history: list[list[int]] = [[] for _ in range(columns)]  # placed[j][c] by c
-    tail: list[list[int]] = [[] for _ in range(columns)]  # |placed[j][c+1:]|^2 by c
+    # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero
+    history: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
+    tails: list[list[int]] = []  # tails[j][c] = |placed[j][c+1:]|^2
     levels: list[tuple] = []  # per open vector: coordinates, same, fresh
     stack: list[list] = []
 
@@ -162,38 +194,45 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
         levels.append(([0] * columns, same, fresh))
         norm = -gram[i][i]
         bound = math.isqrt(norm)
-        targets = [-gram[j][i] for j in range(i)]  # required Euclidean dots
+        targets = {j: -gram[j][i] for j in range(i) if gram[j][i]}  # required Euclidean dots
         stack.append([0, 0 if fresh[0] else -bound, bound, norm, targets])
         return levels[-1]
 
-    if rank == 0:
-        return DiagonalEmbedding(vectors=())
     vector, same, fresh = open_vector(0, [False] + [True] * (columns - 1), [True] * columns)
+    nodes = 0
     while stack:
+        nodes += 1
         frame = stack[-1]
-        col, value, high, norm_left, dots_left = frame
+        col, value, high, norm_left, dots = frame
         if value > high:
             stack.pop()
             vector[col] = 0
             if col == 0 and placed:  # vector exhausted: reopen the one before
                 levels.pop()
-                placed.pop()
-                for c in range(columns):
-                    history[c].pop()
-                    tail[c].pop()
+                tails.pop()
+                for c, x in enumerate(placed.pop()):
+                    if x:
+                        history[c].pop()
                 vector, same, fresh = levels[-1]
             continue
         frame[1] = value + 1
         vector[col] = value
         left = norm_left - value * value
-        dots = (
-            dots_left
-            if fresh[col]
-            else [d - value * h for d, h in zip(dots_left, history[col])]
-        )
+        if value and history[col]:
+            dots = dots.copy()
+            for j, h in history[col]:
+                d = dots.pop(j, 0) - value * h
+                if d:
+                    dots[j] = d
         # Cauchy-Schwarz cut: remaining dot d against a row of remaining
-        # squared length t needs d^2 <= t * left
-        if any(d * d > t * left for d, t in zip(dots, tail[col])):
+        # squared length t needs d^2 <= t * left, which a zero dot always
+        # meets, so only the nonzero dots are kept and checked
+        cut = False
+        for j, d in dots.items():
+            if d * d > tails[j][col] * left:
+                cut = True
+                break
+        if cut:
             continue
         nxt = col + 1
         if left == 0:
@@ -205,12 +244,15 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
             row = vector[:]
             placed.append(row)
             if len(placed) == rank:
-                return DiagonalEmbedding(vectors=_trim([tuple(v) for v in placed]))
+                return DiagonalEmbedding(vectors=_trim([tuple(v) for v in placed])), nodes
+            tail = [0] * columns
             after = 0
             for c in range(columns - 1, -1, -1):
-                history[c].append(row[c])
-                tail[c].append(after)
-                after += row[c] * row[c]
+                tail[c] = after
+                if row[c]:
+                    history[c].append((len(placed) - 1, row[c]))
+                    after += row[c] * row[c]
+            tails.append(tail)
             vector, same, fresh = open_vector(
                 len(placed),
                 [False] + [same[c] and row[c - 1] == row[c] for c in range(1, columns)],
@@ -223,7 +265,7 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
             low = 0 if fresh[nxt] else -bound
             high = min(bound, value) if same[nxt] else bound
             stack.append([nxt, low, high, left, dots])
-    return None
+    return None, nodes
 
 
 def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

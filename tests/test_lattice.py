@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
@@ -13,6 +13,7 @@ from contactsurgery.intmat import determinant
 from contactsurgery.lattice import (
     DiagonalEmbedding,
     Lattice,
+    _search,
     embeds_in_diagonal,
     is_negative_definite,
     lambda_q,
@@ -100,11 +101,11 @@ def planted_lattices(draw):
 
 @st.composite
 def weighted_stars(draw):
-    """Three-legged stars of weight -2 or -3 vertices, ranks 4..7; about
-    a fifth of them (E6, E7 and their reweightings) embed nowhere."""
-    legs = draw(
-        st.lists(st.integers(1, 3), min_size=3, max_size=3).filter(lambda l: sum(l) <= 6)
-    )
+    """Three-legged stars of weight -2 or -3 vertices, ranks 4..12; some
+    (E6, E7, E8 and their reweightings) embed nowhere."""
+    first = draw(st.integers(1, 9))
+    second = draw(st.integers(1, 10 - first))
+    legs = [first, second, draw(st.integers(1, 11 - first - second))]
     rank = 1 + sum(legs)
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
@@ -128,6 +129,40 @@ def dense_grams(draw):
         for j in range(i):
             gram[i][j] = gram[j][i] = draw(st.integers(-1, 1))
     return Lattice(gram=tuple(map(tuple, gram)), rank=rank)
+
+
+@st.composite
+def sparse_grams(draw):
+    """Paths, three-leg stars and trees of rank 1..40, weights -1..-4 and
+    edges of either sign, with the vertices in a random order, so that
+    rows wait through many elimination steps untouched; many of them
+    reach a zero or positive leading minor part way."""
+    rank = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["path", "star", "tree"]))
+    if shape == "path":
+        parents = [k - 1 for k in range(1, rank)]
+    elif shape == "star":  # legs 1..a, a+1..b and b+1..rank-1 on vertex 0
+        a = draw(st.integers(0, rank - 1))
+        b = draw(st.integers(a, rank - 1))
+        parents = [0 if k in (1, a + 1, b + 1) else k - 1 for k in range(1, rank)]
+    else:
+        parents = [draw(st.integers(0, k - 1)) for k in range(1, rank)]
+    gram = [[0] * rank for _ in range(rank)]
+    for k in range(rank):
+        gram[k][k] = draw(st.sampled_from([-1, -2, -2, -3, -4]))
+    for k, parent in enumerate(parents, start=1):
+        gram[k][parent] = gram[parent][k] = draw(st.sampled_from([1, -1]))
+    order = draw(st.permutations(range(rank)))
+    return Lattice(gram=tuple(tuple(gram[i][j] for j in order) for i in order), rank=rank)
+
+
+def leading_minors_alternate(gram) -> bool:
+    """Sylvester's criterion by a separate determinant of each leading
+    block, stopping at the first one of the wrong sign."""
+    return all(
+        determinant([row[:k] for row in gram[:k]]) * (-1) ** k > 0
+        for k in range(1, len(gram) + 1)
+    )
 
 
 # E6: the star of (-2)-vectors with legs 1, 2, 2 around vertex 0; the
@@ -249,6 +284,48 @@ class TestNegativeDefinite:
         assert determinant([list(r) for r in gram]) == 1
         assert not is_negative_definite(Lattice(gram=gram, rank=3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_grams())
+    def test_sparse_matches_leading_minors(self, lattice):
+        # the rows the pass skips are scaled when next touched; a wrong
+        # scaling shows up as a minor of the wrong sign or an inexact
+        # division further on
+        assert is_negative_definite(lattice) is leading_minors_alternate(lattice.gram)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(2, 40))
+    @example(40)
+    def test_lambda_q_matches_leading_minors(self, q):
+        lattice = lambda_q(q)
+        assert is_negative_definite(lattice) is leading_minors_alternate(lattice.gram)
+
+    def test_row_skipped_until_it_is_the_pivot(self):
+        # [DERIVED] the path v0 - v1 - v2 of (-2)-vectors has leading
+        # minors -2, 3, -4; v3 meets none of them, so its row waits
+        # through three steps and then pivots at (-2)(-4) = 8 or, with
+        # weight +1, at -4, the wrong sign for an even block
+        path = ((-2, 1, 0, 0), (1, -2, 1, 0), (0, 1, -2, 0), (0, 0, 0, -2))
+        assert [determinant([r[:k] for r in path[:k]]) for k in (1, 2, 3, 4)] == [-2, 3, -4, 8]
+        assert is_negative_definite(Lattice(gram=path, rank=4))
+        flipped = path[:3] + ((0, 0, 0, 1),)
+        assert determinant([list(r) for r in flipped]) == -4
+        assert not is_negative_definite(Lattice(gram=flipped, rank=4))
+
+    def test_zero_pivot_after_skipped_rows(self):
+        # [DERIVED] v2 and v3 (weights -1, joined) wait through the steps
+        # of v0 - v1; v3 is touched once, at step 2, and then pivots at
+        # 0, so the pass stops before step 4 would divide by it
+        gram = (
+            (-2, 1, 0, 0, 0),
+            (1, -2, 0, 0, 0),
+            (0, 0, -1, 1, 0),
+            (0, 0, 1, -1, 1),
+            (0, 0, 0, 1, -2),
+        )
+        minors = [determinant([r[:k] for r in gram[:k]]) for k in range(1, 6)]
+        assert minors == [-2, 3, -3, 0, 3]
+        assert not is_negative_definite(Lattice(gram=gram, rank=5))
+
     def test_q2_is_degenerate(self):
         # [DERIVED] det lambda_2 = 0, so the q = 2 form is only semidefinite
         lat = lambda_q(2)
@@ -362,9 +439,38 @@ class TestSearchMatchesRecursiveReference:
     def test_e6_does_not_embed(self):
         assert self.check(Lattice(gram=E6, rank=6)) is None
 
-    @pytest.mark.parametrize("q", range(3, 9))
+    @pytest.mark.parametrize("q", range(3, 11))
     def test_lambda_q(self, q):
         assert self.check(lambda_q(q)) is None
+
+
+class TestSearchNodeCounts:
+    """The search visits as many nodes (steps of its loop) as it always
+    has.  A cut that prunes less returns the same answers, so only these
+    counts tell it apart."""
+
+    @pytest.mark.parametrize(
+        "q, nodes",
+        [(3, 241), (4, 429), (5, 677), (6, 969), (7, 1309), (8, 1697), (9, 2145), (10, 2651)],
+    )
+    def test_lambda_q(self, q, nodes):
+        assert _search(lambda_q(q)) == (None, nodes)
+
+    @pytest.mark.parametrize(
+        "gram, nodes",
+        [
+            ((), 0),
+            (((-1,),), 2),
+            (((-2,),), 6),
+            (((-2, 1), (1, -2)), 23),
+            (((-2, 1), (1, -1)), 13),
+            (((-2, 1, 1, 1), (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2)), 68),
+            (E6, 218),
+        ],
+    )
+    def test_fixed_lattices(self, gram, nodes):
+        lattice = Lattice(gram=gram, rank=len(gram))
+        assert _search(lattice) == (embeds_in_diagonal(lattice), nodes)
 
 
 class TestNonfillabilityObstruction:
