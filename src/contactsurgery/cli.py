@@ -27,17 +27,14 @@ from fractions import Fraction
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import ConditionViolation
 from .gauge import (
-    _moy_units,
-    _omega_closed_ratio,
-    _omega_long_ratio,
+    _moy_holds,
+    _omega_routes_agree,
     d3_certificate,
-    d3_numerators,
     moy_check,
     omega_red_closed,
     omega_red_long,
 )
 from .homology import (
-    _spinc_offset,
     admissible_points,
     check_admissible,
     distinct_witness,
@@ -56,9 +53,10 @@ __all__ = ["build_report", "render_json", "main"]
 _EXPONENT_LIMIT = 4300
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
-# sweep work (best of three in-process runs, Python 3.11 on a shared 2-vCPU VM): a
-# point costs about 4 us on the integer cores and a (g, alpha) block, one
-# closed-form mu order, about 5 us; the largest grid runs in about 1 s as one process
+# sweep work (best of five in-process runs, Python 3.11, shared 2-vCPU VM): a point,
+# one omega comparison on the integer cores, costs about 2.5 us (about 3.7 us at
+# n = 2g with its MOY verdict) and a (g, alpha) block, one closed-form mu order,
+# about 5 us; the largest grid runs in about 1.1 s as one process
 _SWEEP_POINT_LIMIT = 250_000
 _SWEEP_BLOCK_LIMIT = 20_000
 
@@ -179,20 +177,19 @@ def run_sweep(
     closed-form identity, the gap law, and at n = 2g the MOY verdict
     with its sandwich inequality.
 
-    The points run on the guard-free integer cores alone, each evaluated
-    once per point: gauge._omega_long_ratio and
-    gauge._omega_closed_ratio give each omega_red route as an unreduced
-    integer pair, and homology._spinc_offset and gauge._moy_units give
-    the offset and the MOY verdict in units of 1/alpha.  No point is put
+    Each point is two guard-free verdicts of gauge, which alone knows the
+    cores' integer formats: gauge._omega_routes_agree cross-multiplies the
+    unreduced pairs of the two omega_red cores once, and at n = 2g
+    gauge._moy_holds reads the MOY verdict at homology._spinc_offset with
+    the sandwich deg K < representative < 2g + 1/alpha.  No point is put
     through check_admissible: admissible_points checks its (g, n, alpha)
     once and yields only the rotations that check accepts, and the long
-    core still asserts rho in (0, 1) at every point.  The identity
-    compares the two pairs by cross-multiplication.  The gap law comes
-    from gauge.d3_numerators on the same pairs, which takes d3_contact
-    from the closed value and d3_canonical from the long one, never from
-    the identity comparison; its verdict does not depend on reducing the
-    pairs.  The sandwich deg K < representative < 2g + 1/alpha is
-    compared in integer units of 1/alpha.  Counts are exact and added up
+    core still asserts rho in (0, 1) at every point.  The gap law is read
+    from the identity comparison itself, never from gauge.d3_numerators:
+    gap - (2g + 1) long_den closed_den = long_num closed_den -
+    closed_num long_den, so the gap is 2g + 1 exactly when the routes
+    agree, and a failed identity is recorded as omega_identity and then
+    gap_law, each counted once per point.  Counts are exact and added up
     per (g, n, alpha) block; any failure is recorded with its
     coordinates.  Before any evaluation the work is counted from the
     ranges: 2*sum(alpha) points per (g, n) and one mu order per
@@ -229,28 +226,18 @@ def run_sweep(
             counts["mu_order"] += 1
             if mu_order(inv) != 2 * g * alpha + 1:
                 failures.append({"check": "mu_order", "g": g, "alpha": alpha})
-            # the sandwich's ends in units of 1/alpha
-            deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
             for offset in range(span[0], span[1] + 1):
-                n = 2 * g + offset
-                points = list(admissible_points(g, n, alpha))
+                points = list(admissible_points(g, 2 * g + offset, alpha))
                 counts["omega_identity"] += len(points)
                 counts["gap_law"] += len(points)
-                if n == 2 * g:
+                if offset == 0:
                     counts["moy"] += len(points)
                 for point in points:
-                    long_num, long_den = _omega_long_ratio(*point)
-                    closed_num, closed_den = _omega_closed_ratio(*point)
-                    if long_num * closed_den != closed_num * long_den:
+                    if not _omega_routes_agree(*point):
                         fail("omega_identity", point)
-                    if not d3_numerators(g, long_num, long_den, closed_num, closed_den)[3]:
                         fail("gap_law", point)
-                    if n == 2 * g:
-                        reducibles_only, dirac_trivial, _, representative = _moy_units(
-                            g, n, alpha, _spinc_offset(*point)
-                        )
-                        if not (reducibles_only and dirac_trivial and deg_k < representative < top):
-                            fail("moy", point)
+                    if offset == 0 and not _moy_holds(*point):
+                        fail("moy", point)
     return {
         "grid": {
             "g": list(g_range),

@@ -23,10 +23,9 @@ and the d3 of the canonical plane field of its Spin^c structure from
 the long one, -2 - omega_long, as integer numerators over the routes'
 own denominators.  Their difference is 2g + 1 + (omega_long -
 omega_closed), so it is exactly 2g + 1 precisely when the routes agree
-(the gap law, one integer comparison); a nonzero gap certifies that the
-contact structure is not homotopic to that canonical field: the
-fillability obstruction.  d3_certificate builds the Fractions of a
-document from those numerators.
+(the gap law); a nonzero gap certifies that the contact structure is not
+homotopic to that canonical field: the fillability obstruction.
+d3_certificate builds the Fractions of a document from those numerators.
 
 moy_check implements the arithmetic criteria on orbifold line bundle
 degrees: the moduli space contains only reducible solutions when no
@@ -40,9 +39,14 @@ arithmetic is the guard-free core _moy_units.
 
 The cores skip check_admissible, so they are for callers whose points
 are admissible by construction, such as cli.run_sweep over
-homology.admissible_points.  The long core keeps its assertion that rho
-lies in (0, 1): admissibility implies it by arithmetic, and it stays
-checked, not assumed.
+homology.admissible_points.  That caller reads two verdicts per point
+and no integer format: _omega_routes_agree, one cross-multiply of the
+two routes' pairs, which is the omega identity and, by d3_numerators'
+algebra, the gap law as well; and _moy_holds, the MOY verdict at the
+point's Spin^c offset with the sandwich deg K < representative <
+2g + 1/alpha, in units of 1/alpha.  The long core keeps its assertion
+that rho lies in (0, 1): admissibility implies it by arithmetic, and it
+stays checked, not assumed.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import check_admissible
+from .homology import _spinc_offset, check_admissible
 
 __all__ = [
     "DedekindContext",
@@ -181,6 +185,18 @@ def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     return Fraction(*_omega_closed_ratio(g, n, alpha, sign, r))
 
 
+def _omega_routes_agree(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
+    """The omega identity at an admissible point, unguarded: one cross-multiply.
+
+    The denominators of both cores are positive, so comparing the
+    unreduced pairs is exact; by d3_numerators the same comparison is
+    the gap law.
+    """
+    long_num, long_den = _omega_long_ratio(g, n, alpha, sign, r)
+    closed_num, closed_den = _omega_closed_ratio(g, n, alpha, sign, r)
+    return long_num * closed_den == closed_num * long_den
+
+
 def _moy_units(g: int, n: int, alpha: int, k: int) -> tuple[bool, bool, int, int]:
     """moy_check's verdict in integer units of 1/alpha, unguarded.
 
@@ -203,6 +219,19 @@ def _moy_units(g: int, n: int, alpha: int, k: int) -> tuple[bool, bool, int, int
         candidate,
         representative,
     )
+
+
+def _moy_holds(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
+    """The MOY verdict at an admissible point with n = 2g, unguarded.
+
+    Both verdicts of _moy_units at the point's Spin^c offset, and the
+    sandwich deg K < representative < 2g + 1/alpha, in units of 1/alpha.
+    """
+    reducibles_only, dirac_trivial, _, representative = _moy_units(
+        g, n, alpha, _spinc_offset(g, n, alpha, sign, r)
+    )
+    deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
+    return reducibles_only and dirac_trivial and deg_k < representative < top
 
 
 def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
@@ -244,7 +273,9 @@ def d3_numerators(
     pairs need not be reduced: scaling the long pair by a > 0 and the
     closed one by c > 0 scales contact by c, canonical by a, and both gap
     and (2g + 1) long_den closed_den by ac, so gap_law and the sign of
-    the gap stay the same.
+    the gap stay the same.  Expanding contact and canonical gives
+    gap - (2g + 1) long_den closed_den = long_num closed_den - closed_num long_den,
+    so gap_law is the omega identity's cross-multiply (_omega_routes_agree).
     """
     contact = (2 * g - 1) * closed_den - closed_num
     canonical = -2 * long_den - long_num

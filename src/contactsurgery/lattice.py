@@ -1,10 +1,11 @@
 """Negative definite lattices and diagonal embedding obstructions.
 
-lambda_q builds the rank-2q lattice spanned by a path of (-2)-vectors
+lambda_q is the rank-2q lattice spanned by a path of (-2)-vectors
 v_1, ..., v_{2q-1} (consecutive products 1) and one extra vector w with
 w.w = 1 - q attached to v_q; it is the intersection lattice whose
 non-embeddability into every diagonal lattice D_m = (Z^m, -identity)
-obstructs negative definite fillings.
+obstructs negative definite fillings.  It is read off
+homology.presentation of a three-leg star, not built by hand.
 
 embeds_in_diagonal decides that embeddability by certified exhaustive
 search.  Writing each basis vector as an integer coordinate row V_i with
@@ -42,7 +43,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ConditionViolation
-from .seifert import d_range
+from .homology import presentation
+from .seifert import SeifertInvariants, d_range
 
 __all__ = [
     "Lattice",
@@ -90,22 +92,18 @@ def lambda_q(q: int) -> Lattice:
 
     A path v_1, ..., v_{2q-1} of square -2 vectors with consecutive
     products 1, plus w with w.w = 1 - q and w.v_q = 1.  q = 1 would make
-    w a square-0 vector, degenerating the form.
+    w a square-0 vector, degenerating the form.  It is the plumbing
+    lattice of the star M(0, -2; (q, q-1), (q, q-1), (q-1, 1)), read off
+    its presentation: the first leg reversed (v_1 .. v_{q-1}), the centre
+    v_q, the second leg (v_{q+1} .. v_{2q-1}) and the one-vertex third
+    leg w.  Each leg obeys the chain bound of `contfrac`, so q is at
+    most 3001.
     """
     if q <= 1:
         raise ConditionViolation(f"need q >= 2, got {q}")
-    rank = 2 * q
-    gram = [[0] * rank for _ in range(rank)]
-    for i in range(rank - 1):  # vectors v_1 .. v_{2q-1} at indices 0 .. 2q-2
-        gram[i][i] = -2
-        if i + 1 < rank - 1:
-            gram[i][i + 1] = 1
-            gram[i + 1][i] = 1
-    w = rank - 1
-    gram[w][w] = 1 - q
-    gram[w][q - 1] = 1  # attached to v_q
-    gram[q - 1][w] = 1
-    return Lattice(gram=tuple(tuple(row) for row in gram), rank=rank)
+    matrix = presentation(SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1)))).matrix
+    pick = operator.itemgetter(*range(q - 1, -1, -1), *range(q, 2 * q))
+    return Lattice(gram=tuple(map(pick, pick(matrix))), rank=2 * q)
 
 
 def is_negative_definite(lattice: Lattice) -> bool:

@@ -404,7 +404,13 @@ class TestSweepDocuments:
 
 
 class TestGapLawMutation:
-    """A d3_numerators with contact offset 2g in place of 2g - 1 fails the gap law alone."""
+    """A d3_numerators with contact offset 2g in place of 2g - 1 fails the report's gap check alone.
+
+    The sweep reads the gap law from the omega identity's one comparison,
+    not from d3_numerators, so its document does not see the mutant; the
+    report test below and test_gauge's check of gap - (2g + 1) ld cd =
+    ln cd - cn ld still catch it.
+    """
 
     @pytest.fixture(autouse=True)
     def mutated_contact_offset(self, monkeypatch):
@@ -412,23 +418,20 @@ class TestGapLawMutation:
         assert source.count("(2 * g - 1) * closed_den") == 1
         namespace = dict(vars(gauge))
         exec(source.replace("(2 * g - 1) * closed_den", "(2 * g) * closed_den"), namespace)
-        monkeypatch.setattr(cli, "d3_numerators", namespace["d3_numerators"])
         monkeypatch.setattr(gauge, "d3_numerators", namespace["d3_numerators"])
 
-    def test_sweep_lists_gap_law_at_every_point(self, capsys):
+    def test_sweep_document_does_not_read_d3_numerators(self, monkeypatch, capsys):
         argv = ["sweep", "--g-range", "1..2", "--n-range", "2g..2g+1", "--alpha-range", "1..4"]
-        assert main(argv + ["--json"]) == 3
-        data = json.loads(capsys.readouterr().out)
-        keys = ("g", "n", "alpha", "sign", "r")
-        assert data["failures"] == [
-            {"check": "gap_law", **dict(zip(keys, point))}
-            for g in (1, 2)
-            for alpha in range(1, 5)
-            for n in (2 * g, 2 * g + 1)
-            for point in admissible_points(g, n, alpha)
-        ]
-        assert data["checks"]["omega_identity"] == data["checks"]["gap_law"] == 80
-        assert data["all_pass"] is False
+        # the mutant breaks the gap law of agreeing routes (omega = 0 at g = 1)
+        assert gauge.d3_numerators(1, 0, 1, 0, 1)[3] is False
+        assert main(argv + ["--json"]) == 0
+        mutated = capsys.readouterr().out
+        monkeypatch.undo()
+        assert gauge.d3_numerators(1, 0, 1, 0, 1)[3] is True
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr().out == mutated
+        checks = json.loads(mutated)["checks"]
+        assert checks["omega_identity"] == checks["gap_law"] == 80
 
     def test_report_fails_the_gap_check_only(self, capsys):
         argv = ["report", "--g", "1", "--n", "3", "--alpha", "3", "--sign", "-", "--r", "1"]
@@ -452,7 +455,6 @@ class TestRouteDisagreement:
             num, den = original(*args)
             return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
 
-        monkeypatch.setattr(cli, "_omega_closed_ratio", skewed)
         monkeypatch.setattr(gauge, "_omega_closed_ratio", skewed)
 
     def test_sweep_records_both_failures(self, capsys):
@@ -500,7 +502,6 @@ class TestLongRouteDisagreement:
             num, den = original(*args)
             return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
 
-        monkeypatch.setattr(cli, "_omega_long_ratio", skewed)
         monkeypatch.setattr(gauge, "_omega_long_ratio", skewed)
 
     def test_sweep_records_both_failures(self, capsys):
@@ -562,7 +563,7 @@ class TestMuAndMoyFailures:
                 return (False, *verdict[1:])
             return verdict
 
-        monkeypatch.setattr(cli, "_moy_units", failing)
+        monkeypatch.setattr(gauge, "_moy_units", failing)
         assert main(self.SWEEP + ["--json"]) == 3
         data = json.loads(capsys.readouterr().out)
         where = dict(zip(("g", "n", "alpha", "sign", "r"), point))

@@ -5,15 +5,17 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
     MoyVerdict,
+    _moy_holds,
     _moy_units,
     _omega_closed_ratio,
     _omega_long_ratio,
+    _omega_routes_agree,
     d3_certificate,
     d3_numerators,
     dedekind_context,
@@ -377,6 +379,9 @@ class TestLargeInputs:
         gap_value = Fraction(gap, long_den * closed_den)
         assert gap_value == (2 * g - 1) - closed_form - (-2 - long_form)
         assert gap_law == (gap_value == 2 * g + 1) == (long_skew == closed_skew)
+        # the gap law is the omega identity's cross-multiply, which the sweep reads
+        cross = long_num * closed_den - closed_num * long_den
+        assert gap - (2 * g + 1) * long_den * closed_den == cross
 
     @settings(max_examples=300)
     @given(
@@ -460,6 +465,14 @@ class TestLargeInputs:
         assert verdict.representative == Fraction(representative, alpha)
         assert verdict.witness_degrees in ((), (Fraction(candidate, alpha),))
 
+    @settings(max_examples=300)
+    @given(large_admissible_inputs(max_g=50))
+    def test_routes_agree_is_the_identity_and_the_gap_law(self, params):
+        long_form, closed_form = omega_red_long(*params), omega_red_closed(*params)
+        assert long_form == closed_form
+        assert _omega_routes_agree(*params) is True
+        assert d3_certificate(params[0], long_form, closed_form)["gap_law"] is True
+
     @given(inadmissible_inputs())
     def test_inadmissible_inputs_raise(self, params):
         for route in (omega_red_long, omega_red_closed, dedekind_context):
@@ -478,3 +491,40 @@ class TestLargeInputs:
             for route in (omega_red_long, dedekind_context):
                 with pytest.raises(AssertionError, match="outside"):
                     route(g, n, alpha, sign, r)
+
+
+class TestMoyOffsetInterval:
+    """At n = 2g every Spin^c offset lies in [m - alpha - 1, m - 1], m = 2g alpha + 1.
+
+    The ends are reached at sign -1, r = -alpha and at sign +1, r = alpha.
+    With deg K = m - alpha - 2 in units of 1/alpha, an offset there is its
+    own representative, the coset member below it is negative, and
+    deg K - 2k lies in (-2m, 0): the MOY verdict and the sandwich hold.
+    """
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 50),
+        st.integers(1, 10**4),
+        st.sampled_from((1, -1)),
+        st.integers(0, 10**4 - 1),
+    )
+    @example(g=50, alpha=10**4, sign=1, i=5000)
+    @example(g=1, alpha=1, sign=-1, i=0)
+    def test_ends_and_interior(self, g, alpha, sign, i):
+        m = 2 * g * alpha + 1
+        low_end, high_end = (g, 2 * g, alpha, -1, -alpha), (g, 2 * g, alpha, 1, alpha)
+        assert _spinc_offset(*low_end) == m - alpha - 1
+        assert _spinc_offset(*high_end) == m - 1
+        # the (i mod alpha)-th admissible rotation: 2 - alpha + 2i (sign +1), -alpha + 2i (sign -1)
+        r = (2 if sign == 1 else 0) - alpha + 2 * (i % alpha)
+        interior = (g, 2 * g, alpha, sign, r)
+        for point in (low_end, high_end, interior):
+            k = _spinc_offset(*point)
+            assert m - alpha - 1 <= k <= m - 1
+            assert _moy_holds(*point)
+            # the guarded route, in Fractions, gives the same verdict
+            verdict = moy_check(g, 2 * g, alpha, k)
+            assert verdict.reducibles_only and verdict.dirac_kernels_trivial
+            deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
+            assert deg_k < verdict.representative < 2 * g + Fraction(1, alpha)

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
+from contactsurgery.homology import homology, mu_order, presentation
 from contactsurgery.intmat import determinant
 from contactsurgery.lattice import (
     DiagonalEmbedding,
@@ -19,6 +20,7 @@ from contactsurgery.lattice import (
     lambda_q,
     nonfillability_obstruction,
 )
+from contactsurgery.seifert import SeifertInvariants
 
 
 def _recursive_search(lattice: Lattice) -> DiagonalEmbedding | None:
@@ -235,6 +237,31 @@ class TestLambdaQ:
             lambda_q(1)
         with pytest.raises(ConditionViolation, match="need q >= 2, got 0"):
             lambda_q(0)
+
+    def test_matches_the_hand_built_path(self):
+        # the loop lambda_q used before it read the star's presentation
+        for q in range(2, 41):
+            rank = 2 * q
+            gram = [[0] * rank for _ in range(rank)]
+            for i in range(rank - 1):
+                gram[i][i] = -2
+                if i + 1 < rank - 1:
+                    gram[i][i + 1] = gram[i + 1][i] = 1
+            gram[rank - 1][rank - 1] = 1 - q
+            gram[rank - 1][q - 1] = gram[q - 1][rank - 1] = 1
+            assert lambda_q(q).gram == tuple(map(tuple, gram))
+
+    def test_determinant_is_the_star_torsion(self):
+        for q in range(3, 41):
+            star = SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1)))
+            torsion = homology(presentation(star)).torsion
+            det = determinant([list(row) for row in lambda_q(q).gram])
+            assert abs(det) == q * (q - 2) == math.prod(torsion) == mu_order(star)
+
+    def test_chain_bound(self):
+        # each leg of the star is a chain of q - 1 entries
+        with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+            lambda_q(3002)
 
 
 class TestNegativeDefinite:
