@@ -1,11 +1,12 @@
-"""Diagonal lattice embeddings and the certified non-embedding search.
+"""Diagonal lattice embeddings, the certified search and the chain lemma.
 
 Small negative definite lattices usually embed in some diagonal lattice
 (Z^m with minus the identity form); the search finds an explicit integer
 matrix when they do.  The rank-6 obstruction lattice lambda_3 does not
-embed in any of them, and the exhaustive search certifies that, which
-rules out negative definite fillings in the genus ranges where lambda_q
-arises.
+embed in any of them, and the exhaustive search certifies that.  The
+genus obstruction proves the same for every lambda_q by the chain lemma
+instead, in O(q) with no search, which rules out negative definite
+fillings in the genus ranges where lambda_q arises.
 """
 
 from contactsurgery import (

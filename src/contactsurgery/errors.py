@@ -13,9 +13,9 @@ A call ends in one of three ways, decided by the exception type alone:
 - A value of the wrong type (a float where the kernels need an exact
   int or Fraction) raises TypeError.
 - A broken internal invariant (two routes that disagree, a guard that
-  admissible input cannot reach, a lattice embedding the paper's lemma
-  rules out) raises AssertionError, which the command line maps to
-  exit 3.
+  admissible input cannot reach, a star that breaks a hypothesis of the
+  chain lemma behind the lattice obstruction) raises AssertionError,
+  which the command line maps to exit 3.
 
 Command-line text that does not parse (a malformed range, pair list or
 entry list) raises a bare ValueError, as int() and Fraction() do, or

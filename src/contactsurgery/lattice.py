@@ -7,17 +7,26 @@ non-embeddability into every diagonal lattice D_m = (Z^m, -identity)
 obstructs negative definite fillings.  It is read off
 homology.presentation of a three-leg star, not built by hand.
 
-embeds_in_diagonal decides that embeddability by certified exhaustive
-search.  Writing each basis vector as an integer coordinate row V_i with
-gram_ij = -<V_i, V_j> (Euclidean pairing), a vector of square -s has
-coordinates bounded by floor(sqrt(s)) and support at most s, so
-m = sum |gram_ii| columns suffice for any embedding that exists at all.
-Columns of D_m can be permuted and negated freely; the search collapses
-that symmetry by demanding canonical assignments: within each class of
-columns that share the same history (the column of values already placed
-above), coordinates must not increase, and on columns with all-zero
-history they must be nonnegative.  Every embedding is column-equivalent
-to exactly one canonical assignment, so an empty search certifies
+lambda_q_certificate proves that non-embeddability in O(q) by the chain
+lemma, from the hypotheses it checks on the same star, and
+nonfillability_obstruction reads its answer there, with no search.  The
+certificate answers for every q the star can be built for: each leg
+obeys the chain bound of `contfrac`, so q <= 3001 (g <= 4499999), and a
+larger q is refused before any leg is built.
+
+embeds_in_diagonal decides embeddability of any negative definite
+lattice by certified exhaustive search; on lambda_q it is the
+certificate's independent second route, run by the tests.  Writing each
+basis vector as an integer coordinate row V_i with gram_ij =
+-<V_i, V_j> (Euclidean pairing), a vector of square -s has coordinates
+bounded by floor(sqrt(s)) and support at most s, so m = sum |gram_ii|
+columns suffice for any embedding that exists at all.  Columns of D_m
+can be permuted and negated freely; the search collapses that symmetry
+by demanding canonical assignments: within each class of columns that
+share the same history (the column of values already placed above),
+coordinates must not increase, and on columns with all-zero history
+they must be nonnegative.  Every embedding is column-equivalent to
+exactly one canonical assignment, so an empty search certifies
 non-embeddability for every m.
 
 The search runs on an explicit stack, so no rank reaches Python's
@@ -26,36 +35,29 @@ columns, so the first embedding found, or None, is the same.  It keeps
 only the nonzero column entries and the nonzero remaining dots, so a
 node costs O(nonzeros), not O(rank): on lambda_q, where a vector meets
 one or two placed rows, the search grows about as q^2.
-nonfillability_obstruction still refuses q above _Q_LIMIT (g above
-759) before building anything.
-
-nonfillability_obstruction only ever meets q >= 3, where lambda_q embeds
-in no diagonal lattice (Lisca, Geom. Topol. 11 (2007)): an embedding
-found there would mean the search is wrong, so it raises AssertionError
-(exit 3 on the command line) rather than reporting that the obstruction
-fails.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
+from .contfrac import _CHAIN_LIMIT
 from .errors import ConditionViolation
-from .homology import presentation
+from .homology import IntegralPresentation, presentation
 from .seifert import SeifertInvariants, d_range
 
 __all__ = [
     "Lattice",
     "DiagonalEmbedding",
     "lambda_q",
+    "lambda_q_certificate",
     "is_negative_definite",
     "embeds_in_diagonal",
     "nonfillability_obstruction",
 ]
-
-_Q_LIMIT = 40  # largest lambda_q the obstruction searches: about 30 ms, g <= 759
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,29 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
 
 def _search(lattice: Lattice) -> tuple[DiagonalEmbedding | None, int]:
     """embeds_in_diagonal's search, on a form already known definite,
-    with its node count: the steps of its loop, each one value tried or
-    one column given up."""
+    with its node count: the first canonical embedding and the nodes
+    spent to reach it, or None and the nodes of the whole search."""
+    embeddings = _embeddings(lattice)
+    try:
+        return next(embeddings)
+    except StopIteration as done:
+        return None, done.value
+
+
+def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
+    """Every canonical embedding of a definite form, in search order.
+
+    Yields each with the node count so far, a node being one step of the
+    loop: one value tried or one column given up.  Returns the node
+    count of the whole search.  Canonical embeddings are one per class
+    of embeddings under permuting and negating columns, so the yields
+    count those classes.
+    """
     gram = lattice.gram
     rank = lattice.rank
     if rank == 0:
-        return DiagonalEmbedding(vectors=()), 0
+        yield DiagonalEmbedding(vectors=()), 0
+        return 0
     columns = sum(-gram[i][i] for i in range(rank))
     placed: list[list[int]] = []
     # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero
@@ -239,10 +258,11 @@ def _search(lattice: Lattice) -> tuple[DiagonalEmbedding | None, int]:
             # the same class, by the non-increasing rule
             if nxt < columns and same[nxt] and value < 0:
                 continue
+            if len(placed) + 1 == rank:
+                yield DiagonalEmbedding(vectors=_trim([*map(tuple, placed), tuple(vector)])), nodes
+                continue
             row = vector[:]
             placed.append(row)
-            if len(placed) == rank:
-                return DiagonalEmbedding(vectors=_trim([tuple(v) for v in placed])), nodes
             tail = [0] * columns
             after = 0
             for c in range(columns - 1, -1, -1):
@@ -263,7 +283,7 @@ def _search(lattice: Lattice) -> tuple[DiagonalEmbedding | None, int]:
             low = 0 if fresh[nxt] else -bound
             high = min(bound, value) if same[nxt] else bound
             stack.append([nxt, low, high, left, dots])
-    return None, nodes
+    return nodes
 
 
 def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -273,42 +293,104 @@ def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(v[:used] for v in vectors)
 
 
+def lambda_q_certificate(q: int) -> IntegralPresentation:
+    """Prove that lambda_q embeds in no diagonal lattice, in O(q).
+
+    Reads the star M(0, -2; (q, q-1), (q, q-1), (q-1, 1)) of lambda_q
+    from `presentation`, checks the hypotheses of the argument below on
+    its legs and returns it: the centre v_q is framed -2, the first and
+    the second leg are q - 1 entries of -2 each (v_{q-1}, ..., v_1 and
+    v_{q+1}, ..., v_{2q-1}), the third leg is the one vertex w framed
+    1 - q, and q >= 3.  A star that breaks one raises AssertionError;
+    that includes q = 2, where the lemma fails.  Raises
+    ConditionViolation, before any leg is built, when a leg would exceed
+    the chain bound of `contfrac` (q > 3001), and when q <= 1, where the
+    star has no presentation.  (Lisca, Geom. Topol. 11 (2007); Greene,
+    Ann. of Math. 177 (2013).)
+
+    Chain lemma.  Let v_1, ..., v_k be (-2)-vectors of D_m with
+    v_i.v_{i+1} = 1 and v_i.v_j = 0 for |i - j| > 1, the chain A_k.  For
+    k >= 4, up to permuting and negating the coordinates e_1, ..., e_m,
+    v_i = e_i - e_{i+1} for every i.  A (-2)-vector is +-e_a +- e_b with
+    a != b; product 1 is Euclidean dot -1, so consecutive vectors share
+    exactly one coordinate.  Hence v_1 = e_1 - e_2 and, after swapping
+    e_1 with -e_2 (which fixes v_1) and negating a new coordinate,
+    v_2 = e_2 - e_3.  Induction: given v_i = e_i - e_{i+1} for i < j, the vector v_j has dot
+    -1 with v_{j-1} = e_{j-1} - e_j, so it has +1 on e_j or -1 on
+    e_{j-1}, not both.  If v_j = e_j +- e_x, then x is new (an old x
+    would meet v_x or v_{x-1}), and negating e_x makes v_j = e_j -
+    e_{j+1}.  If v_j = -e_{j-1} +- e_x, its dot with v_{j-2} is 1 unless
+    v_j = -e_{j-2} - e_{j-1}, whose dot with v_{j-3} is 1 in turn.  So
+    for j >= 4 the step is forced.
+
+    The exception A_3 = D_3.  At j = 3 there is no v_0, and v_3 =
+    -e_1 - e_2 is a second embedding of A_3: the roots e_1 - e_2,
+    e_2 - e_3, -e_1 - e_2 of D_3.  It does not extend to A_4: a v_4 with
+    coefficients c_1, c_2 on e_1, e_2 would need c_1 + c_2 = 1 (dot -1
+    with v_3) and c_1 = c_2 (dot 0 with v_1).  So A_4 has one
+    embedding, and the induction runs on from there.  (The tests count
+    the canonical embeddings of A_k by search: one for k = 1, ..., 11
+    except two for k = 3.)
+
+    The bound on w.  The (-2)-chain v_1, ..., v_{2q-1} has length
+    2q - 1 >= 5, so v_i = e_i - e_{i+1}.  w.v_q = 1 and w.v_i = 0 for
+    i != q, so w has one value a on e_1, ..., e_q and one value b on
+    e_{q+1}, ..., e_{2q}, with a - b = -1.  Consecutive integers are not
+    both 0, so |w|^2 >= q(a^2 + b^2) >= q.  But w.w = 1 - q gives
+    |w|^2 = q - 1 < q: lambda_q embeds in no D_m.
+    """
+    if q - 1 > _CHAIN_LIMIT:
+        q_max = _CHAIN_LIMIT + 1
+        g_max = ((q_max - 2) * q_max - 1) // 2
+        raise ConditionViolation(f"q = {q} is above the chain bound q <= {q_max} (g <= {g_max})")
+    star = presentation(SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1))))
+    first, second, w = star.legs
+    chain = (-2,) * (q - 1)
+    for holds, hypothesis in (
+        (star.n == -2, "the centre is framed -2"),
+        (first == chain, f"the first leg is {q - 1} entries of -2"),
+        (second == chain, f"the second leg is {q - 1} entries of -2"),
+        (w == (1 - q,), f"w is one vertex framed {1 - q}"),
+        (len(first) + 1 + len(second) >= 5, "the (-2)-chain has length 2q - 1 >= 5"),
+    ):
+        if not holds:
+            raise AssertionError(
+                f"lambda_{q} certificate: the star breaks the hypothesis that {hypothesis}"
+            )
+    return star
+
+
 def nonfillability_obstruction(g: int) -> dict:
     """The diagonal-lattice obstruction at genus g.
 
-    Picks d with d(d+1) <= 2g <= d(d+2) - 1, builds lambda_{d+2}, and
-    searches all diagonal lattices.  A lattice that would have to embed
-    in a diagonal lattice by diagonalization of a negative definite
-    filling, but does not, certifies that no such filling exists.
-    Raises ConditionViolation, before any search, when g < 1 (from
-    d_range), when no such d exists, or when q = d + 2 exceeds _Q_LIMIT.
-    An embedding found by the search raises AssertionError, since
-    q >= 3 rules one out, so the document's embedding keys always read
+    Picks d with d(d+1) <= 2g <= d(d+2) - 1 and certifies, by the chain
+    lemma of lambda_q_certificate, that lambda_{d+2} embeds in no
+    diagonal lattice.  A lattice that would have to embed in a diagonal
+    lattice by diagonalization of a negative definite filling, but does
+    not, certifies that no such filling exists.  Raises
+    ConditionViolation, before building anything, when g < 1 (from
+    d_range), when no such d exists, or when q = d + 2 exceeds the chain
+    bound 3001 (g > 4499999).  A star that breaks the lemma's hypotheses
+    raises AssertionError, so the document's embedding keys always read
     the same.
     """
     d = d_range(g)
     if d is None:
         raise ConditionViolation(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
     q = d + 2
-    if q > _Q_LIMIT:
-        g_max = ((_Q_LIMIT - 2) * _Q_LIMIT - 1) // 2
-        raise ConditionViolation(
-            f"q = {q} is above the search limit q <= {_Q_LIMIT} (g <= {g_max})"
-        )
-    lattice = lambda_q(q)
-    if embeds_in_diagonal(lattice) is not None:
-        raise AssertionError(f"lambda_{q} embeds in a diagonal lattice, against the q >= 3 lemma")
+    star = lambda_q_certificate(q)
     return {
         "g": g,
         "d": d,
         "q": q,
-        "rank": lattice.rank,
+        "rank": 1 + sum(map(len, star.legs)),
         "embeddable": False,
         "embedding": None,
         "obstruction_holds": True,
         "narrative": (
             "a negative definite filling forces the lattice into a diagonal "
-            "form; the certified search found none, so no negative definite "
-            "filling exists"
+            "form; by the chain lemma its (-2)-chain of length 2q - 1 >= 5 "
+            "embeds there only as e_i - e_(i+1), so the extra vector w would "
+            "need norm at least q, not q - 1: no negative definite filling exists"
         ),
     }

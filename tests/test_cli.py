@@ -1,5 +1,6 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -12,8 +13,7 @@ import pytest
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.homology import SpinCClass, admissible_points, spinc_offset
-from contactsurgery.lattice import DiagonalEmbedding
+from contactsurgery.homology import SpinCClass, admissible_points, presentation, spinc_offset
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")
@@ -590,8 +590,13 @@ class TestObstructionCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_an_embedding_exits_3(self, monkeypatch, capsys):
-        embedding = DiagonalEmbedding(vectors=((1,),))
-        monkeypatch.setattr("contactsurgery.lattice.embeds_in_diagonal", lambda _: embedding)
+        # lambda_3's star with w framed -3, not -2, breaks a hypothesis of
+        # the chain lemma: a bug, not a verdict
+        def mutated(inv):
+            star = presentation(inv)
+            return dataclasses.replace(star, legs=(*star.legs[:2], (-3,)))
+
+        monkeypatch.setattr("contactsurgery.lattice.presentation", mutated)
         assert main(["obstruction", "--g", "1"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -603,12 +608,26 @@ class TestObstructionCommand:
         data = json.loads(capsys.readouterr().out)
         assert (data["q"], data["obstruction_holds"]) == (40, True)
 
+    @pytest.mark.parametrize("g, q", [(780, 41), (999000, 1415), (4499999, 3001)])
+    def test_certifies_above_the_old_search_limit(self, g, q, capsys):
+        assert main(["obstruction", "--g", str(g), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["q"], data["rank"], data["obstruction_holds"]) == (q, 2 * q, True)
+
     @pytest.mark.parametrize(
-        "g, q", [(780, 41), (999000, 1415), (10**1000 * (10**1000 + 1) // 2, 10**1000 + 2)]
+        "g, q",
+        [
+            (4501500, 3002),
+            pytest.param(10**1000 * (10**1000 + 1) // 2, 10**1000 + 2, id="g-about-1e2000"),
+        ],
     )
-    def test_above_the_search_limit(self, g, q, capsys):
+    def test_above_the_chain_bound(self, g, q, monkeypatch, capsys):
+        def refuse(inv):
+            raise AssertionError("a leg was built")
+
+        monkeypatch.setattr("contactsurgery.lattice.presentation", refuse)
         assert main(["obstruction", "--g", str(g)]) == 2
-        message = f"error: q = {q} is above the search limit q <= 40 (g <= 759)\n"
+        message = f"error: q = {q} is above the chain bound q <= 3001 (g <= 4499999)\n"
         assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("g, q", [(45, 11), (55, 12), (66, 13), (78, 14)])

@@ -1,5 +1,6 @@
 """Obstruction lattices and the certified diagonal embedding search."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -14,10 +15,12 @@ from contactsurgery.intmat import determinant
 from contactsurgery.lattice import (
     DiagonalEmbedding,
     Lattice,
+    _embeddings,
     _search,
     embeds_in_diagonal,
     is_negative_definite,
     lambda_q,
+    lambda_q_certificate,
     nonfillability_obstruction,
 )
 from contactsurgery.seifert import SeifertInvariants
@@ -500,6 +503,141 @@ class TestSearchNodeCounts:
         assert _search(lattice) == (embeds_in_diagonal(lattice), nodes)
 
 
+def canonical_embeddings(lattice):
+    """Every canonical embedding the search yields, in order, and the
+    node count of the whole search."""
+    found, search = [], _embeddings(lattice)
+    while True:
+        try:
+            found.append(next(search)[0])
+        except StopIteration as done:
+            return found, done.value
+
+
+def chain(k):
+    """A_k: the path of k (-2)-vectors with consecutive products 1."""
+    return Lattice(
+        gram=tuple(
+            tuple(-2 if i == j else int(abs(i - j) == 1) for j in range(k)) for i in range(k)
+        ),
+        rank=k,
+    )
+
+
+class TestChainLemma:
+    """The base of the chain lemma behind lambda_q_certificate, checked by
+    the search: canonical embeddings are one per class under permuting
+    and negating columns."""
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_a_k_embeds_one_way_except_a_3(self, k):
+        found, _ = canonical_embeddings(chain(k))
+        assert len(found) == (2 if k == 3 else 1)
+        for embedding in found:
+            assert_sound(embedding, chain(k))
+        if k >= 4:
+            # [DERIVED] the lemma's form v_i = e_i - e_{i+1}, with the
+            # column signs the canonical order picks: e_1 + e_2, then
+            # -e_i + e_{i+1}
+            expected = [[0] * (k + 1) for _ in range(k)]
+            for i in range(k):
+                expected[i][i], expected[i][i + 1] = (-1 if i else 1), 1
+            assert [list(v) for v in found[0].vectors] == expected
+        if k == 3:
+            # [DERIVED] beside the path form, e1 - e2, e2 - e3 and
+            # -e1 - e2 up to column symmetry: the roots of D_3, on three
+            # columns rather than four
+            assert [len(e.vectors[0]) for e in found] == [3, 4]
+
+    @pytest.mark.parametrize(
+        "q, nodes",
+        [(3, 241), (4, 429), (5, 677), (6, 969), (7, 1309), (8, 1697), (9, 2145), (10, 2651)],
+    )
+    def test_lambda_q_has_no_embedding(self, q, nodes):
+        assert canonical_embeddings(lambda_q(q)) == ([], nodes)
+
+    def test_search_agrees_with_the_certificate(self):
+        # the two routes to "lambda_q embeds nowhere", for every q the
+        # old search limit allowed
+        for q in range(3, 41):
+            assert _search(lambda_q(q))[0] is None
+            assert 1 + sum(map(len, lambda_q_certificate(q).legs)) == lambda_q(q).rank == 2 * q
+
+
+def _mutated_presentation(change):
+    """presentation as lattice reads it, with one framing changed."""
+
+    def mutated(inv):
+        return change(presentation(inv))
+
+    return mutated
+
+
+def _w_framed_minus_3(star):
+    return dataclasses.replace(star, legs=(*star.legs[:2], (-3,)))
+
+
+class TestLambdaQCertificate:
+    def test_returns_the_star_of_lambda_q(self):
+        for q in (3, 4, 40, 1415, 3001):
+            star = SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1)))
+            assert lambda_q_certificate(q) == presentation(star)
+
+    def test_above_the_chain_bound_builds_nothing(self, monkeypatch):
+        def refuse(inv):
+            raise AssertionError("a star was built")
+
+        monkeypatch.setattr("contactsurgery.lattice.presentation", refuse)
+        message = "q = 3002 is above the chain bound q <= 3001 (g <= 4499999)"
+        with pytest.raises(ConditionViolation, match=re.escape(message)):
+            lambda_q_certificate(3002)
+
+    def test_no_star_below_q_2(self):
+        for q in (1, 0, -3):
+            with pytest.raises(ConditionViolation):
+                lambda_q_certificate(q)
+
+    @pytest.mark.parametrize(
+        "change, hypothesis",
+        [
+            (lambda s: dataclasses.replace(s, n=-3), "the centre is framed -2"),
+            (
+                lambda s: dataclasses.replace(s, legs=((-2, -3), *s.legs[1:])),
+                "the first leg is 2 entries of -2",
+            ),
+            (
+                lambda s: dataclasses.replace(s, legs=(s.legs[0], (-3, -2), s.legs[2])),
+                "the second leg is 2 entries of -2",
+            ),
+            (_w_framed_minus_3, "w is one vertex framed -2"),
+        ],
+        ids=["centre", "first-leg", "second-leg", "w"],
+    )
+    def test_each_hypothesis_is_checked(self, monkeypatch, change, hypothesis):
+        # lambda_3's star with one framing changed breaks that hypothesis
+        # alone
+        monkeypatch.setattr("contactsurgery.lattice.presentation", _mutated_presentation(change))
+        message = f"lambda_3 certificate: the star breaks the hypothesis that {hypothesis}"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            lambda_q_certificate(3)
+
+    def test_q_2_breaks_the_chain_length(self):
+        # [DERIVED] lambda_2's star meets every other hypothesis, but its
+        # chain is A_3 = D_3, where the lemma fails: lambda_2 (a
+        # degenerate form) does map into D_3, its chain as the roots
+        # e1 - e2, e2 - e3, -e1 - e2 and w as e3
+        star = presentation(SeifertInvariants(0, -2, ((2, 1), (2, 1), (1, 1))))
+        assert (star.n, star.legs) == (-2, ((-2,), (-2,), (-1,)))
+        d3 = DiagonalEmbedding(vectors=((1, -1, 0), (0, 1, -1), (-1, -1, 0), (0, 0, 1)))
+        assert_sound(d3, lambda_q(2))
+        message = (
+            "lambda_2 certificate: the star breaks the hypothesis that "
+            "the (-2)-chain has length 2q - 1 >= 5"
+        )
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            lambda_q_certificate(2)
+
+
 class TestNonfillabilityObstruction:
     def test_genus_one(self):
         result = nonfillability_obstruction(1)
@@ -509,7 +647,7 @@ class TestNonfillabilityObstruction:
         assert result["embeddable"] is False
         assert result["embedding"] is None
         assert result["obstruction_holds"] is True
-        assert "found none" in result["narrative"]
+        assert "by the chain lemma" in result["narrative"]
 
     def test_genus_three(self):
         result = nonfillability_obstruction(3)
@@ -528,9 +666,20 @@ class TestNonfillabilityObstruction:
             nonfillability_obstruction(0)
 
     def test_an_embedding_is_a_broken_invariant(self, monkeypatch):
-        # q = d + 2 >= 3, where lambda_q embeds in no diagonal lattice, so
-        # an embedding found by the search is a bug, not a verdict
-        embedding = DiagonalEmbedding(vectors=((1,),))
-        monkeypatch.setattr("contactsurgery.lattice.embeds_in_diagonal", lambda _: embedding)
-        with pytest.raises(AssertionError, match="^lambda_3 embeds in a diagonal lattice"):
+        # q = d + 2 >= 3, where the chain lemma rules out an embedding of
+        # lambda_q; a star that breaks its hypotheses (here w framed -3,
+        # not 1 - q = -2) is a bug, not a verdict
+        monkeypatch.setattr(
+            "contactsurgery.lattice.presentation", _mutated_presentation(_w_framed_minus_3)
+        )
+        with pytest.raises(AssertionError, match="^lambda_3 certificate: the star breaks"):
             nonfillability_obstruction(1)
+
+    def test_calls_no_search(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the obstruction searched")
+
+        monkeypatch.setattr("contactsurgery.lattice.embeds_in_diagonal", refuse)
+        monkeypatch.setattr("contactsurgery.lattice._search", refuse)
+        monkeypatch.setattr("contactsurgery.lattice.lambda_q", refuse)
+        assert nonfillability_obstruction(999000)["q"] == 1415
