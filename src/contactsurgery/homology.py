@@ -14,12 +14,14 @@ integer multiple of t (the plumbing calculus of Neumann, Trans. AMS
 268, 1981).  What remains of a star with k legs is the (k+1)-generator
 Seifert core on the centre and the k terminal vertices, with the
 centre's relation and each leg's head relation.  The Smith normal form
-of that core, with generator tracking, gives the invariant factors and
-exact coordinates for every vertex.  Those coordinates are relative to
-the Smith basis of the core, so they are fixed only up to an
-automorphism of the torsion group; orders of classes do not depend on
-that choice.  The cost is linear in the number of vertices plus one
-Smith form of k + 1 rows.
+of that core, with generator tracking, gives the invariant factors, and
+exact coordinates for any vertex on demand: the result keeps the left
+transform's entries for each core generator and each leg's vertex
+multiples, and builds a vertex's coordinates only when they are read.
+Those coordinates are relative to the Smith basis of the core, so they
+are fixed only up to an automorphism of the torsion group; orders of
+classes do not depend on that choice.  The cost is linear in the number
+of vertices plus one Smith form of k + 1 rows.
 
 mu_order, the order of the tracked class mu below, solves that core in
 closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .contfrac import _neg_cf_entries
@@ -125,26 +127,64 @@ class IntegralPresentation:
 class FirstHomology:
     """H1 = Z^free_rank + sum Z/d for d in torsion (d_1 | d_2 | ...).
 
-    class_map[j] gives the torsion coordinates of the j-th meridian
-    generator, free_map[j] its coordinates on cokernel copies of Z
-    (present only when the linking matrix is singular).  Coordinates are
-    taken in the Smith basis of the collapsed core, so they are fixed
-    only up to an automorphism of the group; the order of each class is
-    basis-free.
+    Every meridian generator is an integer multiple a * e_r of a
+    generator e_r of the collapsed core.  tracked holds one triple per
+    tracked core generator, in vertex order: the entries of column r of
+    the Smith left transform on the torsion rows and on the free rows,
+    and the multiples a of the vertices it carries.  The coordinates of
+    a vertex are those entries times a, so they are derived on demand:
+    order(j) reads vertex j alone, and class_map and free_map build
+    every vertex's coordinates on each access.  Coordinates are taken in
+    the Smith basis of the collapsed core, so they are fixed only up to
+    an automorphism of the group; the order of each class is basis-free.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    class_map: tuple[tuple[int, ...], ...]
-    free_map: tuple[tuple[int, ...], ...]
+    tracked: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...] = field(
+        repr=False
+    )
+
+    @property
+    def class_map(self) -> tuple[tuple[int, ...], ...]:
+        """Torsion coordinates of every meridian generator, reduced modulo each d."""
+        return tuple(
+            tuple(c * a % d for c, d in zip(torsion_column, self.torsion))
+            for torsion_column, _, multiples in self.tracked
+            for a in multiples
+        )
+
+    @property
+    def free_map(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of every meridian generator on the cokernel copies of Z
+        (empty unless the linking matrix is singular)."""
+        return tuple(
+            tuple(c * a for c in free_column)
+            for _, free_column, multiples in self.tracked
+            for a in multiples
+        )
 
     def order(self, j: int) -> int:
-        """Order of the j-th meridian generator; raises if it has a free part."""
-        if any(c != 0 for c in self.free_map[j]):
+        """Order of the j-th meridian generator; raises if it has a free part.
+
+        Indexes the vertices as class_map does, negative j from the end,
+        and computes vertex j's coordinates alone.
+        """
+        j = operator.index(j)
+        count = sum(len(multiples) for *_, multiples in self.tracked)
+        if not -count <= j < count:
+            raise ConditionViolation(f"no meridian generator {j} among {count} vertices")
+        j %= count
+        for torsion_column, free_column, multiples in self.tracked:
+            if j < len(multiples):
+                break
+            j -= len(multiples)
+        a = multiples[j]
+        if any(c * a for c in free_column):
             raise ConditionViolation("meridian class has infinite order")
         order = 1
-        for coordinate, d in zip(self.class_map[j], self.torsion):
-            order = math.lcm(order, d // math.gcd(coordinate, d))
+        for c, d in zip(torsion_column, self.torsion):
+            order = math.lcm(order, d // math.gcd(c * a, d))
         return order
 
 
@@ -208,8 +248,10 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     the cokernel is that of the Seifert core (see `mu_order`).  With
     D = S C T the Smith form of the core C, the quotient Z^m / C Z^m is
     Z^m / D Z^m under x -> Sx, so vertex j lands at a_j times the column
-    of S of its core generator, read modulo the diagonal.  Linear in the
-    vertex count, plus one Smith form of k + 1 rows.
+    of S of its core generator, read modulo the diagonal.  The result
+    keeps those columns and the multiples a_j, and derives a vertex's
+    coordinates on access (see FirstHomology).  Linear in the vertex
+    count, plus one Smith form of k + 1 rows.
     """
     tracked, ends = [(0, (1,))], []
     for i, leg in enumerate(p.legs, 1):
@@ -217,8 +259,7 @@ def homology(p: IntegralPresentation) -> FirstHomology:
         for framing in reversed(leg):
             tail.append(a)
             after, a = a, -(framing * a + after)
-        tail.reverse()
-        tracked.append((i, tail))
+        tracked.append((i, tuple(reversed(tail))))
         ends.append((a, after))
     return _cokernel(_seifert_core(p.n, ends), tracked, p.free_rank)
 
@@ -240,26 +281,23 @@ def _cokernel(core, tracked, free_rank: int) -> FirstHomology:
     """Z^free_rank plus the cokernel of core, tracking generators a * e_r.
 
     tracked holds (r, multiples) pairs, one for the centre and one per
-    leg: the next generators, in order, are a * e_r for a in multiples.  Generator rows, relation
-    columns; see `homology` for how the Smith form's left transform gives
-    the coordinates.  Column r of S is read once per leg, and each
-    torsion or free row is one pass over the leg's multiples.
+    leg: the next generators, in order, are a * e_r for a in multiples, a
+    tuple.  Generator rows, relation columns; see `homology` for how the
+    Smith form's left transform gives the coordinates.  Column r of S is
+    read once per pair, on the torsion and free rows only; no vertex's
+    coordinates are built here.
     """
     snf = smith_normal_form(core)
-    torsion = [(i, d) for i, d in enumerate(snf.diagonal) if d > 1]
+    torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
-    class_map, free_map = [], []
-    for r, multiples in tracked:
-        column = [row[r] for row in snf.left]
-        rows = [[column[i] * a % d for a in multiples] for i, d in torsion]
-        class_map += zip(*rows) if rows else [()] * len(multiples)
-        if free_rows:
-            free_map += zip(*[[column[i] * a for a in multiples] for i in free_rows])
+    left = snf.left
     return FirstHomology(
         free_rank=free_rank + len(free_rows),
-        torsion=tuple(d for _, d in torsion),
-        class_map=tuple(class_map),
-        free_map=tuple(free_map) if free_rows else ((),) * len(class_map),
+        torsion=tuple(snf.diagonal[i] for i in torsion_rows),
+        tracked=tuple(
+            (tuple(left[i][r] for i in torsion_rows), tuple(left[i][r] for i in free_rows), multiples)
+            for r, multiples in tracked
+        ),
     )
 
 

@@ -6,15 +6,16 @@ is a full diagonalization with unimodular row and column transforms.
 For any square integer matrix the product of the Smith diagonal entries
 must reproduce |det| exactly.
 
-The Smith form is one elimination on the block matrix
-[[A, I], [I, 0]], whose identity blocks record every row move as S and
-every column move as T, so D = S A T is read off at the end.  Each
-entry is cleared by Euclid's algorithm against the pivot run to the
-end before the next entry is touched.  Least-magnitude pivoting alone
-does not bound coefficient growth: interleaving unfinished Euclid steps
-across a row and a column took the entries of a 5x5 four-fiber Seifert
-core from 10 to 23,495 bits in ten passes (Kannan and Bachem, SIAM J.
-Comput. 8 (1979), on why Smith-form elimination must control growth).
+The Smith form is one elimination that carries its transforms beside
+the matrix: each row of A travels with the same row of S, and T is kept
+by columns, so every row move lands in S and every column move in T,
+and D = S A T is read off at the end.  Each entry is cleared by
+Euclid's algorithm against the pivot run to the end before the next
+entry is touched.  Least-magnitude pivoting alone does not bound
+coefficient growth: interleaving unfinished Euclid steps across a row
+and a column took the entries of a 5x5 four-fiber Seifert core from 10
+to 23,495 bits in ten passes (Kannan and Bachem, SIAM J. Comput. 8
+(1979), on why Smith-form elimination must control growth).
 
 The left transform is the piece consumers need: with D = S A T, the
 cokernel Z^n / A Z^n is identified with Z^n / D Z^n by x -> S x, so
@@ -80,33 +81,50 @@ def smith_normal_form(matrix) -> SmithForm:
     """Smith normal form of an integer matrix with transform tracking.
 
     Returns (diagonal, S, T) with diag = S A T, each d_i >= 0 and
-    d_i | d_{i+1}.  The elimination runs on the block matrix
-    [[A, I_rows], [I_cols, 0]]: row moves act on its first `rows` rows,
-    column moves on its first `cols` columns, so it ends as
-    [[D, S], [T, 0]].  At step k a least-magnitude nonzero entry of the
-    trailing block becomes the pivot.  Column k is cleared, then row k,
-    each entry by Euclid's algorithm against the pivot run to the end
-    before the next entry is touched.  The two passes repeat only while
-    a column swap, made when the pivot shrank, refilled column k.  A
-    pivot that fails to divide the rest of the trailing block takes the
-    offending row added to row k and is chosen again.
+    d_i | d_{i+1}.  Each row of the working matrix holds a row of A
+    followed by the same row of S, so a row move acts on both; T is
+    kept by columns, so a column move on A is one move on a column of
+    T.  Before step k the first k rows and columns are zero off the
+    diagonal, so a column move touches only rows k and below.  At
+    step k a least-magnitude nonzero entry of the trailing block becomes
+    the pivot, the first in row-major order, so the scan stops at the
+    first unit.  Column k is cleared, then row k, each entry by Euclid's
+    algorithm against the pivot run to the end before the next entry is
+    touched.  The two passes repeat only while a column swap, made when
+    the pivot shrank, refilled column k.  A pivot that fails to divide
+    the rest of the trailing block takes the offending row added to row
+    k and is chosen again; a unit pivot divides everything, so its scan
+    is skipped.
     """
-    a = [[operator.index(x) for x in row] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
+    m = [[*map(operator.index, row)] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
         raise ConditionViolation("matrix rows must have equal length")
-    m = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
-    m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    for i, row in enumerate(m):  # row i of A, then row i of S = I
+        row += [int(i == j) for j in range(rows)]
+    t = [[int(i == j) for i in range(cols)] for j in range(cols)]  # t[j]: column j of T
+    size = min(rows, cols)
     k = 0
-    while k < min(rows, cols):
-        nonzero = [(abs(m[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j]]
-        if not nonzero:
+    while k < size:
+        least = 0
+        for i in range(k, rows):
+            row = m[i]
+            for j in range(k, cols):
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    least, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        _, i, j = min(nonzero)
-        m[k], m[i] = m[i], m[k]
-        for row in m:
-            row[k], row[j] = row[j], row[k]
+        m[k], m[pi] = m[pi], m[k]
+        if pj != k:
+            for row in m[k:]:
+                row[k], row[pj] = row[pj], row[k]
+            t[k], t[pj] = t[pj], t[k]
         # a column swap puts a smaller pivot and a fresh column at k
         refilled = True
         while refilled:
@@ -117,28 +135,33 @@ def smith_normal_form(matrix) -> SmithForm:
                     m[i] = [x - q * y for x, y in zip(m[i], m[k])]
                     if m[i][k]:
                         m[k], m[i] = m[i], m[k]
+            top = m[k]
             for j in range(k + 1, cols):
-                while m[k][j]:
-                    q = m[k][j] // m[k][k]
-                    for row in m:
+                while top[j]:
+                    q = top[j] // top[k]
+                    for row in m[k:]:
                         row[j] -= q * row[k]
-                    if m[k][j]:
-                        for row in m:
+                    t[j] = [x - q * y for x, y in zip(t[j], t[k])]
+                    if top[j]:
+                        for row in m[k:]:
                             row[k], row[j] = row[j], row[k]
+                        t[k], t[j] = t[j], t[k]
                         refilled = True
         # divisibility: d_k must divide every remaining entry
-        offender = next(
-            (i for i in range(k + 1, rows) if any(m[i][j] % m[k][k] for j in range(k + 1, cols))),
-            None,
-        )
-        if offender is not None:
-            m[k] = [x + y for x, y in zip(m[k], m[offender])]
-            continue
-        if m[k][k] < 0:
+        pivot = m[k][k]
+        if pivot not in (1, -1):
+            offender = next(
+                (i for i in range(k + 1, rows) if any(m[i][j] % pivot for j in range(k + 1, cols))),
+                None,
+            )
+            if offender is not None:
+                m[k] = [x + y for x, y in zip(m[k], m[offender])]
+                continue
+        if pivot < 0:
             m[k] = [-x for x in m[k]]
         k += 1
     return SmithForm(
-        diagonal=tuple(m[i][i] for i in range(min(rows, cols))),
-        left=tuple(tuple(row[cols:]) for row in m[:rows]),
-        right=tuple(tuple(row[:cols]) for row in m[rows:]),
+        diagonal=tuple(m[i][i] for i in range(size)),
+        left=tuple(tuple(row[cols:]) for row in m),
+        right=tuple(zip(*t)),
     )

@@ -215,28 +215,31 @@ def _per_vertex_homology(inv):
 
     Vertex v = a * e_r (r its core generator) has torsion coordinate
     S[i][r] * a mod d_i on each torsion row i and S[i][r] * a on each
-    free row, with D = S C T.
+    free row, with D = S C T.  Returns (free_rank, torsion, class_map,
+    free_map).
     """
     p = presentation(inv)
     snf = smith_normal_form(homology_module._seifert_core(inv.n, inv.pairs))
     vertices = [(0, 1)] + [(r, a) for r, leg in enumerate(p.legs, 1) for a in _leg_multiples(leg)]
     torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
-    return FirstHomology(
-        free_rank=2 * inv.g + len(free_rows),
-        torsion=tuple(snf.diagonal[i] for i in torsion_rows),
-        class_map=tuple(
+    return (
+        2 * inv.g + len(free_rows),
+        tuple(snf.diagonal[i] for i in torsion_rows),
+        tuple(
             tuple(snf.left[i][r] * a % snf.diagonal[i] for i in torsion_rows)
             for r, a in vertices
         ),
-        free_map=tuple(tuple(snf.left[i][r] * a for i in free_rows) for r, a in vertices),
+        tuple(tuple(snf.left[i][r] * a for i in free_rows) for r, a in vertices),
     )
 
 
 def _assert_star_matches_full_smith_form(inv):
     p = presentation(inv)
     h = homology(p)
-    assert h == _per_vertex_homology(inv)
+    # the stored transform entries are private to homology: compare what
+    # they give, not the dataclass
+    assert (h.free_rank, h.torsion, h.class_map, h.free_map) == _per_vertex_homology(inv)
     _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
 
 
@@ -316,6 +319,96 @@ class TestCollapsedRoute:
             p = presentation(inv)
             h = homology(p)
             assert len(h.class_map) == 1 + sum(map(len, p.legs))
+
+
+def _order_from_maps(torsion, coordinates, free_coordinates):
+    """order(j) as it was, read off class_map[j] and free_map[j]."""
+    if any(free_coordinates):
+        return "meridian class has infinite order"
+    order = 1
+    for c, d in zip(coordinates, torsion):
+        order = math.lcm(order, d // math.gcd(c, d))
+    return order
+
+
+def _assert_order_matches_maps(h):
+    class_map, free_map = h.class_map, h.free_map
+    size = len(class_map)
+    assert len(free_map) == size
+    for j in range(size):
+        expected = _order_from_maps(h.torsion, class_map[j], free_map[j])
+        assert _outcome(lambda: h.order(j)) == expected
+        assert _outcome(lambda: h.order(j - size)) == expected
+    for j in (size, -size - 1):
+        message = f"^no meridian generator {j} among {size} vertices$"
+        with pytest.raises(ConditionViolation, match=message):
+            h.order(j)
+
+
+# three legs of 2,998, 2,997 and 2,996 vertices, 8,992 in all
+LONG_STAR = SeifertInvariants(1, 2, ((2999, 2998), (2998, 2997), (2997, 2996)))
+STARS = {name: case for name, case in RAW_CASES.items() if isinstance(case, SeifertInvariants)}
+
+
+class TestCoordinatesOnDemand:
+    """homology keeps the Smith entries and the leg multiples, and builds
+    no vertex's coordinates; order(j) computes vertex j alone."""
+
+    @pytest.fixture
+    def no_maps(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("homology built every vertex's coordinates")
+
+        monkeypatch.setattr(FirstHomology, "class_map", property(refuse))
+        monkeypatch.setattr(FirstHomology, "free_map", property(refuse))
+
+    def test_long_star_without_maps(self, no_maps):
+        p = presentation(LONG_STAR)
+        h = homology(p)
+        assert (h.free_rank, h.torsion) == (2, (134703200959,))
+        assert h.order(p.mu_index) == mu_order(LONG_STAR) == 134703200959
+
+    @pytest.mark.parametrize("name", sorted(STARS))
+    def test_stars_without_maps(self, no_maps, name):
+        inv = STARS[name]
+        p = presentation(inv)
+        h = homology(p)
+        assert (h.free_rank, h.torsion) == _per_vertex_homology(inv)[:2]
+        assert _outcome(lambda: h.order(p.mu_index)) == _outcome(lambda: mu_order(inv))
+
+    @pytest.mark.parametrize("name", sorted(RAW_CASES))
+    def test_order_matches_maps_on_hand_built(self, name):
+        case = RAW_CASES[name]
+        if isinstance(case, SeifertInvariants):
+            _assert_order_matches_maps(homology(presentation(case)))
+        else:
+            _assert_order_matches_maps(_whole_matrix_homology(*case))
+
+    @settings(max_examples=60)
+    @given(normal_form_invariants())
+    def test_order_matches_maps_on_normal_forms(self, inv):
+        _assert_order_matches_maps(homology(presentation(inv)))
+
+    @settings(max_examples=60)
+    @given(raw_presentations())
+    def test_order_matches_maps_on_raw_matrices(self, raw):
+        _assert_order_matches_maps(_whole_matrix_homology(*raw))
+
+    def test_singular_star_raises(self):
+        p = presentation(RAW_CASES["singular_star"])
+        h = homology(p)
+        with pytest.raises(ConditionViolation, match="^meridian class has infinite order$"):
+            h.order(p.mu_index)
+        free = [j for j, v in enumerate(h.free_map) if any(v)]
+        assert p.mu_index in free
+        for j in free:
+            with pytest.raises(ConditionViolation):
+                h.order(j)
+
+    def test_order_needs_an_integer_index(self):
+        h = homology(presentation(SeifertInvariants(1, 2, ((3, 1),))))
+        with pytest.raises(TypeError):
+            h.order(1.0)
 
 
 class TestLargePresentations:

@@ -35,6 +35,84 @@ dense_matrix = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
     )
 )
 
+# zeros, units and a few non-units, so that pivots of 1 and of 2, 3 or 6
+# both occur
+sparse_matrix = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.lists(
+            st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6)), min_size=shape[1], max_size=shape[1]
+        ),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+def _block_matrix_smith_form(matrix):
+    """The kernel as it was before it dropped the block matrix, frozen:
+    one elimination on [[A, I], [I, 0]], every column move applied to
+    every row.  It fixes the moves, so it fixes S and T, and with them
+    every coordinate that homology reads off S."""
+    a = [list(row) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    m += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    k = 0
+    while k < min(rows, cols):
+        nonzero = [(abs(m[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        m[k], m[i] = m[i], m[k]
+        for row in m:
+            row[k], row[j] = row[j], row[k]
+        refilled = True
+        while refilled:
+            refilled = False
+            for i in range(k + 1, rows):
+                while m[i][k]:
+                    q = m[i][k] // m[k][k]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+                    if m[i][k]:
+                        m[k], m[i] = m[i], m[k]
+            for j in range(k + 1, cols):
+                while m[k][j]:
+                    q = m[k][j] // m[k][k]
+                    for row in m:
+                        row[j] -= q * row[k]
+                    if m[k][j]:
+                        for row in m:
+                            row[k], row[j] = row[j], row[k]
+                        refilled = True
+        offender = next(
+            (i for i in range(k + 1, rows) if any(m[i][j] % m[k][k] for j in range(k + 1, cols))),
+            None,
+        )
+        if offender is not None:
+            m[k] = [x + y for x, y in zip(m[k], m[offender])]
+            continue
+        if m[k][k] < 0:
+            m[k] = [-x for x in m[k]]
+        k += 1
+    return (
+        tuple(m[i][i] for i in range(min(rows, cols))),
+        tuple(tuple(row[cols:]) for row in m[:rows]),
+        tuple(tuple(row[:cols]) for row in m[rows:]),
+    )
+
+
+# [DERIVED] the Seifert core of (g, n) = (1, 1) with fibers (719, 628),
+# (422, 331), (172, 121), (742, 597): generator rows x_0, t_1..t_4,
+# relation columns n x_0 + sum beta_i t_i and x_0 - alpha_i t_i
+FOUR_FIBER_CORE = (
+    (1, 1, 1, 1, 1),
+    (628, -719, 0, 0, 0),
+    (331, 0, -422, 0, 0),
+    (121, 0, 0, -172, 0),
+    (597, 0, 0, 0, -742),
+)
+
 
 class TestDeterminant:
     def test_entries_must_be_exact_integers(self):
@@ -156,17 +234,8 @@ class TestSmithNormalForm:
             assert math.prod(snf.diagonal) == abs(determinant(m))
 
     def test_four_fiber_seifert_core(self):
-        # [DERIVED] the Seifert core of (g, n) = (1, 1) with fibers (719, 628),
-        # (422, 331), (172, 121), (742, 597): generator rows x_0, t_1..t_4,
-        # relation columns n x_0 + sum beta_i t_i and x_0 - alpha_i t_i.
         # Interleaved partial Euclid steps grew its entries past 20,000 bits.
-        core = [
-            [1, 1, 1, 1, 1],
-            [628, -719, 0, 0, 0],
-            [331, 0, -422, 0, 0],
-            [121, 0, 0, -172, 0],
-            [597, 0, 0, 0, -742],
-        ]
+        core = [list(row) for row in FOUR_FIBER_CORE]
         snf = self.check_invariants(core)
         assert snf.diagonal == (1, 1, 1, 2, 80658288870)
         assert math.prod(snf.diagonal) == abs(determinant(core)) == 161316577740
@@ -188,3 +257,32 @@ class TestSmithNormalForm:
         for x in snf.diagonal:
             product *= x
         assert product == abs(determinant(m))
+
+
+class TestSameMovesAsTheBlockMatrix:
+    """The kernel makes the block-matrix kernel's moves in the same order,
+    so it returns the same diagonal, S and T, not just some Smith form."""
+
+    def check(self, m):
+        snf = smith_normal_form(m)
+        assert (snf.diagonal, snf.left, snf.right) == _block_matrix_smith_form(m)
+
+    @given(small_matrix)
+    def test_small(self, m):
+        self.check(m)
+
+    @given(dense_matrix)
+    def test_dense(self, m):
+        self.check(m)
+
+    @given(sparse_matrix)
+    def test_sparse_with_units(self, m):
+        # the early stops of the pivot scan and of the divisibility scan
+        self.check(m)
+
+    def test_four_fiber_seifert_core(self):
+        self.check(FOUR_FIBER_CORE)
+
+    def test_empty_shapes(self):
+        for m in ([], [[]], [[], []], [[0]], [[0, 0], [0, 0]]):
+            self.check(m)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from contactsurgery.errors import ConditionViolation
+from contactsurgery.errors import ConditionViolation, SearchExhausted
 from contactsurgery.homology import homology, mu_order, presentation
 from contactsurgery.intmat import determinant
+import contactsurgery.lattice as lattice_module
 from contactsurgery.lattice import (
     DiagonalEmbedding,
     Lattice,
@@ -501,6 +502,46 @@ class TestSearchNodeCounts:
     def test_fixed_lattices(self, gram, nodes):
         lattice = Lattice(gram=gram, rank=len(gram))
         assert _search(lattice) == (embeds_in_diagonal(lattice), nodes)
+
+
+# a planted rank-6 form, -V V^T, with V entries in {0, +-1, 2}: it
+# embeds in Z^6 by construction, but the search needs millions of nodes
+# (m = 48 columns) to reach an embedding
+DENSE_RANK_SIX = (
+    (2, -1, -1, 0, 1, 0),
+    (1, 0, -1, 1, 1, -1),
+    (2, 0, 2, 1, 0, 1),
+    (0, 0, 0, 2, 2, 1),
+    (0, 2, -1, 0, -1, 2),
+    (0, 1, 0, 1, 1, 2),
+)
+
+
+class TestNodeBudget:
+    """The search gives up with SearchExhausted past a fixed node budget."""
+
+    def test_dense_rank_six_gives_up(self):
+        gram = tuple(
+            tuple(-sum(a * b for a, b in zip(u, v)) for v in DENSE_RANK_SIX)
+            for u in DENSE_RANK_SIX
+        )
+        lattice = Lattice(gram=gram, rank=6)
+        assert is_negative_definite(lattice)
+        assert_sound(DiagonalEmbedding(vectors=DENSE_RANK_SIX), lattice)
+        with pytest.raises(SearchExhausted, match="^embedding search gave up after 1000000 nodes$"):
+            embeds_in_diagonal(lattice)
+
+    def test_budget_is_far_above_lambda_40(self):
+        assert _search(lambda_q(40)) == (None, 40441)
+        assert lattice_module._NODE_BUDGET >= 20 * 40441
+
+    def test_the_last_node_within_the_budget_answers(self, monkeypatch):
+        # [DERIVED] the whole search of lambda_3 takes 241 nodes
+        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 241)
+        assert _search(lambda_q(3)) == (None, 241)
+        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 240)
+        with pytest.raises(SearchExhausted, match="after 240 nodes"):
+            _search(lambda_q(3))
 
 
 def canonical_embeddings(lattice):
