@@ -13,8 +13,13 @@ Each route's arithmetic is a guard-free integer core,
 _omega_long_ratio over 24 alpha Q^2 and _omega_closed_ratio over
 4 (n alpha + 1), returning the unreduced (numerator, denominator);
 omega_red_long and omega_red_closed are check_admissible plus one
-Fraction built from it.  The long form is never reduced algebraically
-into the closed one, so the check stays a comparison of two routes.
+Fraction built from it.  The long route's arithmetic lives in one
+helper, _omega_long_terms, which applies only +, - and * and returns
+the ingredients' numerators with the summed one; _omega_long_ratio
+reads it and adds the rho assertion, and dedekind_context reads it and
+only constructs Fractions.  The long form is never reduced
+algebraically into the closed one, so the check stays a comparison of
+two routes.
 
 d3_numerators is the one source of the d3 invariants: from one value of
 each route, given as integer numerator and denominator, it takes the d3
@@ -104,53 +109,65 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     (upper sign for sign = +1), gamma = (r + alpha - 2)/2,
     S = (alpha^2 + 2)/(12 alpha) - 1/4, F_rho = (gamma + rho)/alpha, and
     S_rho = (alpha^2 - 3 alpha (1 + 2 gamma) + 2 (1 + 3 gamma + 3 gamma^2))
-    / (12 alpha).  rho always lands strictly inside (0, 1) on the
-    admissible range; that is asserted rather than extrapolated.
+    / (12 alpha).  Each field is one Fraction built from an integer
+    numerator of _omega_long_terms, the long route's one arithmetic,
+    over the denominator its docstring names.  rho always lands strictly
+    inside (0, 1) on the admissible range; _omega_long_ratio asserts it.
     """
     check_admissible(g, n, alpha, sign, r)
-    l = n + Fraction(1, alpha)
-    rho = Fraction(alpha * (n - sign * (n - 2 * g)) - r + 1, 2 * n * alpha + 2)
-    if not (0 < rho < 1):
-        raise AssertionError(f"rho = {rho} outside (0, 1)")
-    gamma = Fraction(r + alpha - 2, 2)
-    s = Fraction(alpha * alpha + 2, 12 * alpha) - Fraction(1, 4)
-    f_rho = (gamma + rho) / alpha
-    s_rho = (
-        alpha * alpha - 3 * alpha * (1 + 2 * gamma) + 2 * (1 + 3 * gamma + 3 * gamma * gamma)
-    ) / Fraction(12 * alpha)
-    return DedekindContext(l=l, rho=rho, gamma=gamma, S=s, S_rho=s_rho, F_rho=f_rho)
+    _omega_long_ratio(g, n, alpha, sign, r)
+    q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _ = _omega_long_terms(g, n, alpha, sign, r)
+    return DedekindContext(
+        l=Fraction(q, 2 * alpha),
+        rho=Fraction(rho_num, q),
+        gamma=Fraction(gamma2, 2),
+        S=Fraction(s_num, 12 * alpha),
+        S_rho=Fraction(s_rho_num, 24 * alpha),
+        F_rho=Fraction(f_rho_num, 2 * alpha * q),
+    )
+
+
+def _omega_long_terms(g, n, alpha, sign, r):
+    """The long route's ingredients and numerator, unguarded and ring-only.
+
+    Returns (Q, R, 2 gamma, S', F', S_rho', numerator) with Q = 2n alpha
+    + 2, rho = R/Q, S = S'/(12 alpha), F_rho = F'/(2 alpha Q), S_rho =
+    S_rho'/(24 alpha) and omega_red_long = numerator / (24 alpha Q^2).
+    It applies only +, - and * to its arguments, so it runs on any ring,
+    symbols included.
+    """
+    q = 2 * n * alpha + 2
+    rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
+    gamma2 = r + alpha - 2
+    s_num = alpha * alpha - 3 * alpha + 2
+    f_rho_num = gamma2 * q + 2 * rho_num
+    s_rho_num = 2 * alpha * alpha - 6 * alpha * (1 + gamma2) + 4 + 6 * gamma2 + 3 * gamma2 * gamma2
+    # Q^2 times the terms over 24 alpha, plus 12 Q times those over 2 alpha Q
+    numerator = q * q * (
+        12 * alpha * (2 * g - 1)  # (2g-1)/2
+        - 3 * (q - 2 * alpha)  # -(l-1)/4
+        + 2 * s_num  # S
+        + 2 * s_rho_num  # 2 S_rho
+    ) + 12 * q * (
+        rho_num * (q - rho_num)  # l rho (1-rho)
+        - 2 * alpha * rho_num  # -rho
+        + (1 - alpha) * (q - 2 * rho_num)  # (1-alpha)/(2 alpha) (1-2 rho)
+        + f_rho_num  # F_rho
+    )
+    return q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, numerator
 
 
 def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, r: int) -> tuple[int, int]:
     """omega_red_long as an unreduced (numerator, 24 alpha Q^2), unguarded.
 
-    The caller has checked admissibility; rho's place in (0, 1) is still
-    asserted, since it holds on the admissible range by arithmetic, not
-    by that check.
+    The arithmetic is _omega_long_terms'.  The caller has checked
+    admissibility; rho's place in (0, 1) is still asserted, since it
+    holds on the admissible range by arithmetic, not by that check.
     """
-    q = 2 * n * alpha + 2
-    rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
+    q, rho_num, _, _, _, _, numerator = _omega_long_terms(g, n, alpha, sign, r)
     if not (0 < rho_num < q):
         raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
-    gamma2 = r + alpha - 2  # 2 gamma
-    q2 = q * q
-    numerator = (
-        12 * alpha * q2 * (2 * g - 1)  # (2g-1)/2
-        - 3 * q2 * (q - 2 * alpha)  # -(l-1)/4
-        + 12 * q * rho_num * (q - rho_num)  # l rho (1-rho)
-        - 24 * alpha * q * rho_num  # -rho
-        + 12 * q * (1 - alpha) * (q - 2 * rho_num)  # (1-alpha)/(2 alpha) (1-2 rho)
-        + 2 * q2 * (alpha * alpha + 2 - 3 * alpha)  # S
-        + 12 * q * (gamma2 * q + 2 * rho_num)  # F_rho
-        + 2 * q2 * (  # 2 S_rho
-            2 * alpha * alpha
-            - 6 * alpha * (1 + gamma2)
-            + 4
-            + 6 * gamma2
-            + 3 * gamma2 * gamma2
-        )
-    )
-    return numerator, 24 * alpha * q2
+    return numerator, 24 * alpha * q * q
 
 
 def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
@@ -160,8 +177,9 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     + S + F_rho + 2 S_rho, with the ingredients of dedekind_context.
     The -(l-1)/4 term uses sign(l) = 1, valid since l = n + 1/alpha > 0.
     Each term is put over the common denominator 24 alpha Q^2, where
-    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), by _omega_long_ratio,
-    and one Fraction is built from the summed numerators.
+    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), by _omega_long_terms,
+    the one helper that dedekind_context reads too, and one Fraction is
+    built from the summed numerators.
     """
     check_admissible(g, n, alpha, sign, r)
     return Fraction(*_omega_long_ratio(g, n, alpha, sign, r))
@@ -227,9 +245,8 @@ def _moy_holds(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
     Both verdicts of _moy_units at the point's Spin^c offset, and the
     sandwich deg K < representative < 2g + 1/alpha, in units of 1/alpha.
     """
-    reducibles_only, dirac_trivial, _, representative = _moy_units(
-        g, n, alpha, _spinc_offset(g, n, alpha, sign, r)
-    )
+    k = _spinc_offset(g, n, alpha, sign, r)
+    reducibles_only, dirac_trivial, _, representative = _moy_units(g, n, alpha, k)
     deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
     return reducibles_only and dirac_trivial and deg_k < representative < top
 

@@ -11,8 +11,9 @@ lambda_q_certificate proves that non-embeddability in O(q) by the chain
 lemma, from the hypotheses it checks on the same star, and
 nonfillability_obstruction reads its answer there, with no search.  The
 certificate answers for every q the star can be built for: each leg
-obeys the chain bound of `contfrac`, so q <= 3001 (g <= 4499999), and a
-larger q is refused before any leg is built.
+obeys the chain bound of `contfrac`, so 2 <= q <= 3001 (g <= 4499999),
+and _lambda_star, which builds the star for lambda_q and the
+certificate, refuses any other q before any leg is built.
 
 embeds_in_diagonal decides embeddability of any negative definite
 lattice by certified exhaustive search; on lambda_q it is the
@@ -96,6 +97,22 @@ class DiagonalEmbedding:
         return -sum(a * b for a, b in zip(self.vectors[i], self.vectors[j]))
 
 
+def _lambda_star(q: int) -> IntegralPresentation:
+    """The presentation of lambda_q's star M(0, -2; (q, q-1), (q, q-1), (q-1, 1)).
+
+    Raises ConditionViolation, before building anything, when q <= 1,
+    where the star has no presentation, and when a leg would exceed the
+    chain bound of `contfrac` (q > 3001).
+    """
+    if q <= 1:
+        raise ConditionViolation(f"need q >= 2, got {q}")
+    if q - 1 > _CHAIN_LIMIT:
+        q_max = _CHAIN_LIMIT + 1
+        g_max = ((q_max - 2) * q_max - 1) // 2
+        raise ConditionViolation(f"q = {q} is above the chain bound q <= {q_max} (g <= {g_max})")
+    return presentation(SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1))))
+
+
 def lambda_q(q: int) -> Lattice:
     """The rank-2q obstruction lattice.
 
@@ -105,12 +122,9 @@ def lambda_q(q: int) -> Lattice:
     lattice of the star M(0, -2; (q, q-1), (q, q-1), (q-1, 1)), read off
     its presentation: the first leg reversed (v_1 .. v_{q-1}), the centre
     v_q, the second leg (v_{q+1} .. v_{2q-1}) and the one-vertex third
-    leg w.  Each leg obeys the chain bound of `contfrac`, so q is at
-    most 3001.
+    leg w.  The star is _lambda_star's, so q runs over 2..3001.
     """
-    if q <= 1:
-        raise ConditionViolation(f"need q >= 2, got {q}")
-    matrix = presentation(SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1)))).matrix
+    matrix = _lambda_star(q).matrix
     pick = operator.itemgetter(*range(q - 1, -1, -1), *range(q, 2 * q))
     return Lattice(gram=tuple(map(pick, pick(matrix))), rank=2 * q)
 
@@ -315,11 +329,10 @@ def lambda_q_certificate(q: int) -> IntegralPresentation:
     the second leg are q - 1 entries of -2 each (v_{q-1}, ..., v_1 and
     v_{q+1}, ..., v_{2q-1}), the third leg is the one vertex w framed
     1 - q, and q >= 3.  A star that breaks one raises AssertionError;
-    that includes q = 2, where the lemma fails.  Raises
-    ConditionViolation, before any leg is built, when a leg would exceed
-    the chain bound of `contfrac` (q > 3001), and when q <= 1, where the
-    star has no presentation.  (Lisca, Geom. Topol. 11 (2007); Greene,
-    Ann. of Math. 177 (2013).)
+    that includes q = 2, where the lemma fails.  The star is
+    _lambda_star's, which raises ConditionViolation, before any leg is
+    built, when q <= 1 and when q > 3001.  (Lisca, Geom. Topol. 11
+    (2007); Greene, Ann. of Math. 177 (2013).)
 
     Chain lemma.  Let v_1, ..., v_k be (-2)-vectors of D_m with
     v_i.v_{i+1} = 1 and v_i.v_j = 0 for |i - j| > 1, the chain A_k.  For
@@ -352,11 +365,7 @@ def lambda_q_certificate(q: int) -> IntegralPresentation:
     both 0, so |w|^2 >= q(a^2 + b^2) >= q.  But w.w = 1 - q gives
     |w|^2 = q - 1 < q: lambda_q embeds in no D_m.
     """
-    if q - 1 > _CHAIN_LIMIT:
-        q_max = _CHAIN_LIMIT + 1
-        g_max = ((q_max - 2) * q_max - 1) // 2
-        raise ConditionViolation(f"q = {q} is above the chain bound q <= {q_max} (g <= {g_max})")
-    star = presentation(SeifertInvariants(0, -2, ((q, q - 1), (q, q - 1), (q - 1, 1))))
+    star = _lambda_star(q)
     first, second, w = star.legs
     chain = (-2,) * (q - 1)
     for holds, hypothesis in (

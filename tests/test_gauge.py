@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
+    DedekindContext,
     MoyVerdict,
     _moy_holds,
     _moy_units,
     _omega_closed_ratio,
     _omega_long_ratio,
+    _omega_long_terms,
     _omega_routes_agree,
     d3_certificate,
     d3_numerators,
@@ -315,9 +317,22 @@ def inadmissible_inputs(draw):
     return g, n, alpha, sign, r
 
 
+def _dedekind_reference(g, n, alpha, sign, r):
+    """(l, rho, gamma, S, S_rho, F_rho) from their definitions, in Fractions."""
+    l = n + Fraction(1, alpha)
+    rho = Fraction(alpha * (n - sign * (n - 2 * g)) - r + 1, 2 * n * alpha + 2)
+    gamma = Fraction(r + alpha - 2, 2)
+    s = Fraction(alpha * alpha + 2, 12 * alpha) - Fraction(1, 4)
+    f_rho = (gamma + rho) / alpha
+    s_rho = (
+        alpha * alpha - 3 * alpha * (1 + 2 * gamma) + 2 * (1 + 3 * gamma + 3 * gamma * gamma)
+    ) / Fraction(12 * alpha)
+    return DedekindContext(l=l, rho=rho, gamma=gamma, S=s, S_rho=s_rho, F_rho=f_rho)
+
+
 def _omega_long_reference(g, n, alpha, sign, r):
     """The Dedekind route assembled term by term in Fraction arithmetic."""
-    c = dedekind_context(g, n, alpha, sign, r)
+    c = _dedekind_reference(g, n, alpha, sign, r)
     return (
         Fraction(2 * g - 1, 2)
         - (c.l - 1) / 4
@@ -349,6 +364,11 @@ def _moy_reference(g, n, alpha, k):
 
 
 class TestLargeInputs:
+    @settings(max_examples=300)
+    @given(large_admissible_inputs())
+    def test_dedekind_context_matches_its_definitions(self, params):
+        assert dedekind_context(*params) == _dedekind_reference(*params)
+
     @settings(max_examples=300)
     @given(large_admissible_inputs())
     def test_long_route_matches_fraction_assembly(self, params):
@@ -528,3 +548,91 @@ class TestMoyOffsetInterval:
             assert verdict.reducibles_only and verdict.dirac_kernels_trivial
             deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
             assert deg_k < verdict.representative < 2 * g + Fraction(1, alpha)
+
+
+class _Poly:
+    """A sparse integer polynomial in (g, n, alpha, r): exponent tuple -> coefficient."""
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, i):
+        return cls({tuple(int(j == i) for j in range(4)): 1})
+
+    @staticmethod
+    def coerce(x):
+        return x if isinstance(x, _Poly) else _Poly({(0, 0, 0, 0): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in _Poly.coerce(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return _Poly(terms)
+
+    def __neg__(self):
+        return _Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly.coerce(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in _Poly.coerce(other).terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return _Poly(terms)
+
+    def __pow__(self, k):
+        result = _Poly.coerce(1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _omega_closed_without_sign(g, n, alpha, sign, r):
+    """_omega_closed_ratio with its sign * 2 (n - 2g) r term dropped."""
+    numerator = (n - 2 * g) ** 2 * alpha - r * r * n
+    m = n * alpha + 1
+    return 2 * (2 * g - 1) * m - numerator, 4 * m
+
+
+class TestOmegaIdentityOnPolynomials:
+    """The omega identity as a polynomial identity in (g, n, alpha, r).
+
+    _omega_long_terms applies only +, - and * to its arguments, so it
+    runs on symbols; the cross-multiply with the closed core is then the
+    zero polynomial for each sign, with no admissibility assumed.
+    """
+
+    def _cross(self, closed, sign):
+        g, n, alpha, r = map(_Poly.var, range(4))
+        q, *_, long_num = _omega_long_terms(g, n, alpha, sign, r)
+        closed_num, closed_den = closed(g, n, alpha, sign, r)
+        return long_num * closed_den - closed_num * (24 * alpha * q * q)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_cross_multiply_vanishes(self, sign):
+        assert self._cross(_omega_closed_ratio, sign).terms == {}
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_dropping_the_sign_term_breaks_it(self, sign):
+        assert self._cross(_omega_closed_without_sign, sign).terms != {}
+
+    def test_symbolic_terms_match_integer_ones(self):
+        # evaluating each symbolic output at a point gives the integer helper's value
+        point = (2, 5, 3, -1, 1)
+        g, n, alpha, r = map(_Poly.var, range(4))
+        symbolic = _omega_long_terms(g, n, alpha, point[3], r)
+        for poly, value in zip(symbolic, _omega_long_terms(*point)):
+            at = sum(
+                c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2] * point[4] ** e[3]
+                for e, c in poly.terms.items()
+            )
+            assert at == value

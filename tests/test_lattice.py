@@ -264,7 +264,8 @@ class TestLambdaQ:
 
     def test_chain_bound(self):
         # each leg of the star is a chain of q - 1 entries
-        with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+        message = "q = 3002 is above the chain bound q <= 3001 (g <= 4499999)"
+        with pytest.raises(ConditionViolation, match=re.escape(message)):
             lambda_q(3002)
 
 
@@ -633,10 +634,15 @@ class TestLambdaQCertificate:
         with pytest.raises(ConditionViolation, match=re.escape(message)):
             lambda_q_certificate(3002)
 
-    def test_no_star_below_q_2(self):
+    def test_no_star_below_q_2(self, monkeypatch):
+        def refuse(inv):
+            raise AssertionError("a star was built")
+
+        monkeypatch.setattr("contactsurgery.lattice.presentation", refuse)
         for q in (1, 0, -3):
-            with pytest.raises(ConditionViolation):
-                lambda_q_certificate(q)
+            for build in (lambda_q, lambda_q_certificate):
+                with pytest.raises(ConditionViolation, match=f"^need q >= 2, got {q}$"):
+                    build(q)
 
     @pytest.mark.parametrize(
         "change, hypothesis",
