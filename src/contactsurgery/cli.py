@@ -89,8 +89,8 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
     """Full structure report; raises ConditionViolation on bad input.
 
     The verdicts section carries the internal cross-checks: the two
-    omega_red routes, the gap law, the Smith-normal-form mu order against
-    its closed form, and offset/c1 consistency.  Each omega_red route is
+    omega_red routes, the gap law, the mu order read off H1 against its
+    closed form, and offset/c1 consistency.  Each omega_red route is
     evaluated once; the d3 pair, the gap and the fillability verdict all
     come from those two values.
     """
@@ -171,8 +171,8 @@ def run_sweep(
     homology.mu_order is checked against 2g*alpha + 1.  That is not an
     independent route: at (alpha, 1) and n = 2g, mu_order's closed form
     is |n*alpha + beta|, the same expression; the independent mu
-    cross-checks are the report's Smith-form H1
-    (mu_order_matches_closed_form) and the tests.  Per point of
+    cross-checks are the report's H1, a Smith elimination modulo |E| on
+    the k x k fiber block (mu_order_matches_closed_form), and the tests.  Per point of
     homology.admissible_points over the offsets: the omega_red
     closed-form identity, the gap law, and at n = 2g the MOY verdict
     with its sandwich inequality.

@@ -13,22 +13,27 @@ convergent recurrence, which writes every leg vertex as an exact
 integer multiple of t (the plumbing calculus of Neumann, Trans. AMS
 268, 1981).  What remains of a star with k legs is the (k+1)-generator
 Seifert core on the centre and the k terminal vertices, with the
-centre's relation and each leg's head relation.  The Smith normal form
-of that core, with generator tracking, gives the invariant factors, and
-exact coordinates for any vertex on demand: the result keeps the left
-transform's entries for each core generator and each leg's vertex
-multiples, and builds a vertex's coordinates only when they are read.
-Those coordinates are relative to the Smith basis of the core, so they
-are fixed only up to an automorphism of the torsion group; orders of
-classes do not depend on that choice.  The cost is linear in the number
-of vertices plus one Smith form of k + 1 rows.
+centre's relation and each leg's head relation.  The first leg's head
+relation has the centre's coefficient 1, so it eliminates the centre,
+which leaves the k x k fiber block on the terminal vertices; its |det|
+is |E|, for the Euler numerator E below, read off the legs.  When E is
+nonzero a Smith elimination modulo |E| with generator tracking gives
+the invariant factors and a left transform S with entries in [0, |E|);
+a singular block (E = 0) takes the exact Smith form.  Every vertex's
+coordinates come on demand: the result keeps S's entries for each
+block generator and each leg's vertex multiples, and builds a vertex's
+coordinates only when they are read.  Those coordinates are relative
+to the basis the elimination picks, so they are fixed only up to an
+automorphism of the torsion group; orders of classes do not depend on
+that choice.  The cost is linear in the number of vertices plus one
+elimination of k rows on residues modulo |E|.
 
 mu_order, the order of the tracked class mu below, solves that core in
 closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
 matrix and no Smith form: O(k) integer operations over the Euler
 numerator E = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i.  It
-shares nothing with the Smith form behind `homology`, so the two routes
-check each other.
+shares nothing with the elimination behind `homology`, which computes
+its own E from the legs, so the two routes check each other.
 
 The tracked class mu is the meridian of the terminal vertex of the first
 leg: the fiber class whose order controls how many torsion Spin^c
@@ -61,7 +66,7 @@ from itertools import islice
 
 from .contfrac import _neg_cf_entries
 from .errors import ConditionViolation, SearchExhausted
-from .intmat import smith_normal_form
+from .intmat import _smith_form_mod, smith_normal_form
 from .seifert import SeifertInvariants
 
 __all__ = [
@@ -128,15 +133,18 @@ class FirstHomology:
     """H1 = Z^free_rank + sum Z/d for d in torsion (d_1 | d_2 | ...).
 
     Every meridian generator is an integer multiple a * e_r of a
-    generator e_r of the collapsed core.  tracked holds one triple per
-    tracked core generator, in vertex order: the entries of column r of
-    the Smith left transform on the torsion rows and on the free rows,
-    and the multiples a of the vertices it carries.  The coordinates of
-    a vertex are those entries times a, so they are derived on demand:
-    order(j) reads vertex j alone, and class_map and free_map build
-    every vertex's coordinates on each access.  Coordinates are taken in
-    the Smith basis of the collapsed core, so they are fixed only up to
-    an automorphism of the group; the order of each class is basis-free.
+    generator e_r of the fiber block.  tracked holds one triple per
+    tracked block generator, in vertex order: the entries of column r of
+    the left transform S on the torsion rows and on the free rows, and
+    the multiples a of the vertices it carries.  On a nonsingular block
+    the entries are residues modulo |E|, which every torsion order
+    divides; on a singular one they come from the exact Smith form.  The
+    coordinates of a vertex are those entries times a, so they are
+    derived on demand: order(j) reads vertex j alone, and class_map and
+    free_map build every vertex's coordinates on each access.
+    Coordinates are taken in the basis the elimination picks, so they
+    are fixed only up to an automorphism of the group; the order of each
+    class is basis-free.
     """
 
     free_rank: int
@@ -245,23 +253,29 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     relation x_0 - a_0 t_i, and vertex 1 enters the centre's relation as
     a_1 t_i.  The ratios -a_{j-1}/a_j are the tails [c_j, ..., c_m], so on
     a leg -alpha/beta the coprime pair (a_0, a_1) is (alpha, beta), and
-    the cokernel is that of the Seifert core (see `mu_order`).  With
-    D = S C T the Smith form of the core C, the quotient Z^m / C Z^m is
-    Z^m / D Z^m under x -> Sx, so vertex j lands at a_j times the column
-    of S of its core generator, read modulo the diagonal.  The result
-    keeps those columns and the multiples a_j, and derives a vertex's
-    coordinates on access (see FirstHomology).  Linear in the vertex
-    count, plus one Smith form of k + 1 rows.
+    the cokernel is that of the Seifert core (see `mu_order`).  The first
+    head relation sets x_0 = a_0 t_1, which leaves the k x k fiber block
+    B of `_fiber_block` with |det B| = |E|.  With D = S B T, the quotient
+    Z^k / B Z^k is Z^k / D Z^k under x -> Sx, so vertex j lands at a_j
+    times the column of S of its block generator, read modulo the
+    diagonal; the centre is a_0 times t_1's column.  When E != 0, S and
+    D come from the elimination modulo |E|, and AssertionError is raised
+    unless the torsion multiplies to |E|; when E = 0, from the exact
+    Smith form.  The result keeps S's columns and the multiples a_j, and
+    derives a vertex's coordinates on access (see FirstHomology).
+    Linear in the vertex count, plus one elimination of k rows.
     """
-    tracked, ends = [(0, (1,))], []
-    for i, leg in enumerate(p.legs, 1):
+    tracked, ends = [], []
+    for i, leg in enumerate(p.legs):
         after, a, tail = 0, 1, []
         for framing in reversed(leg):
             tail.append(a)
             after, a = a, -(framing * a + after)
         tracked.append((i, tuple(reversed(tail))))
         ends.append((a, after))
-    return _cokernel(_seifert_core(p.n, ends), tracked, p.free_rank)
+    block, euler = _fiber_block(p.n, ends)
+    centre = (0, (ends[0][0] if ends else 1,))
+    return _cokernel(block, [centre, *tracked], p.free_rank, abs(euler))
 
 
 def _check_presentable(inv: SeifertInvariants) -> None:
@@ -277,23 +291,28 @@ def _check_presentable(inv: SeifertInvariants) -> None:
             )
 
 
-def _cokernel(core, tracked, free_rank: int) -> FirstHomology:
-    """Z^free_rank plus the cokernel of core, tracking generators a * e_r.
+def _cokernel(matrix, tracked, free_rank: int, modulus: int) -> FirstHomology:
+    """Z^free_rank plus the cokernel of a square matrix, tracking generators a * e_r.
 
     tracked holds (r, multiples) pairs, one for the centre and one per
     leg: the next generators, in order, are a * e_r for a in multiples, a
     tuple.  Generator rows, relation columns; see `homology` for how the
-    Smith form's left transform gives the coordinates.  Column r of S is
-    read once per pair, on the torsion and free rows only; no vertex's
-    coordinates are built here.
+    left transform gives the coordinates.  modulus is |det matrix|: when
+    it is nonzero the elimination runs modulo it, and 0 (a singular
+    matrix) takes the exact Smith form.  Column r of S is read once per
+    pair, on the torsion and free rows only; no vertex's coordinates are
+    built here.
     """
-    snf = smith_normal_form(core)
-    torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
-    left = snf.left
+    if modulus:
+        diagonal, left = _smith_form_mod(matrix, modulus)
+    else:
+        snf = smith_normal_form(matrix)
+        diagonal, left = snf.diagonal, snf.left
+    torsion_rows = [i for i, d in enumerate(diagonal) if d > 1]
+    free_rows = [i for i, d in enumerate(diagonal) if d == 0]
     return FirstHomology(
         free_rank=free_rank + len(free_rows),
-        torsion=tuple(snf.diagonal[i] for i in torsion_rows),
+        torsion=tuple(diagonal[i] for i in torsion_rows),
         tracked=tuple(
             (tuple(left[i][r] for i in torsion_rows), tuple(left[i][r] for i in free_rows), multiples)
             for r, multiples in tracked
@@ -301,28 +320,42 @@ def _cokernel(core, tracked, free_rank: int) -> FirstHomology:
     )
 
 
-def _seifert_core(n: int, ends) -> list[list[int]]:
-    """The (k+1) x (k+1) core on x_0, t_1, ..., t_k, one (a_0, a_1) per leg.
+def _fiber_block(n: int, ends) -> tuple[list[list[int]], int]:
+    """The k x k block on t_1, ..., t_k and its determinant up to sign, E.
 
-    Generator rows, relation columns: the centre's relation
-    n x_0 + sum a_1 t_i and each leg's head relation x_0 - a_0 t_i.  On
-    a leg -alpha/beta, (a_0, a_1) = (alpha, beta): the core of
-    Neumann-Raymond 1978 (Neumann, Trans. AMS 268, 1981).
+    ends holds one (a_0, a_1) per leg.  Generator rows, relation
+    columns: the centre's relation n x_0 + sum a_1 t_i and each leg's
+    head relation x_0 - a_0 t_i (on a leg -alpha/beta, (a_0, a_1) =
+    (alpha, beta): the core of Neumann-Raymond 1978, see Neumann, Trans.
+    AMS 268, 1981).  The first head relation has x_0's coefficient 1, so
+    it eliminates x_0 = a_01 t_1: row t_1 is [n a_01 + a_11, a_01, ...,
+    a_01] and row t_i is [a_1i, 0, ..., -a_0i, ..., 0].  With no leg the
+    block is [[n]] on x_0.  |det| of the block is |E| with
+    E = n prod a_0j + sum_i a_1i prod_{j != i} a_0j, built leg by leg by
+    (P, E') -> (P a_0, E' a_0 + a_1 P) from (1, 0), with no division, so
+    a head a_0 = 0 of a hand-built presentation needs no care.
     """
-    core = [[n] + [1] * len(ends)]
-    for i, (head, first) in enumerate(ends, 1):
-        row = [0] * (len(ends) + 1)
-        row[0], row[i] = first, -head
-        core.append(row)
-    return core
+    if not ends:
+        return [[n]], n
+    (head, first), k = ends[0], len(ends)
+    block = [[n * head + first] + [head] * (k - 1)]
+    for i, (a0, a1) in enumerate(ends[1:], 1):
+        row = [0] * k
+        row[0], row[i] = a1, -a0
+        block.append(row)
+    product, euler = 1, 0
+    for a0, a1 in ends:
+        product, euler = product * a0, euler * a0 + a1 * product
+    return block, n * product + euler
 
 
 def mu_order(inv: SeifertInvariants) -> int:
     """Order of the tracked fiber meridian in H1, in closed form.
 
     No leg, no matrix and no Smith form.  Modulo the free Z^{2g}, H1 is
-    the cokernel of the Seifert core (see `_seifert_core`) with columns
-    n x_0 + sum beta_j t_j and x_0 - alpha_j t_j, and the order of
+    the cokernel of the Seifert core C on x_0, t_1, ..., t_k (see
+    `_fiber_block`) with columns n x_0 + sum beta_j t_j and
+    x_0 - alpha_j t_j, and the order of
     mu = t_1 is the lcm of the denominators of the solution y of
     C y = e_{t_1}.  With Q = prod_{j >= 2} alpha_j,
     s_j = beta_j Q / alpha_j and E = alpha_1 (n Q + sum_{j >= 2} s_j)
@@ -338,8 +371,8 @@ def mu_order(inv: SeifertInvariants) -> int:
     with y_0 = 1/n: order |n|.  O(k) big-integer operations, whatever
     the leg lengths, so the chain bound of `contfrac` does not apply
     here; `homology(presentation(inv))`, which reads alpha_j and beta_j
-    off the legs and takes a Smith form, is the independent second
-    route.
+    off the legs, computes its own E and eliminates modulo |E|, is the
+    independent second route.
 
     Equals |n*alpha + beta| on a single fiber (alpha, beta); in particular
     2g*alpha + 1 on M(g, 2g; (alpha, 1)).  Pairs must satisfy

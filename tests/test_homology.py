@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -149,7 +150,7 @@ def _whole_matrix_homology(rows, free_rank=0):
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("linking matrix must be square")
-    return homology_module._cokernel(rows, [(j, (1,)) for j in range(size)], free_rank)
+    return homology_module._cokernel(rows, [(j, (1,)) for j in range(size)], free_rank, 0)
 
 
 def _raw(rows, free_rank=0):
@@ -210,16 +211,31 @@ def _leg_multiples(leg):
     return a[1 : len(leg) + 1]
 
 
-def _per_vertex_homology(inv):
-    """H1 read vertex by vertex off the Smith form of the Seifert core.
+def _seifert_core(inv):
+    """The (k+1) x (k+1) core on x_0, t_1, ..., t_k, from its definition.
 
-    Vertex v = a * e_r (r its core generator) has torsion coordinate
-    S[i][r] * a mod d_i on each torsion row i and S[i][r] * a on each
-    free row, with D = S C T.  Returns (free_rank, torsion, class_map,
-    free_map).
+    Generator rows, relation columns: the centre's relation
+    n x_0 + sum beta_i t_i and each leg's head relation x_0 - alpha_i t_i.
+    """
+    k = len(inv.pairs)
+    core = [[inv.n] + [1] * k]
+    for i, (alpha, beta) in enumerate(inv.pairs, 1):
+        row = [0] * (k + 1)
+        row[0], row[i] = beta, -alpha
+        core.append(row)
+    return core
+
+
+def _per_vertex_homology(inv):
+    """H1 read vertex by vertex off the exact Smith form of the Seifert core.
+
+    Vertex v = a * e_r (r its core generator, the centre on x_0) has
+    torsion coordinate S[i][r] * a mod d_i on each torsion row i and
+    S[i][r] * a on each free row, with D = S C T.  Returns (free_rank,
+    torsion, class_map, free_map).
     """
     p = presentation(inv)
-    snf = smith_normal_form(homology_module._seifert_core(inv.n, inv.pairs))
+    snf = smith_normal_form(_seifert_core(inv))
     vertices = [(0, 1)] + [(r, a) for r, leg in enumerate(p.legs, 1) for a in _leg_multiples(leg)]
     torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
     free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
@@ -237,9 +253,13 @@ def _per_vertex_homology(inv):
 def _assert_star_matches_full_smith_form(inv):
     p = presentation(inv)
     h = homology(p)
-    # the stored transform entries are private to homology: compare what
-    # they give, not the dataclass
-    assert (h.free_rank, h.torsion, h.class_map, h.free_map) == _per_vertex_homology(inv)
+    # coordinates depend on the basis each elimination picks; the order of
+    # every vertex's class does not
+    free_rank, torsion, class_map, free_map = _per_vertex_homology(inv)
+    assert (h.free_rank, h.torsion) == (free_rank, torsion)
+    for j, (coordinates, free_coordinates) in enumerate(zip(class_map, free_map)):
+        expected = _order_from_maps(torsion, coordinates, free_coordinates)
+        assert _outcome(lambda: h.order(j)) == expected
     _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
 
 
@@ -476,17 +496,20 @@ def wide_normal_forms(draw):
     return SeifertInvariants(g, n, tuple(pairs))
 
 
+def _euler_numerator(inv):
+    """E = e * prod alpha_j = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i."""
+    alphas = [alpha for alpha, _ in inv.pairs]
+    return inv.n * math.prod(alphas) + sum(
+        beta * math.prod(alphas[:j] + alphas[j + 1 :]) for j, (_, beta) in enumerate(inv.pairs)
+    )
+
+
 class TestTorsionOrder:
     @given(wide_normal_forms())
     @example(SeifertInvariants(1, 2, ((2999, 2998), (2998, 2997), (2997, 2996))))
     def test_matches_euler_numerator(self, inv):
-        # [DERIVED] |H1 torsion| = |E| with E = e * prod alpha_j
-        # = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i, when E != 0
-        # (Neumann-Raymond 1978)
-        alphas = [alpha for alpha, _ in inv.pairs]
-        e_numerator = inv.n * math.prod(alphas) + sum(
-            beta * math.prod(alphas[:j] + alphas[j + 1 :]) for j, (_, beta) in enumerate(inv.pairs)
-        )
+        # [DERIVED] |H1 torsion| = |E| when E != 0 (Neumann-Raymond 1978)
+        e_numerator = _euler_numerator(inv)
         h = homology(presentation(inv))
         if e_numerator != 0:
             assert math.prod(h.torsion) == abs(e_numerator)
@@ -556,7 +579,8 @@ class TestMuOrderSeifertRoute:
             "homology",
             "smith_normal_form",
             "_cokernel",
-            "_seifert_core",
+            "_fiber_block",
+            "_smith_form_mod",
         ):
             monkeypatch.setattr(homology_module, name, refuse)
         # [DERIVED] the leg of -3000001/3000000 has 3,000,000 entries; the
@@ -584,13 +608,13 @@ TWENTY_FOUR_FIBERS = (
 
 
 @st.composite
-def many_fiber_normal_forms(draw):
-    """g 0..3, n in [-8, 8] and 8..64 normal-form fibers with alpha up to 10^4."""
+def many_fiber_normal_forms(draw, most=64, alphas=(2, 10**4)):
+    """g 0..3, n in [-8, 8] and 8..most normal-form fibers with alpha in alphas."""
     g = draw(st.integers(0, 3))
     n = draw(st.integers(-8, 8))
     pairs = []
-    for _ in range(draw(st.integers(8, 64))):
-        alpha = draw(st.integers(2, 10**4))
+    for _ in range(draw(st.integers(8, most))):
+        alpha = draw(st.integers(*alphas))
         # the nearest coprime beta at or below the draw: a filter rejects
         # too many of 64 draws
         beta = draw(st.integers(1, alpha - 1))
@@ -665,6 +689,107 @@ class TestMuOrderManyFibers:
     )
     def test_baseline_values(self, pairs, expected):
         assert mu_order(SeifertInvariants(0, 1, pairs)) == expected
+
+
+def _assert_many_fiber_homology(inv):
+    assert max(alpha for alpha, _ in inv.pairs) - 1 <= _CHAIN_LIMIT
+    p = presentation(inv)
+    h = homology(p)
+    e = _euler_numerator(inv)
+    assert h.free_rank == 2 * inv.g + (e == 0)
+    if e:
+        assert math.prod(h.torsion) == abs(e)
+    assert all(b % a == 0 for a, b in zip(h.torsion, h.torsion[1:]))
+    assert _outcome(lambda: h.order(p.mu_index)) == _outcome(lambda: mu_order(inv))
+
+
+class TestHomologyManyFibers:
+    """H1 of 8-64 three-digit fibers: the elimination modulo |E| on the
+    k x k fiber block, against the Euler numerator and mu_order."""
+
+    # three-digit alpha keeps every leg (at most alpha - 1 vertices)
+    # inside the chain bound of `contfrac`
+    @given(many_fiber_normal_forms(most=24, alphas=(100, 999)))
+    @example(SeifertInvariants(0, 1, SIXTEEN_FIBERS))
+    @example(SeifertInvariants(0, 1, TWENTY_FOUR_FIBERS))
+    # e = 0 with eight fibers: the exact Smith form on the singular block
+    @example(SeifertInvariants(0, -4, ((2, 1),) * 8))
+    def test_under_the_default_deadline(self, inv):
+        _assert_many_fiber_homology(inv)
+
+    def test_sixty_four_fibers(self):
+        # a plain test, so no Hypothesis deadline applies
+        rng = random.Random(64)
+        pairs = []
+        while len(pairs) < 64:
+            alpha = rng.randint(100, 999)
+            beta = rng.randint(1, alpha - 1)
+            if math.gcd(alpha, beta) == 1:
+                pairs.append((alpha, beta))
+        _assert_many_fiber_homology(SeifertInvariants(1, 2, tuple(pairs)))
+
+
+# stars that `presentation` never builds: zero and positive framings, a
+# head a_0 = 0 (a leg (0,)), singular and nonsingular blocks; E and the
+# group are noted for each
+HAND_BUILT_STARS = {
+    # E = 2, Z/2
+    "zero_head": IntegralPresentation(3, ((0,), (-2,)), 0),
+    # E = 6, Z/6
+    "zero_head_on_a_later_leg": IntegralPresentation(2, ((-3,), (0,), (-2,)), 0),
+    # E = 0, free rank 1 + 2
+    "zero_heads_singular": IntegralPresentation(1, ((0,), (0,)), 1),
+    # E = -8, (2, 2, 2)
+    "zero_head_and_positive_framings": IntegralPresentation(0, ((0,), (2,), (2,), (2,)), 0),
+    # E = 21, Z/21
+    "positive_framings": IntegralPresentation(5, ((3, 2), (1,), (2, 1, 4)), 2),
+    # E = -32, (2, 2, 8)
+    "positive_legs_zero_centre": IntegralPresentation(0, ((2,), (2,), (2,), (2,)), 0),
+    # E = 0 with torsion (2, 2) beside the free row
+    "positive_singular_with_torsion": IntegralPresentation(2, ((2,), (2,), (2,), (2,)), 0),
+    # E = 0, free rank 1
+    "positive_singular": IntegralPresentation(1, ((2,), (2,)), 0),
+    # E = -20, Z/20: a zero framing inside a leg
+    "zero_framing_inside_a_leg": IntegralPresentation(-1, ((-2, 0, -3), (0,), (-4,)), 1),
+    # E = 36, (2, 18)
+    "zero_framing_next_to_the_centre": IntegralPresentation(2, ((2,), (0, 4), (2,), (2,)), 0),
+    # E = 0 and E = 6 with no leg
+    "no_legs_zero_centre": IntegralPresentation(0, (), 0),
+    "no_legs_positive_centre": IntegralPresentation(6, (), 3),
+}
+
+
+class TestHandBuiltStars:
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_STARS))
+    def test_against_the_whole_matrix(self, name):
+        p = HAND_BUILT_STARS[name]
+        h = homology(p)
+        whole = _whole_matrix_homology(p.matrix, p.free_rank)
+        assert (h.free_rank, h.torsion) == (whole.free_rank, whole.torsion)
+        for j in range(len(p.matrix)):
+            assert _outcome(lambda: h.order(j)) == _outcome(lambda: whole.order(j))
+        _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_STARS))
+    def test_singular_exactly_when_the_determinant_vanishes(self, name):
+        p = HAND_BUILT_STARS[name]
+        h = homology(p)
+        det = determinant(p.matrix)
+        assert (h.free_rank > p.free_rank) == (det == 0)
+        if det:
+            assert math.prod(h.torsion) == abs(det)
+
+    def test_a_wrong_modulus_fails_the_product_check(self, monkeypatch):
+        # the product check guards the kernel against a wrong E
+        block = homology_module._fiber_block
+
+        def doubled(n, ends):
+            matrix, euler = block(n, ends)
+            return matrix, 2 * euler
+
+        monkeypatch.setattr(homology_module, "_fiber_block", doubled)
+        with pytest.raises(AssertionError, match="^invariant factors do not multiply"):
+            homology(HAND_BUILT_STARS["positive_framings"])
 
 
 class TestC1Class:

@@ -1,13 +1,14 @@
 """Integer determinant and Smith normal form, cross-checked against each other."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.intmat import determinant, smith_normal_form
+from contactsurgery.intmat import _smith_form_mod, determinant, smith_normal_form
 
 
 def mat_mul(a, b):
@@ -286,3 +287,91 @@ class TestSameMovesAsTheBlockMatrix:
     def test_empty_shapes(self):
         for m in ([], [[]], [[], []], [[0]], [[0, 0], [0, 0]]):
             self.check(m)
+
+
+def _square(entries, largest):
+    return st.integers(1, largest).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+# units, zeros and small non-units, so that non-trivial diagonals beside
+# the last one occur
+SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
+
+
+class TestSmithFormModDet:
+    """The elimination modulo |det| against the exact kernel and Bareiss."""
+
+    def check(self, m):
+        """The kernel's diagonal and S at modulus |det m|; returns them.
+
+        S kills every relation and is invertible modulo M, so x -> S x is
+        onto the sum of the Z/d_i; with prod d_i = |det| = the order of
+        the cokernel, the map is an isomorphism.
+        """
+        modulus = abs(determinant(m))
+        diagonal, left = _smith_form_mod(m, modulus)
+        assert math.prod(diagonal) == modulus
+        assert all(b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+        assert all(0 <= s < modulus for row in left for s in row)
+        size = len(m)
+        for r in range(size):
+            for row, d in zip(left, diagonal):
+                assert sum(row[j] * m[j][r] for j in range(size)) % d == 0
+        assert determinant(left) % modulus in (1 % modulus, -1 % modulus)
+        return diagonal, left
+
+    @given(_square(st.integers(-99, 99), 12))
+    def test_dense(self, m):
+        assume(determinant(m))
+        assert self.check(m)[0] == smith_normal_form(m).diagonal
+
+    @given(_square(SPARSE_ENTRIES, 12))
+    def test_sparse(self, m):
+        assume(determinant(m))
+        assert self.check(m)[0] == smith_normal_form(m).diagonal
+
+    def test_four_fiber_seifert_core(self):
+        diagonal, _ = self.check(FOUR_FIBER_CORE)
+        assert diagonal == (1, 1, 1, 2, 80658288870)
+
+    def test_dense_thirty(self):
+        # [DERIVED] a seeded dense 30x30 matrix in +-99, |det| of 230 bits.
+        # S stays below the modulus; the exact kernel's S on such matrices
+        # reaches 10^4 to 10^6 bits and takes seconds, so the diagonal is
+        # proved by check's isomorphism argument instead of compared
+        rng = random.Random(30)
+        m = [[rng.randint(-99, 99) for _ in range(30)] for _ in range(30)]
+        diagonal, left = self.check(m)
+        assert abs(determinant(m)).bit_length() == 230
+        assert max(s.bit_length() for row in left for s in row) <= 230
+
+    @given(_square(SPARSE_ENTRIES, 6), st.integers(2, 6))
+    def test_proper_multiple_fails_the_product_check(self, m, factor):
+        modulus = abs(determinant(m))
+        assume(modulus)
+        with pytest.raises(AssertionError, match="^invariant factors do not multiply"):
+            _smith_form_mod(m, factor * modulus)
+
+    def test_diagonal_order_by_gcd_and_lcm(self):
+        # [DERIVED] Z/4 + Z/6 + Z/9 = Z/1 + Z/6 + Z/36: the pivots come out
+        # as 4, 6, 9 and the fix-up carries S along
+        diagonal, _ = self.check([[4, 0, 0], [0, 6, 0], [0, 0, 9]])
+        assert diagonal == (1, 6, 36)
+
+    def test_unit_determinant(self):
+        diagonal, left = self.check([[2, 1], [1, 1]])
+        assert (diagonal, left) == ((1, 1), ((0, 0), (0, 0)))
+
+    @pytest.mark.parametrize("modulus", [0, -7])
+    def test_rejects_a_modulus_below_one(self, modulus):
+        with pytest.raises(ConditionViolation, match="^modulus must be a positive integer$"):
+            _smith_form_mod([[7]], modulus)
+
+    @pytest.mark.parametrize("m", [[[1, 2]], [[1, 2], [3]], [[1], [2]]])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(ConditionViolation, match="^matrix must be square$"):
+            _smith_form_mod(m, 1)
