@@ -1,6 +1,9 @@
 """Command line driver tying the pipeline together.
 
-Subcommands: convert, report, sweep, obstruction, witness, normalize, cf.
+Subcommands: convert, report, sweep, obstruction, witness, normalize, cf,
+all from one table, _SUBCOMMANDS.  Every call registers all seven names
+but adds options only to the subcommands that its argv names, since
+argparse runs a subcommand only when its exact name is a token of argv.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -453,7 +456,86 @@ def _no_pass_flag(doc: dict) -> bool:
     return True
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, ((flag, keyword arguments), ...), set_defaults), in the
+# order of the top-level usage line; --json is added after the options
+_SUBCOMMANDS = {
+    "convert": (
+        "rational contact surgery to a (+1)/(-1) chain",
+        (
+            ("--r", dict(required=True, help="surgery coefficient, e.g. 4/7 or -4/3")),
+            ("--tb", dict(type=int, default=-1, help="root Thurston-Bennequin number")),
+            ("--rot", dict(type=int, default=0, help="root rotation number")),
+        ),
+        dict(build=_convert, render=_convert_text),
+    ),
+    "report": (
+        "full invariant report for one structure",
+        (
+            ("--g", dict(type=int, required=True)),
+            ("--n", dict(type=int, required=True)),
+            ("--alpha", dict(type=int, required=True)),
+            ("--sign", dict(choices=["+", "-"], required=True)),
+            ("--r", dict(type=int, required=True)),
+        ),
+        dict(build=_report, render=_report_text, passed=_report_passed),
+    ),
+    "sweep": (
+        "identity suite over a parameter grid",
+        (
+            ("--g-range", dict(default="1..3")),
+            (
+                "--n-range",
+                dict(
+                    default="2g..2g+4",
+                    help="n relative to 2g: terms are 2g, 2g+k, or a bare offset k",
+                ),
+            ),
+            ("--alpha-range", dict(default="1..15")),
+            ("--mu-only", dict(action="store_true", help="check only mu orders")),
+        ),
+        dict(build=_sweep, render=_sweep_text, passed=_sweep_passed),
+    ),
+    "obstruction": (
+        "diagonal lattice non-embedding certificate",
+        (("--g", dict(type=int, required=True)),),
+        dict(build=_obstruction, render=_obstruction_text),
+    ),
+    "witness": (
+        "alpha certifying pairwise distinct structures",
+        (
+            ("--g", dict(type=int, required=True)),
+            ("--count", dict(type=int, required=True)),
+            ("--max-base", dict(type=int, default=10000)),
+        ),
+        dict(build=_witness, render=_witness_text),
+    ),
+    "normalize": (
+        "Seifert invariants to normal form",
+        (
+            ("--g", dict(type=int, required=True)),
+            ("--n", dict(type=int, required=True)),
+            ("--pairs", dict(default="", help="comma list alpha/beta, e.g. 5/12,3/1")),
+        ),
+        dict(build=_normalize, render=_normalize_text),
+    ),
+    "cf": (
+        "negative continued fraction expand/evaluate",
+        (
+            ("--r", dict(help="rational to expand, e.g. -7/5")),
+            ("--entries", dict(help="comma list to evaluate, e.g. -2,-2,-3")),
+        ),
+        dict(build=_cf, render=_cf_text),
+    ),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser, with options only on the subcommands that argv names.
+
+    Every name is registered, so the top-level usage, help and errors
+    are those of the full parser; a name that is only a value in argv
+    just fills one more subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="contactsurgery",
         description=(
@@ -464,62 +546,21 @@ def _build_parser() -> argparse.ArgumentParser:
     # report and sweep override this with their document's pass flag
     parser.set_defaults(passed=_no_pass_flag)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="rational contact surgery to a (+1)/(-1) chain")
-    p.add_argument("--r", required=True, help="surgery coefficient, e.g. 4/7 or -4/3")
-    p.add_argument("--tb", type=int, default=-1, help="root Thurston-Bennequin number")
-    p.add_argument("--rot", type=int, default=0, help="root rotation number")
-    p.set_defaults(build=_convert, render=_convert_text)
-
-    p = sub.add_parser("report", help="full invariant report for one structure")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sign", choices=["+", "-"], required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(build=_report, render=_report_text, passed=_report_passed)
-
-    p = sub.add_parser("sweep", help="identity suite over a parameter grid")
-    p.add_argument("--g-range", default="1..3")
-    p.add_argument(
-        "--n-range",
-        default="2g..2g+4",
-        help="n relative to 2g: terms are 2g, 2g+k, or a bare offset k",
-    )
-    p.add_argument("--alpha-range", default="1..15")
-    p.add_argument("--mu-only", action="store_true", help="check only mu orders")
-    p.set_defaults(build=_sweep, render=_sweep_text, passed=_sweep_passed)
-
-    p = sub.add_parser("obstruction", help="diagonal lattice non-embedding certificate")
-    p.add_argument("--g", type=int, required=True)
-    p.set_defaults(build=_obstruction, render=_obstruction_text)
-
-    p = sub.add_parser("witness", help="alpha certifying pairwise distinct structures")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--max-base", type=int, default=10000)
-    p.set_defaults(build=_witness, render=_witness_text)
-
-    p = sub.add_parser("normalize", help="Seifert invariants to normal form")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairs", default="", help="comma list alpha/beta, e.g. 5/12,3/1")
-    p.set_defaults(build=_normalize, render=_normalize_text)
-
-    p = sub.add_parser("cf", help="negative continued fraction expand/evaluate")
-    p.add_argument("--r", help="rational to expand, e.g. -7/5")
-    p.add_argument("--entries", help="comma list to evaluate, e.g. -2,-2,-3")
-    p.set_defaults(build=_cf, render=_cf_text)
-
-    # added last, so every usage line and option listing ends with it
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true")
+    for name, (help_text, options, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in argv:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            # added last, so every usage line and option listing ends with it
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(**defaults)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     """Run one subcommand: build its document, write it, exit 0, 2 or 3."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse parses --flag=-- as []
         parser.error("an option value cannot be '--'")

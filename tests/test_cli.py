@@ -1,7 +1,9 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import inspect
 import json
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
@@ -830,3 +834,63 @@ class TestEntryPoint:
             main(argv)
         assert exit_.value.code == 2
         assert "an option value cannot be '--'" in capsys.readouterr().err
+
+
+def _outcome(argv) -> tuple:
+    """(exit code, stdout, stderr) of one main call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# command names (also as values and as prefixes), separators, unknown and
+# abbreviated options, every option flag, and a few values
+_FLAGS = sorted({flag for _, options, _ in cli._SUBCOMMANDS.values() for flag, _ in options})
+_TOKENS = [
+    *cli._SUBCOMMANDS, "rep", "obs", "--", "-h", "--he", "-x", *_FLAGS, "--json",
+    "--r=report", "1", "0", "+", "-7/5", "--r=-7/5", "5/12,3/1", "1..2",
+]
+_ARGV_EXAMPLES = [
+    [], ["-h"], *([name, "-h"] for name in cli._SUBCOMMANDS), ["--", "report"],
+    ["-x", "report"], ["cf", "--r", "report"], ["rep", "--g", "1"], ["report", "--he"],
+]
+
+
+def _with_examples(test):
+    for argv in _ARGV_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+class TestParserFilter:
+    """main adds only the options of the subcommands its argv names."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+    @_with_examples
+    def test_same_outcome_as_the_full_parser(self, argv):
+        full = cli._build_parser
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("COLUMNS", "80")
+            patch.setattr(cli, "_build_parser", lambda _: full(list(cli._SUBCOMMANDS)))
+            expected = _outcome(argv)
+            patch.setattr(cli, "_build_parser", full)
+            assert _outcome(argv) == expected
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
+        argv = ["obstruction", "--g", "1", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["contactsurgery", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == expected
+
+    def test_tuple_argv(self, capsys):
+        assert main(["cf", "--r=-7/5"]) == 0
+        expected = capsys.readouterr()
+        assert main(("cf", "--r=-7/5")) == 0
+        assert capsys.readouterr() == expected

@@ -151,8 +151,9 @@ def test_subcommands(case):
 @given(
     st.lists(
         st.sampled_from(
-            ["convert", "report", "sweep", "cf", "--r", "--g", "--json", "-h", "--help",
-             "--count", "--entries", "--pairs", "-4/3", "--r=-4/3", "1", "0", "+"]
+            ["convert", "report", "sweep", "obstruction", "witness", "normalize", "cf", "rep",
+             "--r", "--g", "--json", "-h", "--help", "--he", "--count", "--entries", "--pairs",
+             "-4/3", "--r=-4/3", "1", "0", "+"]
         )
         | junk,
         max_size=6,
