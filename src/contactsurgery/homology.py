@@ -19,14 +19,16 @@ which leaves the k x k fiber block on the terminal vertices; its |det|
 is |E|, for the Euler numerator E below, read off the legs.  When E is
 nonzero a Smith elimination modulo |E| with generator tracking gives
 the invariant factors and a left transform S with entries in [0, |E|);
-a singular block (E = 0) takes the exact Smith form.  Every vertex's
-coordinates come on demand: the result keeps S's entries for each
-block generator and each leg's vertex multiples, and builds a vertex's
-coordinates only when they are read.  Those coordinates are relative
-to the basis the elimination picks, so they are fixed only up to an
-automorphism of the torsion group; orders of classes do not depend on
-that choice.  The cost is linear in the number of vertices plus one
-elimination of k rows on residues modulo |E|.
+a singular block (E = 0) takes the exact Smith form.  `homology` walks
+each leg once, for its ends alone, so the result holds O(k) state: the
+torsion and free rows of S and each leg's framings (shared with the
+presentation).  The vertex multiples are derived from the framings on
+the first read of a vertex's coordinates, walking each leg once more,
+and kept from then on.  Those coordinates are relative to the basis
+the elimination picks, so they are fixed only up to an automorphism of
+the torsion group; orders of classes do not depend on that choice.
+The cost is linear in the number of vertices plus one elimination of
+k rows on residues modulo |E|.
 
 mu_order, the order of the tracked class mu below, solves that core in
 closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
@@ -62,6 +64,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .contfrac import _neg_cf_entries
@@ -133,32 +136,40 @@ class FirstHomology:
     """H1 = Z^free_rank + sum Z/d for d in torsion (d_1 | d_2 | ...).
 
     Every meridian generator is an integer multiple a * e_r of a
-    generator e_r of the fiber block.  tracked holds one triple per
-    tracked block generator, in vertex order: the entries of column r of
-    the left transform S on the torsion rows and on the free rows, and
-    the multiples a of the vertices it carries.  On a nonsingular block
-    the entries are residues modulo |E|, which every torsion order
-    divides; on a singular one they come from the exact Smith form.  The
-    coordinates of a vertex are those entries times a, so they are
-    derived on demand: order(j) reads vertex j alone, and class_map and
-    free_map build every vertex's coordinates on each access.
-    Coordinates are taken in the basis the elimination picks, so they
-    are fixed only up to an automorphism of the group; the order of each
-    class is basis-free.
+    generator e_r of the fiber block: the centre is a_0 of the first
+    leg times e_0 (e_0 itself with no leg), and the vertices of leg r
+    are its multiples a_j times e_r.  torsion_rows and free_rows are the rows of the left
+    transform S on the torsion and on the free diagonal entries.  On a
+    nonsingular block their entries are residues modulo |E|, which every
+    torsion order divides; on a singular one they come from the exact
+    Smith form.  The coordinates of a vertex are column r of those rows
+    times a.  The multiples are walked off legs, the framings, on the
+    first read of order, class_map or free_map, and cached on the
+    instance, so reading every vertex stays linear.  Coordinates are
+    taken in the basis the elimination picks, so they are fixed only up
+    to an automorphism of the group; the order of each class is
+    basis-free.
     """
 
     free_rank: int
     torsion: tuple[int, ...]
-    tracked: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...] = field(
-        repr=False
-    )
+    torsion_rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    free_rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    legs: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def _tracked(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(r, multiples) for the centre, then for each leg r, in vertex order."""
+        walks = [_leg_multiples(leg) for leg in self.legs]
+        centre = (0, (walks[0][0] if walks else 1,))
+        return (centre, *((r, multiples) for r, (_, multiples) in enumerate(walks)))
 
     @property
     def class_map(self) -> tuple[tuple[int, ...], ...]:
         """Torsion coordinates of every meridian generator, reduced modulo each d."""
         return tuple(
-            tuple(c * a % d for c, d in zip(torsion_column, self.torsion))
-            for torsion_column, _, multiples in self.tracked
+            tuple(row[r] * a % d for row, d in zip(self.torsion_rows, self.torsion))
+            for r, multiples in self._tracked
             for a in multiples
         )
 
@@ -167,8 +178,8 @@ class FirstHomology:
         """Coordinates of every meridian generator on the cokernel copies of Z
         (empty unless the linking matrix is singular)."""
         return tuple(
-            tuple(c * a for c in free_column)
-            for _, free_column, multiples in self.tracked
+            tuple(row[r] * a for row in self.free_rows)
+            for r, multiples in self._tracked
             for a in multiples
         )
 
@@ -179,20 +190,21 @@ class FirstHomology:
         and computes vertex j's coordinates alone.
         """
         j = operator.index(j)
-        count = sum(len(multiples) for *_, multiples in self.tracked)
+        tracked = self._tracked
+        count = sum(len(multiples) for _, multiples in tracked)
         if not -count <= j < count:
             raise ConditionViolation(f"no meridian generator {j} among {count} vertices")
         j %= count
-        for torsion_column, free_column, multiples in self.tracked:
+        for r, multiples in tracked:
             if j < len(multiples):
                 break
             j -= len(multiples)
         a = multiples[j]
-        if any(c * a for c in free_column):
+        if any(row[r] * a for row in self.free_rows):
             raise ConditionViolation("meridian class has infinite order")
         order = 1
-        for c, d in zip(torsion_column, self.torsion):
-            order = math.lcm(order, d // math.gcd(c * a, d))
+        for row, d in zip(self.torsion_rows, self.torsion):
+            order = math.lcm(order, d // math.gcd(row[r] * a, d))
         return order
 
 
@@ -261,21 +273,31 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     diagonal; the centre is a_0 times t_1's column.  When E != 0, S and
     D come from the elimination modulo |E|, and AssertionError is raised
     unless the torsion multiplies to |E|; when E = 0, from the exact
-    Smith form.  The result keeps S's columns and the multiples a_j, and
-    derives a vertex's coordinates on access (see FirstHomology).
-    Linear in the vertex count, plus one elimination of k rows.
+    Smith form.  Each leg is walked once here and only its ends (a_0,
+    a_1) are kept; the result holds the rows of S and the legs, and
+    walks the multiples a_j on the first read of a vertex (see
+    FirstHomology).  Linear in the vertex count, plus one elimination of
+    k rows.
     """
-    tracked, ends = [], []
-    for i, leg in enumerate(p.legs):
-        after, a, tail = 0, 1, []
+    ends = []
+    for leg in p.legs:
+        after, a = 0, 1
         for framing in reversed(leg):
-            tail.append(a)
             after, a = a, -(framing * a + after)
-        tracked.append((i, tuple(reversed(tail))))
         ends.append((a, after))
     block, euler = _fiber_block(p.n, ends)
-    centre = (0, (ends[0][0] if ends else 1,))
-    return _cokernel(block, [centre, *tracked], p.free_rank, abs(euler))
+    return _cokernel(block, p.legs, p.free_rank, abs(euler))
+
+
+def _leg_multiples(leg: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(a_0, (a_1, ..., a_m)) of one leg: the recurrence of `homology`,
+    keeping every multiple."""
+    after, a, tail = 0, 1, []
+    for framing in reversed(leg):
+        tail.append(a)
+        after, a = a, -(framing * a + after)
+    tail.reverse()
+    return a, tuple(tail)
 
 
 def _check_presentable(inv: SeifertInvariants) -> None:
@@ -291,32 +313,28 @@ def _check_presentable(inv: SeifertInvariants) -> None:
             )
 
 
-def _cokernel(matrix, tracked, free_rank: int, modulus: int) -> FirstHomology:
-    """Z^free_rank plus the cokernel of a square matrix, tracking generators a * e_r.
+def _cokernel(matrix, legs, free_rank: int, modulus: int) -> FirstHomology:
+    """Z^free_rank plus the cokernel of a square matrix, tracking the star's vertices.
 
-    tracked holds (r, multiples) pairs, one for the centre and one per
-    leg: the next generators, in order, are a * e_r for a in multiples, a
-    tuple.  Generator rows, relation columns; see `homology` for how the
-    left transform gives the coordinates.  modulus is |det matrix|: when
-    it is nonzero the elimination runs modulo it, and 0 (a singular
-    matrix) takes the exact Smith form.  Column r of S is read once per
-    pair, on the torsion and free rows only; no vertex's coordinates are
-    built here.
+    Generator rows, relation columns; see `homology` for how the left
+    transform gives the coordinates.  modulus is |det matrix|: when it
+    is nonzero the elimination runs modulo it, and 0 (a singular
+    matrix) takes the exact Smith form.  The result keeps the torsion
+    rows and the free rows of S as the kernel returns them, and legs,
+    the framings the vertex multiples are walked from on first read;
+    no vertex's coordinates are built here.
     """
     if modulus:
         diagonal, left = _smith_form_mod(matrix, modulus)
     else:
         snf = smith_normal_form(matrix)
         diagonal, left = snf.diagonal, snf.left
-    torsion_rows = [i for i, d in enumerate(diagonal) if d > 1]
-    free_rows = [i for i, d in enumerate(diagonal) if d == 0]
     return FirstHomology(
-        free_rank=free_rank + len(free_rows),
-        torsion=tuple(diagonal[i] for i in torsion_rows),
-        tracked=tuple(
-            (tuple(left[i][r] for i in torsion_rows), tuple(left[i][r] for i in free_rows), multiples)
-            for r, multiples in tracked
-        ),
+        free_rank=free_rank + diagonal.count(0),
+        torsion=tuple(d for d in diagonal if d > 1),
+        torsion_rows=tuple(row for row, d in zip(left, diagonal) if d > 1),
+        free_rows=tuple(row for row, d in zip(left, diagonal) if d == 0),
+        legs=legs,
     )
 
 

@@ -2,9 +2,14 @@
 
 import importlib
 import itertools
+import json
 import math
 import random
+import tracemalloc
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +145,17 @@ class TestHomology:
             assert y % x == 0
 
 
+@dataclass(frozen=True)
+class _WholeMatrixHomology(FirstHomology):
+    """A FirstHomology whose vertex r is the block generator e_r itself."""
+
+    size: int = 0
+
+    @cached_property
+    def _tracked(self):
+        return tuple((r, (1,)) for r in range(self.size))
+
+
 def _whole_matrix_homology(rows, free_rank=0):
     """H1 of a raw linking matrix: one Smith form of the whole matrix.
 
@@ -150,7 +166,8 @@ def _whole_matrix_homology(rows, free_rank=0):
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("linking matrix must be square")
-    return homology_module._cokernel(rows, [(j, (1,)) for j in range(size)], free_rank, 0)
+    h = homology_module._cokernel(rows, (), free_rank, 0)
+    return _WholeMatrixHomology(**{f.name: getattr(h, f.name) for f in fields(h)}, size=size)
 
 
 def _raw(rows, free_rank=0):
@@ -371,8 +388,8 @@ STARS = {name: case for name, case in RAW_CASES.items() if isinstance(case, Seif
 
 
 class TestCoordinatesOnDemand:
-    """homology keeps the Smith entries and the leg multiples, and builds
-    no vertex's coordinates; order(j) computes vertex j alone."""
+    """homology keeps the rows of S and the legs, and builds no vertex's
+    coordinates; order(j) computes vertex j alone."""
 
     @pytest.fixture
     def no_maps(self, monkeypatch):
@@ -790,6 +807,79 @@ class TestHandBuiltStars:
         monkeypatch.setattr(homology_module, "_fiber_block", doubled)
         with pytest.raises(AssertionError, match="^invariant factors do not multiply"):
             homology(HAND_BUILT_STARS["positive_framings"])
+
+
+# class_map, free_map and order(j) for j in -size..size-1, generated by
+# the route that built every vertex multiple inside `homology` (9d8b4a7)
+HOMOLOGY_GOLDEN = json.loads(Path(__file__).with_name("homology_golden.json").read_text())
+PINNED = {
+    # 47 vertices, torsion (2, 80658288870)
+    "four_fibers": RAW_CASES["two_torsion_rows"],
+    # 102 vertices, a workload-sized leg of -2 to -5 framings beside two short ones
+    "three_fibers": SeifertInvariants(
+        2, 5, ((110081413156493234797605621011, 92972358013503184704439603671), (5, 2), (7, 5))
+    ),
+    # a head a_0 = 0 on the first leg: the centre is 0 * e_0
+    "zero_head": HAND_BUILT_STARS["zero_head"],
+    # E = 0: torsion (2, 2) and a free row
+    "positive_singular_with_torsion": HAND_BUILT_STARS["positive_singular_with_torsion"],
+}
+
+
+class TestVertexDataOnFirstRead:
+    """The result of `homology` holds O(k) state and walks each leg's
+    multiples once, on the first read of a vertex."""
+
+    @pytest.mark.parametrize("maps_first", [True, False])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_every_vertex_as_pinned(self, name, maps_first):
+        case, pin = PINNED[name], HOMOLOGY_GOLDEN[name]
+        p = case if isinstance(case, IntegralPresentation) else presentation(case)
+        h = homology(p)
+        size = 1 + sum(map(len, p.legs))
+        assert len(pin["orders"]) == 2 * size
+        assert (h.free_rank, list(h.torsion)) == (pin["free_rank"], pin["torsion"])
+        reads = [
+            (lambda: ([list(v) for v in h.class_map], [list(v) for v in h.free_map]),
+             (pin["class_map"], pin["free_map"])),
+            (lambda: [_outcome(lambda: h.order(j)) for j in range(-size, size)], pin["orders"]),
+        ]
+        if not maps_first:
+            reads.reverse()
+        for read, expected in reads * 2:  # the second round reads the cached multiples
+            assert read() == expected
+
+    def test_long_star_keeps_under_four_kilobytes(self):
+        p = presentation(LONG_STAR)
+        tracemalloc.start()
+        try:
+            h = homology(p)
+            kept, _ = tracemalloc.get_traced_memory()
+            assert h.order(-1) == 134703200959
+            read, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 4096
+        # 8,992 multiples below 3,000, about 36 bytes each, now cached on h
+        assert read - kept > 8992 * 32
+
+    def test_reading_every_vertex_walks_each_leg_once(self, monkeypatch):
+        walked = []
+        walk = homology_module._leg_multiples
+
+        def counted(leg):
+            walked.append(len(leg))
+            return walk(leg)
+
+        monkeypatch.setattr(homology_module, "_leg_multiples", counted)
+        p = presentation(LONG_STAR)
+        h = homology(p)
+        assert walked == []
+        orders = [h.order(j) for j in range(8992)]
+        assert walked == [2998, 2997, 2996]
+        assert orders[p.mu_index] == orders[0] == orders[-1] == 134703200959
+        assert len(h.class_map) == len(h.free_map) == 8992
+        assert walked == [2998, 2997, 2996]
 
 
 class TestC1Class:

@@ -375,3 +375,17 @@ class TestSmithFormModDet:
     def test_rejects_non_square(self, m):
         with pytest.raises(ConditionViolation, match="^matrix must be square$"):
             _smith_form_mod(m, 1)
+
+    # ragged: one row short of the size, or one row past it, in the middle
+    @pytest.mark.parametrize(
+        "m", [[[2, 1, 0], [1, 3], [0, 1, 2]], [[2, 1, 0], [1, 3, 1, 5], [0, 1, 2]]]
+    )
+    @pytest.mark.parametrize("modulus", [1, 7])
+    def test_rejects_ragged_rows(self, m, modulus):
+        with pytest.raises(ConditionViolation, match="^matrix must be square$"):
+            _smith_form_mod(m, modulus)
+
+    @pytest.mark.parametrize("m", [[[7.0]], [[2, 1], [1, 3.0]]])
+    def test_rejects_a_float_entry(self, m):
+        with pytest.raises(TypeError):
+            _smith_form_mod(m, 7)
