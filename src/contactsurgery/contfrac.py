@@ -92,24 +92,10 @@ def _neg_cf_entries(p: int, q: int) -> tuple[int, ...]:
 
     The integer Euclid loop behind `neg_cf_expand`, with its chain bound
     and no validation of the entries; callers that already hold a
-    coprime pair skip the Fraction round trip.  A run of -2 entries
-    takes one step: the entry is -2 exactly when 0 < s <= q for
-    s = -p - q, and the step (p, q) -> (-q, p + 2q) keeps s and lowers q
-    by s.  So the run is q // s entries long, or q - 1 when s = 1 (it
-    stops at q = 1), and it ends at q - run * s with p = -q - s.  The
-    chain bound is checked before the run is added.
+    coprime pair skip the Fraction round trip.
     """
     entries = []
     while q != 1:
-        s = -p - q
-        if 0 < s <= q:
-            run = q // s if s > 1 else q - 1
-            if len(entries) + run >= _CHAIN_LIMIT:  # the last entry is still to come
-                raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
-            entries += [-2] * run
-            q -= run * s
-            p = -q - s
-            continue
         c = p // q  # floor for negative p/q
         entries.append(c)
         if len(entries) == _CHAIN_LIMIT:  # the last entry is still to come

@@ -20,11 +20,12 @@ is |E|, for the Euler numerator E below, read off the legs.  When E is
 nonzero a Smith elimination modulo |E| with generator tracking gives
 the invariant factors and a left transform S with entries in [0, |E|);
 a singular block (E = 0) takes the exact Smith form.  `homology` walks
-each leg once, for its ends alone, so the result holds O(k) state: the
-torsion and free rows of S and each leg's framings (shared with the
-presentation).  The vertex multiples are derived from the framings on
-the first read of a vertex's coordinates, walking each leg once more,
-and kept from then on.  Those coordinates are relative to the basis
+each leg once, for its ends alone, and the result holds the torsion
+and free rows of S and each leg's framings (shared with the
+presentation), O(k * t) for t such rows, and keeps no vertex multiple.
+A vertex's multiple is walked off its leg when it is read: order(j)
+walks from the leg's terminal vertex to j, and class_map and free_map
+walk every leg once.  Those coordinates are relative to the basis
 the elimination picks, so they are fixed only up to an automorphism of
 the torsion group; orders of classes do not depend on that choice.
 The cost is linear in the number of vertices plus one elimination of
@@ -64,7 +65,6 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 
 from .contfrac import _neg_cf_entries
@@ -136,16 +136,20 @@ class FirstHomology:
     """H1 = Z^free_rank + sum Z/d for d in torsion (d_1 | d_2 | ...).
 
     Every meridian generator is an integer multiple a * e_r of a
-    generator e_r of the fiber block: the centre is a_0 of the first
-    leg times e_0 (e_0 itself with no leg), and the vertices of leg r
-    are its multiples a_j times e_r.  torsion_rows and free_rows are the rows of the left
-    transform S on the torsion and on the free diagonal entries.  On a
-    nonsingular block their entries are residues modulo |E|, which every
-    torsion order divides; on a singular one they come from the exact
-    Smith form.  The coordinates of a vertex are column r of those rows
-    times a.  The multiples are walked off legs, the framings, on the
-    first read of order, class_map or free_map, and cached on the
-    instance, so reading every vertex stays linear.  Coordinates are
+    generator e_r of the fiber block: the vertices of leg r are its
+    multiples a_j times e_r, the terminal one e_r itself, and the centre
+    is a_0 of the first leg times e_0 (e_0 itself with no leg).
+    torsion_rows and free_rows are the rows of the left transform S on
+    the torsion and on the free diagonal entries.  On a nonsingular
+    block their entries are residues modulo |E|, which every torsion
+    order divides; on a singular one they come from the exact Smith
+    form.  The coordinates of a vertex are column r of those rows times
+    a.  legs holds the framings the multiples are walked from, and no
+    multiple is kept, so the state stays O(k * t) for k legs and t
+    torsion and free rows, however many vertices are read.  order(j)
+    walks vertex j's leg from its terminal vertex to j alone (no step
+    for a terminal vertex such as the tracked meridian), and class_map
+    and free_map walk every leg once on each access.  Coordinates are
     taken in the basis the elimination picks, so they are fixed only up
     to an automorphism of the group; the order of each class is
     basis-free.
@@ -157,55 +161,67 @@ class FirstHomology:
     free_rows: tuple[tuple[int, ...], ...] = field(repr=False)
     legs: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    @cached_property
-    def _tracked(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(r, multiples) for the centre, then for each leg r, in vertex order."""
-        walks = [_leg_multiples(leg) for leg in self.legs]
-        centre = (0, (walks[0][0] if walks else 1,))
-        return (centre, *((r, multiples) for r, (_, multiples) in enumerate(walks)))
-
     @property
     def class_map(self) -> tuple[tuple[int, ...], ...]:
         """Torsion coordinates of every meridian generator, reduced modulo each d."""
         return tuple(
             tuple(row[r] * a % d for row, d in zip(self.torsion_rows, self.torsion))
-            for r, multiples in self._tracked
-            for a in multiples
+            for r, a in self._vertices()
         )
 
     @property
     def free_map(self) -> tuple[tuple[int, ...], ...]:
         """Coordinates of every meridian generator on the cokernel copies of Z
         (empty unless the linking matrix is singular)."""
-        return tuple(
-            tuple(row[r] * a for row in self.free_rows)
-            for r, multiples in self._tracked
-            for a in multiples
-        )
+        return tuple(tuple(row[r] * a for row in self.free_rows) for r, a in self._vertices())
 
     def order(self, j: int) -> int:
         """Order of the j-th meridian generator; raises if it has a free part.
 
         Indexes the vertices as class_map does, negative j from the end,
-        and computes vertex j's coordinates alone.
+        and computes vertex j's coordinates alone (see `_vertex`).
         """
-        j = operator.index(j)
-        tracked = self._tracked
-        count = sum(len(multiples) for _, multiples in tracked)
-        if not -count <= j < count:
-            raise ConditionViolation(f"no meridian generator {j} among {count} vertices")
-        j %= count
-        for r, multiples in tracked:
-            if j < len(multiples):
-                break
-            j -= len(multiples)
-        a = multiples[j]
+        r, a = self._vertex(j)
         if any(row[r] * a for row in self.free_rows):
             raise ConditionViolation("meridian class has infinite order")
         order = 1
         for row, d in zip(self.torsion_rows, self.torsion):
             order = math.lcm(order, d // math.gcd(row[r] * a, d))
         return order
+
+    def _vertices(self) -> Iterator[tuple[int, int]]:
+        """(r, a) for every vertex, in vertex order: one walk of each leg."""
+        if not self.legs:
+            yield 0, 1
+        for r, leg in enumerate(self.legs):
+            after, a, tail = 0, 1, []
+            for framing in reversed(leg):
+                tail.append(a)
+                after, a = a, -(framing * a + after)
+            if r == 0:
+                yield 0, a  # the centre
+            for a in reversed(tail):
+                yield r, a
+
+    def _vertex(self, j: int) -> tuple[int, int]:
+        """(r, a) for vertex j alone, negative j from the end.
+
+        Finds j's leg from the leg lengths and walks it from the terminal
+        vertex (a = 1) inwards to j: the centre is the first leg's
+        position -1, so it walks that whole leg.
+        """
+        j = operator.index(j)
+        count = 1 + sum(map(len, self.legs))
+        if not -count <= j < count:
+            raise ConditionViolation(f"no meridian generator {j} among {count} vertices")
+        if not self.legs:
+            return 0, 1
+        i = j % count - 1  # position in the leg; the centre is -1 in the first
+        for r, leg in enumerate(self.legs):
+            if i < len(leg):
+                break
+            i -= len(leg)
+        return r, _leg_end(leg[i + 1 :])[0]
 
 
 @dataclass(frozen=True)
@@ -273,31 +289,23 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     diagonal; the centre is a_0 times t_1's column.  When E != 0, S and
     D come from the elimination modulo |E|, and AssertionError is raised
     unless the torsion multiplies to |E|; when E = 0, from the exact
-    Smith form.  Each leg is walked once here and only its ends (a_0,
-    a_1) are kept; the result holds the rows of S and the legs, and
-    walks the multiples a_j on the first read of a vertex (see
-    FirstHomology).  Linear in the vertex count, plus one elimination of
-    k rows.
+    Smith form.  Each leg is walked once here for its ends (a_0, a_1)
+    alone; the result holds the rows of S and the legs, and walks a
+    vertex's multiple a_j when the vertex is read (see FirstHomology).
+    Linear in the vertex count, plus one elimination of k rows.
     """
-    ends = []
-    for leg in p.legs:
-        after, a = 0, 1
-        for framing in reversed(leg):
-            after, a = a, -(framing * a + after)
-        ends.append((a, after))
-    block, euler = _fiber_block(p.n, ends)
+    block, euler = _fiber_block(p.n, [_leg_end(leg) for leg in p.legs])
     return _cokernel(block, p.legs, p.free_rank, abs(euler))
 
 
-def _leg_multiples(leg: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(a_0, (a_1, ..., a_m)) of one leg: the recurrence of `homology`,
-    keeping every multiple."""
-    after, a, tail = 0, 1, []
-    for framing in reversed(leg):
-        tail.append(a)
+def _leg_end(framings: tuple[int, ...]) -> tuple[int, int]:
+    """(a_j, a_{j+1}) for framings c_{j+1}, ..., c_m, the tail of a leg
+    past vertex j: the recurrence of `homology`, walked in from the
+    terminal vertex (a_m = 1).  A whole leg gives (a_0, a_1)."""
+    after, a = 0, 1
+    for framing in reversed(framings):
         after, a = a, -(framing * a + after)
-    tail.reverse()
-    return a, tuple(tail)
+    return a, after
 
 
 def _check_presentable(inv: SeifertInvariants) -> None:
@@ -321,7 +329,7 @@ def _cokernel(matrix, legs, free_rank: int, modulus: int) -> FirstHomology:
     is nonzero the elimination runs modulo it, and 0 (a singular
     matrix) takes the exact Smith form.  The result keeps the torsion
     rows and the free rows of S as the kernel returns them, and legs,
-    the framings the vertex multiples are walked from on first read;
+    the framings a vertex's multiple is walked from when it is read;
     no vertex's coordinates are built here.
     """
     if modulus:

@@ -222,15 +222,13 @@ def _smith_form_mod(matrix, modulus: int) -> tuple[tuple[int, ...], tuple[tuple[
     m = operator.index(modulus)
     if m <= 0:
         raise ConditionViolation("modulus must be a positive integer")
-    size = len(matrix)
-    a = []
-    for i, row in enumerate(matrix):  # row i of A, then row i of S = I
-        row = [operator.index(x) % m for x in row]
-        if len(row) != size:
-            raise ConditionViolation("matrix must be square")
-        row += [0] * size
-        row[size + i] = 1 % m
-        a.append(row)
+    a = [[operator.index(x) % m for x in row] for row in matrix]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ConditionViolation("matrix must be square")
+    unit = 1 % m
+    for i, row in enumerate(a):  # row i of A, then row i of S = I
+        row += [unit if i == j else 0 for j in range(size)]
     half = m // 2
     for k in range(size):
         while True:

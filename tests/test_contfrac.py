@@ -1,17 +1,14 @@
 """Negative continued fraction expansion and evaluation."""
 
-import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from contactsurgery.contfrac import (
     _CHAIN_LIMIT,
     NegContinuedFraction,
-    _neg_cf_entries,
     neg_cf_expand,
     neg_cf_value,
     stabilization_counts,
@@ -177,74 +174,3 @@ class TestChainBound:
             neg_cf_expand(Fraction(-1, q))
         with pytest.raises(ConditionViolation, match="more than 3000 entries"):
             neg_cf_expand(Fraction(-q - 1, q))
-
-
-def _one_step_entries(p, q):
-    """The Euclid loop one entry per step, with the chain bound checked per entry."""
-    entries = []
-    while q != 1:
-        c = p // q
-        entries.append(c)
-        if len(entries) == _CHAIN_LIMIT:
-            raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
-        p, q = -q, p - c * q
-    entries.append(p)
-    return tuple(entries)
-
-
-def _outcome(p, q, expand):
-    try:
-        return expand(p, q)
-    except ConditionViolation as error:
-        return str(error)
-
-
-class TestRunsOfMinusTwo:
-    """_neg_cf_entries adds a whole run of -2 entries in one step."""
-
-    def test_every_small_coprime_pair(self):
-        for alpha in range(1, 401):
-            for beta in range(1, alpha + 1):
-                if math.gcd(alpha, beta) == 1:
-                    assert _neg_cf_entries(-alpha, beta) == _one_step_entries(-alpha, beta)
-
-    @given(st.integers(1, 10**30), st.integers(1, 10**30))
-    @example(1, 10**30)
-    @example(10**30 + 1, 10**30)
-    @example(2 * 10**30 - 1, 10**30)
-    def test_large_pairs(self, p, q):
-        g = math.gcd(p, q)
-        p, q = -p // g, q // g
-        assert _outcome(p, q, _neg_cf_entries) == _outcome(p, q, _one_step_entries)
-
-    @given(
-        st.lists(
-            st.one_of(st.integers(1, 1200).map(lambda k: (-2,) * k), st.just((-3,))),
-            min_size=1,
-            max_size=6,
-        ).map(lambda chunks: sum(chunks, ()))
-    )
-    @example((-2,) * 1500 + (-3,) + (-2,) * 1499)
-    @example((-3,) + (-2,) * 2999)
-    @example((-2,) * 2999 + (-3,))
-    @example((-2,) * 1500 + (-3,) + (-2,) * 1500)
-    def test_long_runs_beside_minus_three(self, tail):
-        # a head of -2 keeps the value below -1, as every leg of `presentation` is
-        value = neg_cf_value(NegContinuedFraction(tail))
-        p, q = value.numerator, value.denominator
-        expected = tail if len(tail) <= _CHAIN_LIMIT else "the expansion has more than 3000 entries"
-        assert _outcome(p, q, _neg_cf_entries) == _outcome(p, q, _one_step_entries) == expected
-
-    def test_at_the_chain_bound(self):
-        assert _neg_cf_entries(-3001, 3000) == (-2,) * _CHAIN_LIMIT
-
-    def test_one_past_the_chain_bound_builds_no_long_list(self):
-        # a list of 3,001 entries takes over 24 KB; the bound is checked first
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConditionViolation, match="^the expansion has more than 3000"):
-                _neg_cf_entries(-3002, 3001)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 1024
