@@ -28,17 +28,23 @@ share the same history (the column of values already placed above),
 coordinates must not increase, and on columns with all-zero history
 they must be nonnegative.  Every embedding is column-equivalent to
 exactly one canonical assignment, so an empty search certifies
-non-embeddability for every m.  The search has a fixed work bound: past
-_NODE_BUDGET nodes it raises SearchExhausted rather than run on, since
-on dense forms of rank 6 it can take millions of nodes; lambda_q stays
-within it up to q = 200.
+non-embeddability for every m.  The fresh columns, those with all-zero
+history, are always a suffix and one class, so a vector takes positive
+values there and then zeros; it reaches at most its norm of them, and
+the search never needs the bound m itself.  The search has a fixed work
+bound: past _NODE_BUDGET nodes it raises SearchExhausted rather than
+run on, since on dense forms of rank 6 it can take millions of nodes;
+lambda_q stays within it up to q = 496.
 
 The search runs on an explicit stack, so no rank reaches Python's
-recursion limit; its order and cut are those of a plain recursion over
-columns, so the first embedding found, or None, is the same.  It keeps
+recursion limit; its order is that of a plain recursion over columns,
+and its cuts skip only subtrees that hold no embedding, so the first
+embedding found, or None, is the same.  It keeps
 only the nonzero column entries and the nonzero remaining dots, so a
-node costs O(nonzeros), not O(rank): on lambda_q, where a vector meets
-one or two placed rows, the search grows about as q^2.
+node costs O(nonzeros), not O(rank).  On lambda_q, where a vector meets
+one or two placed rows, each vector still walks the used columns, most
+of them at the forced value 0, so the search grows about as 4 q^2
+nodes.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ from .errors import ConditionViolation, SearchExhausted
 from .homology import IntegralPresentation, presentation
 from .seifert import SeifertInvariants, d_range
 
-# search nodes before the search gives up; lambda_q takes 40,441 at
-# q = 40 and 982,549 at q = 200
+# search nodes before the search gives up; lambda_q takes 7,320 at
+# q = 40, 164,792 at q = 200 and 996,064 at q = 496, the last q within it
 _NODE_BUDGET = 1_000_000
 
 __all__ = [
@@ -177,20 +183,34 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     SearchExhausted once the search passes _NODE_BUDGET nodes, with no
     answer either way.
 
-    The search is depth first on an explicit stack, one frame per open
-    column of the vector being placed: [column, next value, upper bound,
+    The search is depth first on an explicit stack, one frame per column
+    of each vector on the current path: [column, next value, upper bound,
     norm left, dots left], the dots a dict of the nonzero remaining
-    Euclidean dots by placed row.  Each placed row is entered once into
-    column views: the nonzero (row, value) pairs of every column's
-    history, and the row's squared length after each column, which is
-    all the Cauchy-Schwarz cut needs.  A value updates the dots only
-    where the column's history is nonzero, and the cut runs only over
-    the nonzero dots, since a zero dot always passes, so a node costs
-    O(nonzeros) rather than O(rank).  When a vector's placement starts,
-    whether each column shares the previous column's class and whether
-    it is fresh follow from the last row in one pass over the columns.
-    Once the norm is used up, the rest of the row is forced to zero and
-    the row is accepted or rejected at once.
+    Euclidean dots by placed row.  A row is read off its frames' values
+    when it is placed, and it stops at its last nonzero entry.  The rows
+    placed use a prefix of the columns; every later column is fresh, and
+    the fresh columns form one class.  Each placed row is entered once
+    into views of the used columns: the nonzero (row, value) pairs of
+    every column's history, the rows whose last nonzero entry is there,
+    and the row's squared length after each column, which is all the
+    Cauchy-Schwarz cut needs.  A value updates the dots only where the
+    column's history is nonzero, and the cut runs only over the nonzero
+    dots, since a zero dot always passes, so a node costs O(nonzeros)
+    rather than O(rank).
+
+    Two rules skip subtrees that hold no embedding.  A row h that ends
+    at a column must settle its dot d there, so the column takes the one
+    value d / h, or none when h does not divide d.  A fresh column takes
+    no zero: the fresh class is nonnegative and non-increasing, so after
+    a zero the rest of the row is zero, with norm still to place.  A
+    column left with no value opens no frame, except a vector's column
+    0, whose give-up reopens the vector before.  When a vector's
+    placement starts, whether each used column shares the previous
+    column's class follows from the last row in one pass over the used
+    columns, so the state of the search is O(rank x used columns) plus
+    one frame per column reached, whatever the diagonal.  Once the norm
+    is used up, the rest of the row is forced to zero and the row is
+    accepted or rejected at once.
     """
     if not is_negative_definite(lattice):
         raise ConditionViolation("embedding search needs a negative definite form")
@@ -223,101 +243,144 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
     if rank == 0:
         yield DiagonalEmbedding(vectors=()), 0
         return 0
-    columns = sum(-gram[i][i] for i in range(rank))
+    # the placed rows stop at their last nonzero entry, and the columns
+    # they use are a prefix 0..used-1: every later column is fresh
     placed: list[list[int]] = []
-    # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero
-    history: list[list[tuple[int, int]]] = [[] for _ in range(columns)]
+    # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero;
+    # ends[c]: those of the rows whose last nonzero entry is at c
+    history: list[list[tuple[int, int]]] = []
+    ends: list[list[tuple[int, int]]] = []
     tails: list[list[int]] = []  # tails[j][c] = |placed[j][c+1:]|^2
-    levels: list[tuple] = []  # per open vector: coordinates, same, fresh
+    same: list[bool] = []  # same[c]: columns c - 1 and c share their history
+    used = 0
+    levels = [same]  # the class marks of each open vector
+    base = 0  # the stack index of the open vector's column 0
     stack: list[list] = []
-
-    def open_vector(i: int, same: list[bool], fresh: list[bool]) -> tuple:
-        levels.append(([0] * columns, same, fresh))
-        norm = -gram[i][i]
-        bound = math.isqrt(norm)
-        targets = {j: -gram[j][i] for j in range(i) if gram[j][i]}  # required Euclidean dots
-        stack.append([0, 0 if fresh[0] else -bound, bound, norm, targets])
-        return levels[-1]
-
-    vector, same, fresh = open_vector(0, [False] + [True] * (columns - 1), [True] * columns)
     budget = _NODE_BUDGET
+    isqrt = math.isqrt
     nodes = 0
-    while stack:
-        nodes += 1
-        if nodes > budget:
-            raise SearchExhausted(f"embedding search gave up after {budget} nodes")
-        frame = stack[-1]
-        col, value, high, norm_left, dots = frame
-        if value > high:
-            stack.pop()
-            vector[col] = 0
-            if col == 0 and placed:  # vector exhausted: reopen the one before
-                levels.pop()
-                tails.pop()
-                for c, x in enumerate(placed.pop()):
-                    if x:
-                        history[c].pop()
-                vector, same, fresh = levels[-1]
-            continue
-        frame[1] = value + 1
-        vector[col] = value
-        left = norm_left - value * value
-        if value and history[col]:
-            dots = dots.copy()
-            for j, h in history[col]:
-                d = dots.pop(j, 0) - value * h
-                if d:
-                    dots[j] = d
-        # Cauchy-Schwarz cut: remaining dot d against a row of remaining
-        # squared length t needs d^2 <= t * left, which a zero dot always
-        # meets, so only the nonzero dots are kept and checked
-        cut = False
-        for j, d in dots.items():
-            if d * d > tails[j][col] * left:
-                cut = True
-                break
-        if cut:
-            continue
-        nxt = col + 1
-        if left == 0:
+    nxt, value, left, dots = 0, 0, -gram[0][0], {}
+    while True:
+        # open the frame of column nxt for a vector of norm left and
+        # remaining dots `dots`, the previous column holding `value`
+        bound = isqrt(left)
+        if nxt < used:
+            # non-increasing within the previous column's history class
+            low = -bound
+            high = value if same[nxt] and value < bound else bound
+            if ends[nxt]:
+                # a row that ends here must settle its dot here
+                j, h = ends[nxt][0]
+                forced, rest = divmod(dots.get(j, 0), h)
+                if rest or not low <= forced <= high:
+                    low = high + 1
+                else:
+                    low = high = forced
+        else:
+            # a fresh column takes a positive value, non-increasing after
+            # the first: after a zero the rest of the row would be zero,
+            # with norm left to place
+            low = 1
+            high = value if nxt > used and value < bound else bound
+        if low <= high or nxt == 0:  # column 0's give-up reopens the vector before
+            stack.append([nxt, low, high, left, dots])
+        while stack:
+            nodes += 1
+            if nodes > budget:
+                raise SearchExhausted(f"embedding search gave up after {budget} nodes")
+            frame = stack[-1]
+            col, value, high, norm_left, dots = frame
+            if value > high:
+                stack.pop()
+                if col == 0 and placed:  # vector exhausted: reopen the one before
+                    levels.pop()
+                    same = levels[-1]
+                    used = len(same)
+                    row = placed.pop()
+                    base -= len(row)  # a row has one frame per entry
+                    tails.pop()
+                    for c, x in enumerate(row):
+                        if x:
+                            history[c].pop()
+                    ends[len(row) - 1].pop()
+                    del history[used:], ends[used:]
+                continue
+            frame[1] = value + 1
+            left = norm_left - value * value
+            if col < used:
+                if value:
+                    dots = dots.copy()
+                    for j, h in history[col]:
+                        d = dots.pop(j, 0) - value * h
+                        if d:
+                            dots[j] = d
+                # Cauchy-Schwarz cut: remaining dot d against a row of
+                # remaining squared length t needs d^2 <= t * left, which
+                # a zero dot always meets, so only the nonzero dots are
+                # kept and checked; past the used columns none is left
+                cut = False
+                for j, d in dots.items():
+                    if d * d > tails[j][col] * left:
+                        cut = True
+                        break
+                if cut:
+                    continue
+            nxt = col + 1
+            if left:
+                break  # open column nxt
             # the rest of the row is zero, and the cut has made every dot
             # 0; a zero is refused only right after a negative value in
             # the same class, by the non-increasing rule
-            if nxt < columns and same[nxt] and value < 0:
+            if nxt < used and same[nxt] and value < 0:
                 continue
-            if len(placed) + 1 == rank:
-                yield DiagonalEmbedding(vectors=_trim([*map(tuple, placed), tuple(vector)])), nodes
+            row = [top[1] - 1 for top in stack[base:]]
+            i = len(placed)
+            if i + 1 == rank:
+                yield DiagonalEmbedding(vectors=_pad([*placed, row])), nodes
                 continue
-            row = vector[:]
             placed.append(row)
-            tail = [0] * columns
+            if len(row) > used:
+                history.extend([] for _ in range(len(row) - used))
+                ends.extend([] for _ in range(len(row) - used))
+            tail = []
             after = 0
-            for c in range(columns - 1, -1, -1):
-                tail[c] = after
-                if row[c]:
-                    history[c].append((len(placed) - 1, row[c]))
-                    after += row[c] * row[c]
+            for c in range(len(row) - 1, -1, -1):
+                tail.append(after)
+                x = row[c]
+                if x:
+                    history[c].append((i, x))
+                    after += x * x
+            tail.reverse()
             tails.append(tail)
-            vector, same, fresh = open_vector(
-                len(placed),
-                [False] + [same[c] and row[c - 1] == row[c] for c in range(1, columns)],
-                [f and not x for f, x in zip(fresh, row)],
-            )
-        elif nxt < columns:
-            bound = math.isqrt(left)
-            # sign symmetry of unused columns; non-increasing within the
-            # previous column's history class
-            low = 0 if fresh[nxt] else -bound
-            high = min(bound, value) if same[nxt] else bound
-            stack.append([nxt, low, high, left, dots])
-    return nodes
+            ends[len(row) - 1].append((i, row[-1]))
+            same = _classes(same, row)
+            used = len(same)
+            levels.append(same)
+            base = len(stack)
+            i += 1
+            nxt, left = 0, -gram[i][i]
+            dots = {j: -gram[j][i] for j in range(i) if gram[j][i]}  # required Euclidean dots
+            break
+        else:
+            return nodes
 
 
-def _trim(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    used = max(
-        (i + 1 for v in vectors for i, x in enumerate(v) if x != 0), default=1
-    )
-    return tuple(v[:used] for v in vectors)
+def _classes(same: list[bool], row: list[int]) -> list[bool]:
+    """The class marks of the columns once `row` is placed: column c
+    stays in column c - 1's class when it was there and the row's two
+    entries agree.  The fresh columns the row takes form one new class."""
+    used = len(same)
+    if len(row) > used:
+        same = [*same, False, *[True] * (len(row) - used - 1)]
+    else:
+        row = row + [0] * (used - len(row))
+    return [False] + [s and a == b for s, a, b in zip(same[1:], row, row[1:])]
+
+
+def _pad(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as vectors of one length: the columns any of them uses."""
+    width = max(map(len, rows))
+    return tuple(tuple(row + [0] * (width - len(row))) for row in rows)
 
 
 def lambda_q_certificate(q: int) -> IntegralPresentation:

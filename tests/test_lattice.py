@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -89,10 +90,97 @@ def _recursive_search(lattice: Lattice) -> DiagonalEmbedding | None:
         sys.setrecursionlimit(limit)
 
 
+def _frozen_embeddings(lattice: Lattice):
+    """The search as it was before the zero-tail and forced-value cuts,
+    frozen, with no node budget: every vector keeps coordinates, class
+    marks and row tails over all m = sum |gram_ii| columns, tries 0 on a
+    fresh column and every value in range on a column where a placed row
+    ends.  It walks the subtrees the cuts skip, so it yields the same
+    canonical embeddings in the same order, in more nodes."""
+    gram = lattice.gram
+    rank = lattice.rank
+    if rank == 0:
+        yield DiagonalEmbedding(vectors=()), 0
+        return 0
+    columns = sum(-gram[i][i] for i in range(rank))
+    placed = []
+    history = [[] for _ in range(columns)]
+    tails = []
+    levels = []
+    stack = []
+
+    def open_vector(i, same, fresh):
+        levels.append(([0] * columns, same, fresh))
+        norm = -gram[i][i]
+        bound = math.isqrt(norm)
+        targets = {j: -gram[j][i] for j in range(i) if gram[j][i]}
+        stack.append([0, 0 if fresh[0] else -bound, bound, norm, targets])
+        return levels[-1]
+
+    vector, same, fresh = open_vector(0, [False] + [True] * (columns - 1), [True] * columns)
+    nodes = 0
+    while stack:
+        nodes += 1
+        frame = stack[-1]
+        col, value, high, norm_left, dots = frame
+        if value > high:
+            stack.pop()
+            vector[col] = 0
+            if col == 0 and placed:
+                levels.pop()
+                tails.pop()
+                for c, x in enumerate(placed.pop()):
+                    if x:
+                        history[c].pop()
+                vector, same, fresh = levels[-1]
+            continue
+        frame[1] = value + 1
+        vector[col] = value
+        left = norm_left - value * value
+        if value and history[col]:
+            dots = dots.copy()
+            for j, h in history[col]:
+                d = dots.pop(j, 0) - value * h
+                if d:
+                    dots[j] = d
+        if any(d * d > tails[j][col] * left for j, d in dots.items()):
+            continue
+        nxt = col + 1
+        if left == 0:
+            if nxt < columns and same[nxt] and value < 0:
+                continue
+            if len(placed) + 1 == rank:
+                vectors = [*map(tuple, placed), tuple(vector)]
+                used = max(i + 1 for v in vectors for i, x in enumerate(v) if x)
+                yield DiagonalEmbedding(vectors=tuple(v[:used] for v in vectors)), nodes
+                continue
+            row = vector[:]
+            placed.append(row)
+            tail = [0] * columns
+            after = 0
+            for c in range(columns - 1, -1, -1):
+                tail[c] = after
+                if row[c]:
+                    history[c].append((len(placed) - 1, row[c]))
+                    after += row[c] * row[c]
+            tails.append(tail)
+            vector, same, fresh = open_vector(
+                len(placed),
+                [False] + [same[c] and row[c - 1] == row[c] for c in range(1, columns)],
+                [f and not x for f, x in zip(fresh, row)],
+            )
+        elif nxt < columns:
+            bound = math.isqrt(left)
+            low = 0 if fresh[nxt] else -bound
+            high = min(bound, value) if same[nxt] else bound
+            stack.append([nxt, low, high, left, dots])
+    return nodes
+
+
 @st.composite
-def planted_lattices(draw):
+def planted_lattices(draw, max_rank=6):
     """Gram = -V V^T of integer rows: embeddable whenever definite."""
-    rank = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, max_rank))
     width = draw(st.integers(1, 6))
     rows = draw(
         st.lists(
@@ -171,16 +259,24 @@ def leading_minors_alternate(gram) -> bool:
     )
 
 
-# E6: the star of (-2)-vectors with legs 1, 2, 2 around vertex 0; the
-# root lattices in a diagonal lattice are sums of A_n and D_n
-E6 = (
-    (-2, 1, 1, 0, 1, 0),
-    (1, -2, 0, 0, 0, 0),
-    (1, 0, -2, 1, 0, 0),
-    (0, 0, 1, -2, 0, 0),
-    (1, 0, 0, 0, -2, 1),
-    (0, 0, 0, 0, 1, -2),
-)
+def root_star(*legs):
+    """The Gram matrix of the star of (-2)-vectors with legs of the given
+    lengths around vertex 0, each leg numbered outwards: D_k has legs
+    1, 1, k - 3 and E_n has legs 1, 2, n - 4."""
+    rank = 1 + sum(legs)
+    gram = [[-2 * (i == j) for j in range(rank)] for i in range(rank)]
+    k = 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            gram[prev][k] = gram[k][prev] = 1
+            prev, k = k, k + 1
+    return tuple(map(tuple, gram))
+
+
+# E6 embeds in no diagonal lattice: the root lattices in a diagonal
+# lattice are sums of A_n and D_n
+E6 = root_star(1, 2, 2)
 
 
 def assert_sound(embedding, lattice):
@@ -476,33 +572,63 @@ class TestSearchMatchesRecursiveReference:
         assert self.check(lambda_q(q)) is None
 
 
+# q: the nodes of the whole search of lambda_q, by the frozen search and
+# by the search
+LAMBDA_Q_NODES = {
+    3: (241, 84),
+    4: (429, 134),
+    5: (677, 194),
+    6: (969, 260),
+    7: (1309, 334),
+    8: (1697, 416),
+    9: (2145, 510),
+    10: (2651, 610),
+}
+
+# gram: the nodes to the first embedding, by the frozen search and by the
+# search
+FIXED_LATTICE_NODES = {
+    (): (0, 0),
+    ((-1,),): (2, 1),
+    ((-2,),): (6, 2),
+    ((-2, 1), (1, -2)): (23, 6),
+    ((-2, 1), (1, -1)): (13, 5),
+    ((-2, 1, 1, 1), (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2)): (68, 14),
+    E6: (218, 78),
+}
+
+
+def frozen_search(lattice):
+    """_search by the frozen search: the first embedding, or None, and
+    the nodes spent."""
+    try:
+        return next(_frozen_embeddings(lattice))
+    except StopIteration as done:
+        return None, done.value
+
+
 class TestSearchNodeCounts:
-    """The search visits as many nodes (steps of its loop) as it always
-    has.  A cut that prunes less returns the same answers, so only these
-    counts tell it apart."""
+    """The search visits as many nodes (steps of its loop) as pinned
+    here, and the frozen search as many as it always has.  A cut that
+    prunes less returns the same answers, so only these counts tell it
+    apart."""
 
     @pytest.mark.parametrize(
-        "q, nodes",
-        [(3, 241), (4, 429), (5, 677), (6, 969), (7, 1309), (8, 1697), (9, 2145), (10, 2651)],
+        "q, frozen_nodes", [(q, frozen) for q, (frozen, _) in LAMBDA_Q_NODES.items()]
     )
-    def test_lambda_q(self, q, nodes):
-        assert _search(lambda_q(q)) == (None, nodes)
+    def test_lambda_q(self, q, frozen_nodes):
+        assert frozen_search(lambda_q(q)) == (None, frozen_nodes)
+        assert _search(lambda_q(q)) == (None, LAMBDA_Q_NODES[q][1])
 
     @pytest.mark.parametrize(
-        "gram, nodes",
-        [
-            ((), 0),
-            (((-1,),), 2),
-            (((-2,),), 6),
-            (((-2, 1), (1, -2)), 23),
-            (((-2, 1), (1, -1)), 13),
-            (((-2, 1, 1, 1), (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2)), 68),
-            (E6, 218),
-        ],
+        "gram, frozen_nodes",
+        [(gram, frozen) for gram, (frozen, _) in FIXED_LATTICE_NODES.items()],
     )
-    def test_fixed_lattices(self, gram, nodes):
+    def test_fixed_lattices(self, gram, frozen_nodes):
         lattice = Lattice(gram=gram, rank=len(gram))
-        assert _search(lattice) == (embeds_in_diagonal(lattice), nodes)
+        found = embeds_in_diagonal(lattice)
+        assert frozen_search(lattice) == (found, frozen_nodes)
+        assert _search(lattice) == (found, FIXED_LATTICE_NODES[gram][1])
 
 
 # a planted rank-6 form, -V V^T, with V entries in {0, +-1, 2}: it
@@ -533,22 +659,41 @@ class TestNodeBudget:
             embeds_in_diagonal(lattice)
 
     def test_budget_is_far_above_lambda_40(self):
-        assert _search(lambda_q(40)) == (None, 40441)
-        assert lattice_module._NODE_BUDGET >= 20 * 40441
+        assert _search(lambda_q(40)) == (None, 7320)
+        assert lattice_module._NODE_BUDGET >= 100 * 7320
 
     def test_the_last_node_within_the_budget_answers(self, monkeypatch):
-        # [DERIVED] the whole search of lambda_3 takes 241 nodes
-        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 241)
-        assert _search(lambda_q(3)) == (None, 241)
-        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 240)
-        with pytest.raises(SearchExhausted, match="after 240 nodes"):
+        # [DERIVED] the whole search of lambda_3 takes 84 nodes: 4, 8, 14,
+        # 24, 18 and 16 with v_1, v_2, v_3, v_4, v_5 and w the vector being
+        # placed; v_1 = (1, 1) takes 4, one value and one give-up at each
+        # of its two columns
+        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 84)
+        assert _search(lambda_q(3)) == (None, 84)
+        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 83)
+        with pytest.raises(SearchExhausted, match="after 83 nodes"):
             _search(lambda_q(3))
 
+    def test_memory_follows_the_nodes_not_the_diagonal(self, monkeypatch):
+        # w = -e_1 + e_2 + ... + e_(10^6) embeds ((-1, 1), (1, -10^6)), but
+        # the search would reach it only at node 10^6 + 1: the search state
+        # stays to the columns it reaches, not the 10^6 + 1 the diagonal
+        # allows
+        monkeypatch.setattr(lattice_module, "_NODE_BUDGET", 10**4)
+        lattice = Lattice(gram=((-1, 1), (1, -(10**6))), rank=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchExhausted, match="after 10000 nodes"):
+                embeds_in_diagonal(lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
 
-def canonical_embeddings(lattice):
+
+def canonical_embeddings(lattice, embeddings=_embeddings):
     """Every canonical embedding the search yields, in order, and the
     node count of the whole search."""
-    found, search = [], _embeddings(lattice)
+    found, search = [], embeddings(lattice)
     while True:
         try:
             found.append(next(search)[0])
@@ -592,11 +737,11 @@ class TestChainLemma:
             assert [len(e.vectors[0]) for e in found] == [3, 4]
 
     @pytest.mark.parametrize(
-        "q, nodes",
-        [(3, 241), (4, 429), (5, 677), (6, 969), (7, 1309), (8, 1697), (9, 2145), (10, 2651)],
+        "q, frozen_nodes", [(q, frozen) for q, (frozen, _) in LAMBDA_Q_NODES.items()]
     )
-    def test_lambda_q_has_no_embedding(self, q, nodes):
-        assert canonical_embeddings(lambda_q(q)) == ([], nodes)
+    def test_lambda_q_has_no_embedding(self, q, frozen_nodes):
+        assert canonical_embeddings(lambda_q(q), _frozen_embeddings) == ([], frozen_nodes)
+        assert canonical_embeddings(lambda_q(q)) == ([], LAMBDA_Q_NODES[q][1])
 
     def test_search_agrees_with_the_certificate(self):
         # the two routes to "lambda_q embeds nowhere", for every q the
@@ -604,6 +749,42 @@ class TestChainLemma:
         for q in range(3, 41):
             assert _search(lambda_q(q))[0] is None
             assert 1 + sum(map(len, lambda_q_certificate(q).legs)) == lambda_q(q).rank == 2 * q
+
+
+class TestSameEmbeddingsAsTheFrozenSearch:
+    """The search yields the frozen search's canonical embeddings, all of
+    them and in the same order, in no more nodes: the zero-tail and
+    forced-value cuts skip only subtrees that hold no embedding, and the
+    state kept to the used columns changes no step."""
+
+    def check(self, lattice):
+        found, nodes = canonical_embeddings(lattice)
+        frozen, frozen_nodes = canonical_embeddings(lattice, _frozen_embeddings)
+        assert found == frozen
+        assert nodes <= frozen_nodes
+        return found
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_a_k(self, k):
+        assert self.check(chain(k))
+
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_d_k(self, k):
+        assert self.check(Lattice(gram=root_star(1, 1, k - 3), rank=k))
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_e_n(self, n):
+        assert self.check(Lattice(gram=root_star(1, 2, n - 4), rank=n)) == []
+
+    @pytest.mark.parametrize("q", range(3, 9))
+    def test_lambda_q(self, q):
+        assert self.check(lambda_q(q)) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_lattices(max_rank=5))
+    def test_planted(self, lattice):
+        assume(is_negative_definite(lattice))
+        assert self.check(lattice)
 
 
 def _mutated_presentation(change):
