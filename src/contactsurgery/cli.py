@@ -188,18 +188,17 @@ def run_sweep(
     through check_admissible: admissible_points checks its (g, n, alpha)
     once and yields only the rotations that check accepts, and the long
     core still asserts rho in (0, 1) at every point.  The gap law is read
-    from the identity comparison itself, never from gauge.d3_numerators:
-    gap - (2g + 1) long_den closed_den = long_num closed_den -
-    closed_num long_den, so the gap is 2g + 1 exactly when the routes
-    agree, and a failed identity is recorded as omega_identity and then
-    gap_law, each counted once per point.  Counts are exact and added up
-    per (g, n, alpha) block; any failure is recorded with its
-    coordinates.  Before any evaluation the work is counted from the
-    ranges: 2*sum(alpha) points per (g, n) and one mu order per
-    (g, alpha) block, or one empty block per g when the alpha range is
-    empty.  Above _SWEEP_POINT_LIMIT points or _SWEEP_BLOCK_LIMIT blocks
-    it raises ConditionViolation, and so it does for g < 1, after the
-    size check.
+    from the identity comparison itself, never from gauge.d3_certificate:
+    by the algebra in that function's docstring, the gap is 2g + 1
+    exactly when the routes agree, so a failed identity is recorded as
+    omega_identity and then gap_law, each counted once per point.
+    Counts are exact and added up per (g, n, alpha) block; any failure
+    is recorded with its coordinates.  Before any evaluation the work is
+    counted from the ranges: 2*sum(alpha) points per (g, n) and one mu
+    order per (g, alpha) block, or one empty block per g when the alpha
+    range is empty.  Above _SWEEP_POINT_LIMIT points or
+    _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation, and so it
+    does for g < 1, after the size check.
     """
 
     def size(low: int, high: int) -> int:

@@ -21,16 +21,14 @@ only constructs Fractions.  The long form is never reduced
 algebraically into the closed one, so the check stays a comparison of
 two routes.
 
-d3_numerators is the one source of the d3 invariants: from one value of
-each route, given as integer numerator and denominator, it takes the d3
-of the contact structure from the closed one, (2g - 1) - omega_closed,
-and the d3 of the canonical plane field of its Spin^c structure from
-the long one, -2 - omega_long, as integer numerators over the routes'
-own denominators.  Their difference is 2g + 1 + (omega_long -
-omega_closed), so it is exactly 2g + 1 precisely when the routes agree
-(the gap law); a nonzero gap certifies that the contact structure is not
-homotopic to that canonical field: the fillability obstruction.
-d3_certificate builds the Fractions of a document from those numerators.
+d3_certificate takes one value of each route and computes, in Fraction
+arithmetic, the d3 of the contact structure from the closed one,
+(2g - 1) - omega_closed, and the d3 of the canonical plane field of its
+Spin^c structure from the long one, -2 - omega_long.  Its docstring
+holds the algebra of the gap law: the gap is exactly 2g + 1 precisely
+when the routes agree.  A nonzero gap certifies that the contact
+structure is not homotopic to that canonical field: the fillability
+obstruction.
 
 moy_check implements the arithmetic criteria on orbifold line bundle
 degrees: the moduli space contains only reducible solutions when no
@@ -46,7 +44,7 @@ The cores skip check_admissible, so they are for callers whose points
 are admissible by construction, such as cli.run_sweep over
 homology.admissible_points.  That caller reads two verdicts per point
 and no integer format: _omega_routes_agree, one cross-multiply of the
-two routes' pairs, which is the omega identity and, by d3_numerators'
+two routes' pairs, which is the omega identity and, by d3_certificate's
 algebra, the gap law as well; and _moy_holds, the MOY verdict at the
 point's Spin^c offset with the sandwich deg K < representative <
 2g + 1/alpha, in units of 1/alpha.  The long core keeps its assertion
@@ -67,7 +65,6 @@ __all__ = [
     "dedekind_context",
     "omega_red_long",
     "omega_red_closed",
-    "d3_numerators",
     "d3_certificate",
     "moy_check",
 ]
@@ -207,8 +204,8 @@ def _omega_routes_agree(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
     """The omega identity at an admissible point, unguarded: one cross-multiply.
 
     The denominators of both cores are positive, so comparing the
-    unreduced pairs is exact; by d3_numerators the same comparison is
-    the gap law.
+    unreduced pairs is exact; by the algebra in d3_certificate's
+    docstring the same comparison is the gap law.
     """
     long_num, long_den = _omega_long_ratio(g, n, alpha, sign, r)
     closed_num, closed_den = _omega_closed_ratio(g, n, alpha, sign, r)
@@ -276,52 +273,30 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     )
 
 
-def d3_numerators(
-    g: int, long_num: int, long_den: int, closed_num: int, closed_den: int
-) -> tuple[int, int, int, bool]:
-    """The d3 pair and its gap as integer numerators, and the gap law.
-
-    omega_long = long_num / long_den and omega_closed = closed_num /
-    closed_den, denominators positive.  Returns (contact, canonical, gap,
-    gap_law): d3 of the contact structure, (2g - 1) - omega_closed, over
-    closed_den; d3 of the canonical plane field, -2 - omega_long, over
-    long_den; their difference over long_den * closed_den; and whether
-    that difference is 2g + 1, decided by one integer comparison.  The
-    pairs need not be reduced: scaling the long pair by a > 0 and the
-    closed one by c > 0 scales contact by c, canonical by a, and both gap
-    and (2g + 1) long_den closed_den by ac, so gap_law and the sign of
-    the gap stay the same.  Expanding contact and canonical gives
-    gap - (2g + 1) long_den closed_den = long_num closed_den - closed_num long_den,
-    so gap_law is the omega identity's cross-multiply (_omega_routes_agree).
-    """
-    contact = (2 * g - 1) * closed_den - closed_num
-    canonical = -2 * long_den - long_num
-    gap = contact * long_den - canonical * closed_den
-    return contact, canonical, gap, gap == (2 * g + 1) * long_den * closed_den
-
-
 def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict:
     """The d3 pair, its gap and the fillability verdict for xi^sign_r.
 
-    Takes one value of each omega_red route at the same point and builds
-    the document's Fractions from d3_numerators: d3 of the contact
-    structure is (2g - 1) - omega_closed; d3 of the canonical plane field
-    of its Spin^c structure is -2 - omega_long.  The gap between them is
-    2g + 1 + (omega_long - omega_closed), so it equals 2g + 1 exactly
-    when the routes agree (gap_law).  Any nonzero gap rules out a filling
-    whose canonical field would be homotopic to the contact structure, so
-    fillable is 'no (certified)' whenever the gap is nonzero.  Tightness
-    is established upstream for the family and reported as metadata.
+    Takes one value of each omega_red route at the same point, as
+    Fractions: d3 of the contact structure is (2g - 1) - omega_closed;
+    d3 of the canonical plane field of its Spin^c structure is
+    -2 - omega_long.  Their gap, d3_contact - d3_canonical, expands to
+    2g + 1 + (omega_long - omega_closed), so gap - (2g + 1) =
+    omega_long - omega_closed: the gap is 2g + 1 exactly when the routes
+    agree (gap_law).  That is why the sweep counts the gap law from the
+    omega identity's one comparison, _omega_routes_agree.  Any nonzero
+    gap rules out a filling whose canonical field would be homotopic to
+    the contact structure, so fillable is 'no (certified)' whenever the
+    gap is nonzero.  Tightness is established upstream for the family
+    and reported as metadata.
     """
-    long_den, closed_den = omega_long.denominator, omega_closed.denominator
-    contact, canonical, gap, gap_law = d3_numerators(
-        g, omega_long.numerator, long_den, omega_closed.numerator, closed_den
-    )
+    d3_contact = (2 * g - 1) - omega_closed
+    d3_canonical = -2 - omega_long
+    gap = d3_contact - d3_canonical
     return {
         "tight": True,
-        "d3_contact": Fraction(contact, closed_den),
-        "d3_canonical": Fraction(canonical, long_den),
-        "gap": Fraction(gap, long_den * closed_den),
-        "gap_law": gap_law,
+        "d3_contact": d3_contact,
+        "d3_canonical": d3_canonical,
+        "gap": gap,
+        "gap_law": gap == 2 * g + 1,
         "fillable": "no (certified)" if gap != 0 else "conjectured no",
     }

@@ -408,30 +408,32 @@ class TestSweepDocuments:
 
 
 class TestGapLawMutation:
-    """A d3_numerators with contact offset 2g in place of 2g - 1 fails the report's gap check alone.
+    """A d3_certificate with contact offset 2g in place of 2g - 1 fails the report's gap check alone.
 
     The sweep reads the gap law from the omega identity's one comparison,
-    not from d3_numerators, so its document does not see the mutant; the
-    report test below and test_gauge's check of gap - (2g + 1) ld cd =
-    ln cd - cn ld still catch it.
+    not from d3_certificate, so its document does not see the mutant; the
+    report test below and test_gauge's check of gap - (2g + 1) =
+    omega_long - omega_closed still catch it.
     """
 
     @pytest.fixture(autouse=True)
     def mutated_contact_offset(self, monkeypatch):
-        source = inspect.getsource(gauge.d3_numerators)
-        assert source.count("(2 * g - 1) * closed_den") == 1
+        source = inspect.getsource(gauge.d3_certificate)
+        assert source.count("(2 * g - 1) - omega_closed") == 1
         namespace = dict(vars(gauge))
-        exec(source.replace("(2 * g - 1) * closed_den", "(2 * g) * closed_den"), namespace)
-        monkeypatch.setattr(gauge, "d3_numerators", namespace["d3_numerators"])
+        exec(source.replace("(2 * g - 1) - omega_closed", "(2 * g) - omega_closed"), namespace)
+        # the report reads the name bound in cli
+        for module in (gauge, cli):
+            monkeypatch.setattr(module, "d3_certificate", namespace["d3_certificate"])
 
-    def test_sweep_document_does_not_read_d3_numerators(self, monkeypatch, capsys):
+    def test_sweep_document_does_not_read_d3_certificate(self, monkeypatch, capsys):
         argv = ["sweep", "--g-range", "1..2", "--n-range", "2g..2g+1", "--alpha-range", "1..4"]
         # the mutant breaks the gap law of agreeing routes (omega = 0 at g = 1)
-        assert gauge.d3_numerators(1, 0, 1, 0, 1)[3] is False
+        assert gauge.d3_certificate(1, Fraction(0), Fraction(0))["gap_law"] is False
         assert main(argv + ["--json"]) == 0
         mutated = capsys.readouterr().out
         monkeypatch.undo()
-        assert gauge.d3_numerators(1, 0, 1, 0, 1)[3] is True
+        assert gauge.d3_certificate(1, Fraction(0), Fraction(0))["gap_law"] is True
         assert main(argv + ["--json"]) == 0
         assert capsys.readouterr().out == mutated
         checks = json.loads(mutated)["checks"]

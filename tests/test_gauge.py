@@ -19,7 +19,6 @@ from contactsurgery.gauge import (
     _omega_long_terms,
     _omega_routes_agree,
     d3_certificate,
-    d3_numerators,
     dedekind_context,
     moy_check,
     omega_red_closed,
@@ -280,6 +279,15 @@ class TestD3Certificate:
         assert verdict["gap"] == 3 - Fraction(1, 7)
         assert not verdict["gap_law"]
 
+    def test_zero_gap_is_not_certified(self):
+        # omega_closed - omega_long = 2g + 1 puts d3_contact on d3_canonical
+        g, omega_long = 2, Fraction(5, 16)
+        verdict = d3_certificate(g, omega_long, omega_long + 2 * g + 1)
+        assert verdict["d3_contact"] == verdict["d3_canonical"] == Fraction(-37, 16)
+        assert verdict["gap"] == 0
+        assert verdict["gap_law"] is False
+        assert verdict["fillable"] == "conjectured no"
+
 
 # Sizes well beyond the toy grid: g <= 40 (50 for the integer cores),
 # n <= 2g + 50, alpha <= 10^6.
@@ -380,52 +388,28 @@ class TestLargeInputs:
     @given(
         large_admissible_inputs(),
         st.just(Fraction(0)) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
-        st.just(Fraction(0)) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
+        st.sampled_from((0, "same", "zero gap"))
+        | st.fractions(-(10**6), 10**6, max_denominator=10**6),
     )
-    def test_d3_numerators_match_fraction_arithmetic(self, params, long_skew, closed_skew):
+    def test_d3_certificate_follows_skewed_routes(self, params, long_skew, closed_skew):
         # the routes as computed, or pulled apart by independent skews
         g = params[0]
+        if closed_skew == "same":
+            closed_skew = long_skew
+        elif closed_skew == "zero gap":
+            closed_skew = long_skew + 2 * g + 1  # d3_contact == d3_canonical
         long_form = omega_red_long(*params) + long_skew
         closed_form = omega_red_closed(*params) + closed_skew
-        (long_num, long_den), (closed_num, closed_den) = (
-            long_form.as_integer_ratio(),
-            closed_form.as_integer_ratio(),
-        )
-        contact, canonical, gap, gap_law = d3_numerators(
-            g, long_num, long_den, closed_num, closed_den
-        )
-        assert Fraction(contact, closed_den) == (2 * g - 1) - closed_form
-        assert Fraction(canonical, long_den) == -2 - long_form
-        gap_value = Fraction(gap, long_den * closed_den)
-        assert gap_value == (2 * g - 1) - closed_form - (-2 - long_form)
-        assert gap_law == (gap_value == 2 * g + 1) == (long_skew == closed_skew)
-        # the gap law is the omega identity's cross-multiply, which the sweep reads
-        cross = long_num * closed_den - closed_num * long_den
-        assert gap - (2 * g + 1) * long_den * closed_den == cross
-
-    @settings(max_examples=300)
-    @given(
-        large_admissible_inputs(),
-        st.sampled_from((0, "zero gap")) | st.fractions(-(10**6), 10**6, max_denominator=10**6),
-        st.integers(1, 10**9),
-        st.integers(1, 10**9),
-    )
-    def test_d3_numerators_ignore_positive_scaling(self, params, skew, a, c):
-        # the sweep feeds d3_numerators unreduced pairs; the verdict and the
-        # sign of the gap must be those of the reduced ones
-        g = params[0]
-        if skew == "zero gap":
-            skew = 2 * g + 1  # the closed route pushed up to d3_contact == d3_canonical
-        long_num, long_den = omega_red_long(*params).as_integer_ratio()
-        closed_num, closed_den = (omega_red_closed(*params) + skew).as_integer_ratio()
-        contact, canonical, gap, gap_law = d3_numerators(
-            g, long_num, long_den, closed_num, closed_den
-        )
-        scaled = d3_numerators(g, a * long_num, a * long_den, c * closed_num, c * closed_den)
-        assert scaled == (c * contact, a * canonical, a * c * gap, gap_law)
-        assert (scaled[2] > 0) - (scaled[2] < 0) == (gap > 0) - (gap < 0)
-        assert gap_law == (skew == 0)
-        assert (gap == 0) == (skew == 2 * g + 1)
+        verdict = d3_certificate(g, long_form, closed_form)
+        assert verdict["d3_contact"] == (2 * g - 1) - closed_form
+        assert verdict["d3_canonical"] == -2 - long_form
+        assert all(type(verdict[key]) is Fraction for key in ("d3_contact", "d3_canonical", "gap"))
+        # the algebra by which the sweep reads the gap law off the omega identity
+        assert verdict["gap"] - (2 * g + 1) == long_form - closed_form
+        assert verdict["gap_law"] is (long_skew == closed_skew)
+        certified = closed_skew - long_skew != 2 * g + 1
+        assert (verdict["gap"] != 0) is certified
+        assert verdict["fillable"] == ("no (certified)" if certified else "conjectured no")
 
     @settings(max_examples=300)
     @given(
