@@ -38,7 +38,7 @@ from .gauge import (
     omega_red_long,
 )
 from .homology import (
-    admissible_points,
+    admissible_blocks,
     check_admissible,
     distinct_witness,
     homology,
@@ -57,9 +57,10 @@ _EXPONENT_LIMIT = 4300
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
 # sweep work (best of five in-process runs, Python 3.11, shared 2-vCPU VM): a point,
-# one omega comparison on the integer cores, costs about 2.5 us (about 3.7 us at
+# one omega comparison on the block cores, costs about 1.2 us (about 1.6 us at
 # n = 2g with its MOY verdict) and a (g, alpha) block, one closed-form mu order,
-# about 5 us; the largest grid runs in about 1.1 s as one process
+# about 4 us; the largest grid runs in about 0.3 s as one process, and the
+# genus-50 MOY grid (249,500 points at n = 2g) in about 0.4 s
 _SWEEP_POINT_LIMIT = 250_000
 _SWEEP_BLOCK_LIMIT = 20_000
 
@@ -176,23 +177,28 @@ def run_sweep(
     is |n*alpha + beta|, the same expression; the independent mu
     cross-checks are the report's H1, a Smith elimination modulo |E| on
     the k x k fiber block (mu_order_matches_closed_form), and the tests.  Per point of
-    homology.admissible_points over the offsets: the omega_red
-    closed-form identity, the gap law, and at n = 2g the MOY verdict
-    with its sandwich inequality.
+    the grid over the offsets: the omega_red closed-form identity, the
+    gap law, and at n = 2g the MOY verdict with its sandwich inequality.
 
-    Each point is two guard-free verdicts of gauge, which alone knows the
-    cores' integer formats: gauge._omega_routes_agree cross-multiplies the
-    unreduced pairs of the two omega_red cores once, and at n = 2g
-    gauge._moy_holds reads the MOY verdict at homology._spinc_offset with
-    the sandwich deg K < representative < 2g + 1/alpha.  No point is put
-    through check_admissible: admissible_points checks its (g, n, alpha)
-    once and yields only the rotations that check accepts, and the long
-    core still asserts rho in (0, 1) at every point.  The gap law is read
+    The points come as (sign, range of r) blocks from
+    homology.admissible_blocks, which checks each (g, n, alpha) once and
+    yields only the rotations that check_admissible accepts, so no point
+    is put through that check.  Each block is handed whole to two
+    guard-free verdict generators of gauge, which alone knows the cores'
+    integer formats and computes the r-free terms once per block:
+    gauge._omega_routes_agree cross-multiplies the unreduced pairs of the
+    two omega_red cores once per r, and at n = 2g gauge._moy_holds reads
+    the MOY verdict at each r's offset from homology._spinc_offset with
+    the sandwich deg K < representative < 2g + 1/alpha.  A block whose
+    verdicts all hold records nothing; otherwise its r range is zipped
+    with those verdicts, so failures keep the point order of
+    admissible_points.  The long core still asserts rho in (0, 1) at
+    every point.  The gap law is read
     from the identity comparison itself, never from gauge.d3_certificate:
     by the algebra in that function's docstring, the gap is 2g + 1
     exactly when the routes agree, so a failed identity is recorded as
     omega_identity and then gap_law, each counted once per point.
-    Counts are exact and added up per (g, n, alpha) block; any failure
+    Counts are exact and added up per (g, n, alpha, sign) block; any failure
     is recorded with its coordinates.  Before any evaluation the work is
     counted from the ranges: 2*sum(alpha) points per (g, n) and one mu
     order per (g, alpha) block, or one empty block per g when the alpha
@@ -229,17 +235,25 @@ def run_sweep(
             if mu_order(inv) != 2 * g * alpha + 1:
                 failures.append({"check": "mu_order", "g": g, "alpha": alpha})
             for offset in range(span[0], span[1] + 1):
-                points = list(admissible_points(g, 2 * g + offset, alpha))
-                counts["omega_identity"] += len(points)
-                counts["gap_law"] += len(points)
-                if offset == 0:
-                    counts["moy"] += len(points)
-                for point in points:
-                    if not _omega_routes_agree(*point):
-                        fail("omega_identity", point)
-                        fail("gap_law", point)
-                    if offset == 0 and not _moy_holds(*point):
-                        fail("moy", point)
+                n = 2 * g + offset
+                for sign, rs in admissible_blocks(g, n, alpha):
+                    counts["omega_identity"] += len(rs)
+                    counts["gap_law"] += len(rs)
+                    agree = list(_omega_routes_agree(g, n, alpha, sign, rs))
+                    if offset == 0:
+                        counts["moy"] += len(rs)
+                        moy = list(_moy_holds(g, n, alpha, sign, rs))
+                    else:  # no MOY verdict above n = 2g
+                        moy = [True] * len(rs)
+                    if all(agree) and all(moy):  # nothing to record in this block
+                        continue
+                    for r, omega_ok, moy_ok in zip(rs, agree, moy):
+                        point = (g, n, alpha, sign, r)
+                        if not omega_ok:
+                            fail("omega_identity", point)
+                            fail("gap_law", point)
+                        if not moy_ok:
+                            fail("moy", point)
     return {
         "grid": {
             "g": list(g_range),

@@ -92,17 +92,19 @@ def _neg_cf_entries(p: int, q: int) -> tuple[int, ...]:
 
     The integer Euclid loop behind `neg_cf_expand`, with its chain bound
     and no validation of the entries; callers that already hold a
-    coprime pair skip the Fraction round trip.
+    coprime pair skip the Fraction round trip.  Step i appends entry i,
+    so the loop is bounded by the chain bound itself and counts no
+    entries.
     """
     entries = []
-    while q != 1:
+    for _ in range(_CHAIN_LIMIT):
+        if q == 1:  # the last entry
+            entries.append(p)
+            return tuple(entries)
         c = p // q  # floor for negative p/q
         entries.append(c)
-        if len(entries) == _CHAIN_LIMIT:  # the last entry is still to come
-            raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
         p, q = -q, p - c * q
-    entries.append(p)
-    return tuple(entries)
+    raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
 
 
 def neg_cf_value(cf: NegContinuedFraction) -> Fraction:

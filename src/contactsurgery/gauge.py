@@ -11,15 +11,18 @@ and a closed form in (g, n, alpha, r) alone.  Their exact agreement on
 the whole admissible grid is the central self-check of the package.
 Each route's arithmetic is a guard-free integer core,
 _omega_long_ratio over 24 alpha Q^2 and _omega_closed_ratio over
-4 (n alpha + 1), returning the unreduced (numerator, denominator);
-omega_red_long and omega_red_closed are check_admissible plus one
-Fraction built from it.  The long route's arithmetic lives in one
-helper, _omega_long_terms, which applies only +, - and * and returns
-the ingredients' numerators with the summed one; _omega_long_ratio
-reads it and adds the rho assertion, and dedekind_context reads it and
-only constructs Fractions.  The long form is never reduced
-algebraically into the closed one, so the check stays a comparison of
-two routes.
+4 (n alpha + 1), yielding the unreduced (numerator, denominator).
+Every core here takes a whole (g, n, alpha, sign) block and an
+iterable of r: it computes the terms that do not depend on r once,
+then yields one exact result per r, each the full formula at that
+point.  omega_red_long and omega_red_closed are check_admissible plus
+one Fraction built from the core run on their one r.  The long route's
+arithmetic lives in one helper, _omega_long_terms, which applies only
++, - and * and yields the ingredients' numerators with the summed one;
+_omega_long_ratio reads it and adds the rho assertion at every r, and
+dedekind_context reads it and only constructs Fractions.  The long
+form is never reduced algebraically into the closed one, so the check
+stays a comparison of two routes.
 
 d3_certificate takes one value of each route and computes, in Fraction
 arithmetic, the d3 of the contact structure from the closed one,
@@ -38,18 +41,20 @@ deg K / 2 avoids the coset, and it returns the coset's canonical
 representative with the verdict.  Degrees are handled as integers in
 units of 1/alpha (deg K = 2g - 2 + (alpha - 1)/alpha for the one fiber),
 which turns the coset and half-degree tests into congruences; that
-arithmetic is the guard-free core _moy_units.
+arithmetic is the guard-free core _moy_units, which takes the offsets
+of one (g, n, alpha) and computes deg K and the coset step once.
 
 The cores skip check_admissible, so they are for callers whose points
-are admissible by construction, such as cli.run_sweep over
-homology.admissible_points.  That caller reads two verdicts per point
-and no integer format: _omega_routes_agree, one cross-multiply of the
-two routes' pairs, which is the omega identity and, by d3_certificate's
-algebra, the gap law as well; and _moy_holds, the MOY verdict at the
-point's Spin^c offset with the sandwich deg K < representative <
-2g + 1/alpha, in units of 1/alpha.  The long core keeps its assertion
-that rho lies in (0, 1): admissibility implies it by arithmetic, and it
-stays checked, not assumed.
+are admissible by construction, such as cli.run_sweep over the
+(sign, range of r) blocks of homology.admissible_blocks.  That caller
+reads two verdict generators per block and no integer format:
+_omega_routes_agree, one cross-multiply of the two routes' pairs per r,
+which is the omega identity and, by d3_certificate's algebra, the gap
+law as well; and _moy_holds, the MOY verdict at each r's Spin^c offset
+with the sandwich deg K < representative < 2g + 1/alpha, in units of
+1/alpha.  The long core keeps its assertion that rho lies in (0, 1) at
+every r: admissibility implies it by arithmetic, and it stays checked,
+not assumed.
 """
 
 from __future__ import annotations
@@ -112,8 +117,10 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     inside (0, 1) on the admissible range; _omega_long_ratio asserts it.
     """
     check_admissible(g, n, alpha, sign, r)
-    _omega_long_ratio(g, n, alpha, sign, r)
-    q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _ = _omega_long_terms(g, n, alpha, sign, r)
+    (_,) = _omega_long_ratio(g, n, alpha, sign, (r,))  # asserts rho in (0, 1)
+    ((q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _),) = _omega_long_terms(
+        g, n, alpha, sign, (r,)
+    )
     return DedekindContext(
         l=Fraction(q, 2 * alpha),
         rho=Fraction(rho_num, q),
@@ -124,47 +131,61 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     )
 
 
-def _omega_long_terms(g, n, alpha, sign, r):
-    """The long route's ingredients and numerator, unguarded and ring-only.
+def _omega_long_terms(g, n, alpha, sign, rs):
+    """The long route's ingredients and numerator per r in rs, unguarded and ring-only.
 
-    Returns (Q, R, 2 gamma, S', F', S_rho', numerator) with Q = 2n alpha
-    + 2, rho = R/Q, S = S'/(12 alpha), F_rho = F'/(2 alpha Q), S_rho =
-    S_rho'/(24 alpha) and omega_red_long = numerator / (24 alpha Q^2).
-    It applies only +, - and * to its arguments, so it runs on any ring,
+    Yields (Q, R, 2 gamma, S', F', S_rho', numerator) for each r of the
+    (g, n, alpha, sign) block, with Q = 2n alpha + 2, rho = R/Q,
+    S = S'/(12 alpha), F_rho = F'/(2 alpha Q), S_rho = S_rho'/(24 alpha)
+    and omega_red_long = numerator / (24 alpha Q^2).  Q, Q^2, S' and
+    the r-free part of the Q^2 bracket are computed once per block.  It
+    applies only +, - and * to its arguments, so it runs on any ring,
     symbols included.
     """
     q = 2 * n * alpha + 2
-    rho_num = alpha * (n - sign * (n - 2 * g)) - r + 1
-    gamma2 = r + alpha - 2
+    q2, q12 = q * q, 12 * q
+    rho_free = alpha * (n - sign * (n - 2 * g)) + 1  # R = rho_free - r
+    gamma_free = alpha - 2  # 2 gamma = r + gamma_free
     s_num = alpha * alpha - 3 * alpha + 2
-    f_rho_num = gamma2 * q + 2 * rho_num
-    s_rho_num = 2 * alpha * alpha - 6 * alpha * (1 + gamma2) + 4 + 6 * gamma2 + 3 * gamma2 * gamma2
-    # Q^2 times the terms over 24 alpha, plus 12 Q times those over 2 alpha Q
-    numerator = q * q * (
+    # S_rho' = 2 alpha^2 - 6 alpha (1 + 2 gamma) + 4 + 6 (2 gamma) + 3 (2 gamma)^2,
+    # by powers of 2 gamma
+    s_rho_free, s_rho_linear = 2 * alpha * alpha - 6 * alpha + 4, 6 - 6 * alpha
+    # Q^2 times the terms over 24 alpha, but for 2 S_rho
+    bracket_free = (
         12 * alpha * (2 * g - 1)  # (2g-1)/2
         - 3 * (q - 2 * alpha)  # -(l-1)/4
         + 2 * s_num  # S
-        + 2 * s_rho_num  # 2 S_rho
-    ) + 12 * q * (
-        rho_num * (q - rho_num)  # l rho (1-rho)
-        - 2 * alpha * rho_num  # -rho
-        + (1 - alpha) * (q - 2 * rho_num)  # (1-alpha)/(2 alpha) (1-2 rho)
-        + f_rho_num  # F_rho
     )
-    return q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, numerator
+    two_alpha, one_minus_alpha = 2 * alpha, 1 - alpha
+    for r in rs:
+        rho_num = rho_free - r
+        gamma2 = r + gamma_free
+        f_rho_num = gamma2 * q + 2 * rho_num
+        s_rho_num = s_rho_free + (s_rho_linear + 3 * gamma2) * gamma2
+        # plus 2 S_rho, and 12 Q times the terms over 2 alpha Q
+        numerator = q2 * (bracket_free + 2 * s_rho_num) + q12 * (
+            rho_num * (q - rho_num)  # l rho (1-rho)
+            - two_alpha * rho_num  # -rho
+            + one_minus_alpha * (q - 2 * rho_num)  # (1-alpha)/(2 alpha) (1-2 rho)
+            + f_rho_num  # F_rho
+        )
+        yield q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, numerator
 
 
-def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, r: int) -> tuple[int, int]:
-    """omega_red_long as an unreduced (numerator, 24 alpha Q^2), unguarded.
+def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, rs):
+    """omega_red_long per r in rs as an unreduced (numerator, 24 alpha Q^2), unguarded.
 
     The arithmetic is _omega_long_terms'.  The caller has checked
-    admissibility; rho's place in (0, 1) is still asserted, since it
-    holds on the admissible range by arithmetic, not by that check.
+    admissibility; rho's place in (0, 1) is still asserted at every r,
+    since it holds on the admissible range by arithmetic, not by that
+    check.
     """
-    q, rho_num, _, _, _, _, numerator = _omega_long_terms(g, n, alpha, sign, r)
-    if not (0 < rho_num < q):
-        raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
-    return numerator, 24 * alpha * q * q
+    denominator = 0  # 24 alpha Q^2, positive, built at the block's first r
+    for q, rho_num, _, _, _, _, numerator in _omega_long_terms(g, n, alpha, sign, rs):
+        if not (0 < rho_num < q):
+            raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
+        denominator = denominator or 24 * alpha * q * q
+        yield numerator, denominator
 
 
 def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
@@ -176,17 +197,24 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     Each term is put over the common denominator 24 alpha Q^2, where
     Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), by _omega_long_terms,
     the one helper that dedekind_context reads too, and one Fraction is
-    built from the summed numerators.
+    built from the summed numerators: the block core run on the one r.
     """
     check_admissible(g, n, alpha, sign, r)
-    return Fraction(*_omega_long_ratio(g, n, alpha, sign, r))
+    (ratio,) = _omega_long_ratio(g, n, alpha, sign, (r,))
+    return Fraction(*ratio)
 
 
-def _omega_closed_ratio(g: int, n: int, alpha: int, sign: int, r: int) -> tuple[int, int]:
-    """omega_red_closed as an unreduced (numerator, 4 (n alpha + 1)), unguarded."""
-    numerator = (n - 2 * g) ** 2 * alpha - r * r * n + sign * 2 * (n - 2 * g) * r
+def _omega_closed_ratio(g: int, n: int, alpha: int, sign: int, rs):
+    """omega_red_closed per r in rs as an unreduced (numerator, 4 (n alpha + 1)), unguarded.
+
+    The r-free parts of the numerator are computed once per block.
+    """
     m = n * alpha + 1
-    return 2 * (2 * g - 1) * m - numerator, 4 * m
+    # the numerator below is (n-2g)^2 alpha - r^2 n + sign * 2 (n-2g) r
+    free, linear = (n - 2 * g) ** 2 * alpha, sign * 2 * (n - 2 * g)
+    fixed, denominator = 2 * (2 * g - 1) * m, 4 * m
+    for r in rs:
+        yield fixed - (free - r * r * n + linear * r), denominator
 
 
 def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
@@ -194,58 +222,69 @@ def omega_red_closed(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
 
     -((n-2g)^2 alpha - r^2 n + sign * 2 (n-2g) r) / (4 (n alpha + 1))
     + (2g-1)/2, as one Fraction over 4 (n alpha + 1) from
-    _omega_closed_ratio; must agree with omega_red_long exactly.
+    _omega_closed_ratio on the one r; must agree with omega_red_long
+    exactly.
     """
     check_admissible(g, n, alpha, sign, r)
-    return Fraction(*_omega_closed_ratio(g, n, alpha, sign, r))
+    (ratio,) = _omega_closed_ratio(g, n, alpha, sign, (r,))
+    return Fraction(*ratio)
 
 
-def _omega_routes_agree(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
-    """The omega identity at an admissible point, unguarded: one cross-multiply.
+def _omega_routes_agree(g: int, n: int, alpha: int, sign: int, rs):
+    """The omega identity per r of an admissible block, unguarded: one cross-multiply each.
 
-    The denominators of both cores are positive, so comparing the
-    unreduced pairs is exact; by the algebra in d3_certificate's
-    docstring the same comparison is the gap law.
+    rs is read twice, once by each core, so it must be a collection
+    such as the range of homology.admissible_blocks.  The denominators
+    of both cores are positive, so comparing the unreduced pairs is
+    exact; by the algebra in d3_certificate's docstring the same
+    comparison is the gap law.
     """
-    long_num, long_den = _omega_long_ratio(g, n, alpha, sign, r)
-    closed_num, closed_den = _omega_closed_ratio(g, n, alpha, sign, r)
-    return long_num * closed_den == closed_num * long_den
+    for (long_num, long_den), (closed_num, closed_den) in zip(
+        _omega_long_ratio(g, n, alpha, sign, rs), _omega_closed_ratio(g, n, alpha, sign, rs)
+    ):
+        yield long_num * closed_den == closed_num * long_den
 
 
-def _moy_units(g: int, n: int, alpha: int, k: int) -> tuple[bool, bool, int, int]:
-    """moy_check's verdict in integer units of 1/alpha, unguarded.
+def _moy_units(g: int, n: int, alpha: int, ks):
+    """moy_check's verdict per offset k in ks, in integer units of 1/alpha, unguarded.
 
-    Returns (reducibles_only, dirac_kernels_trivial, candidate,
+    Yields (reducibles_only, dirac_kernels_trivial, candidate,
     representative): the two verdicts, the one coset member that can lie
-    in the window [0, deg K], and the canonical representative.
+    in the window [0, deg K], and the canonical representative.  deg K
+    and the coset step are computed once per (g, n, alpha).
     """
     # in units of 1/alpha: deg K = (2g - 1) alpha - 1, coset step n alpha + 1
     deg_k = (2 * g - 1) * alpha - 1
     step = n * alpha + 1
-    representative = k + (deg_k + step - k) // step * step
-    # the window [0, deg K] is shorter than the coset step, so it holds
-    # at most one coset member: the one just below the representative
-    candidate = representative - step
-    # deg K / 2 - k/alpha is a multiple of step/alpha iff 2 step | deg K - 2k
-    half_in_coset = (deg_k - 2 * k) % (2 * step) == 0
-    return (
-        not 0 <= candidate <= deg_k or 2 * candidate == deg_k,
-        alpha % 2 == 0 or not half_in_coset,
-        candidate,
-        representative,
-    )
+    ceiling, double_step, alpha_even = deg_k + step, 2 * step, alpha % 2 == 0
+    for k in ks:
+        # the largest coset member <= deg K + step
+        representative = k + (ceiling - k) // step * step
+        # the window [0, deg K] is shorter than the coset step, so it holds
+        # at most one coset member: the one just below the representative
+        candidate = representative - step
+        # deg K / 2 - k/alpha is a multiple of step/alpha iff 2 step | deg K - 2k
+        half_in_coset = (deg_k - 2 * k) % double_step == 0
+        yield (
+            not 0 <= candidate <= deg_k or 2 * candidate == deg_k,
+            alpha_even or not half_in_coset,
+            candidate,
+            representative,
+        )
 
 
-def _moy_holds(g: int, n: int, alpha: int, sign: int, r: int) -> bool:
-    """The MOY verdict at an admissible point with n = 2g, unguarded.
+def _moy_holds(g: int, n: int, alpha: int, sign: int, rs):
+    """The MOY verdict per r of an admissible block with n = 2g, unguarded.
 
-    Both verdicts of _moy_units at the point's Spin^c offset, and the
-    sandwich deg K < representative < 2g + 1/alpha, in units of 1/alpha.
+    Both verdicts of _moy_units at each r's Spin^c offset, from
+    homology._spinc_offset on the same block, and the sandwich
+    deg K < representative < 2g + 1/alpha, in units of 1/alpha.
     """
-    k = _spinc_offset(g, n, alpha, sign, r)
-    reducibles_only, dirac_trivial, _, representative = _moy_units(g, n, alpha, k)
     deg_k, top = (2 * g - 1) * alpha - 1, 2 * g * alpha + 1
-    return reducibles_only and dirac_trivial and deg_k < representative < top
+    for reducibles_only, dirac_trivial, _, representative in _moy_units(
+        g, n, alpha, _spinc_offset(g, n, alpha, sign, rs)
+    ):
+        yield reducibles_only and dirac_trivial and deg_k < representative < top
 
 
 def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
@@ -263,7 +302,9 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     out of range.
     """
     check_admissible(g, n, alpha, 1, alpha)
-    reducibles_only, dirac_kernels_trivial, candidate, representative = _moy_units(g, n, alpha, k)
+    ((reducibles_only, dirac_kernels_trivial, candidate, representative),) = _moy_units(
+        g, n, alpha, (k,)
+    )
     in_window = 0 <= candidate <= (2 * g - 1) * alpha - 1
     return MoyVerdict(
         reducibles_only=reducibles_only,

@@ -48,8 +48,10 @@ makes c1 of the offset-j structure (alpha + 2 + 2j) * PD(mu) and in
 particular c1 = r * PD(mu) at offset (r - alpha - 2)/2.  spinc_offset
 is the one place this arithmetic is done, for every admissible
 (g, n, alpha, sign, r); c1 is reported only at n = 2g.  Its offset
-comes from the unguarded _spinc_offset, which the sweep calls directly
-on points that are admissible by construction.
+comes from the unguarded _spinc_offset, which takes a whole
+(g, n, alpha, sign) block of rotations: the sweep reaches it through
+gauge._moy_holds on the blocks of admissible_blocks, which are
+admissible by construction, and spinc_offset runs it on one r.
 
 distinct_witness turns that arithmetic into a certificate by direct
 construction: the first `count` primes p = 2g*a + 1, used as rotation
@@ -82,6 +84,7 @@ __all__ = [
     "mu_order",
     "spinc_offset",
     "check_admissible",
+    "admissible_blocks",
     "admissible_points",
     "distinct_witness",
 ]
@@ -419,10 +422,15 @@ def mu_order(inv: SeifertInvariants) -> int:
     return abs(euler) // math.gcd(euler, *numerators)
 
 
-def _spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> int:
-    """spinc_offset's offset for an admissible point, unguarded."""
+def _spinc_offset(g: int, n: int, alpha: int, sign: int, rs) -> Iterator[int]:
+    """spinc_offset's offset per r of an admissible (g, n, alpha, sign) block, unguarded.
+
+    The shift and the modulus are computed once per block.
+    """
     shift = 0 if sign == 1 else 2 * alpha * (n - 2 * g)
-    return ((r - alpha - 2 - shift) // 2) % (n * alpha + 1)
+    base, modulus = alpha + 2 + shift, n * alpha + 1
+    for r in rs:
+        yield ((r - base) // 2) % modulus
 
 
 def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
@@ -440,9 +448,8 @@ def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     check_admissible(g, n, alpha, sign, r)
     modulus = n * alpha + 1
     c1 = r % modulus if n == 2 * g else None  # the sign -1 shift is 0 at n = 2g
-    return SpinCClass(
-        offset=_spinc_offset(g, n, alpha, sign, r), modulus=modulus, c1_coefficient=c1
-    )
+    (offset,) = _spinc_offset(g, n, alpha, sign, (r,))
+    return SpinCClass(offset=offset, modulus=modulus, c1_coefficient=c1)
 
 
 def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:
@@ -467,19 +474,34 @@ def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:
         raise ConditionViolation(f"sign -1 needs -alpha <= r < alpha, got r = {r}")
 
 
-def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Every point (g, n, alpha, sign, r) over this (g, n, alpha) that check_admissible accepts.
+def admissible_blocks(g: int, n: int, alpha: int) -> Iterator[tuple[int, range]]:
+    """The admissible rotations over this (g, n, alpha), as one (sign, range of r) per sign.
 
     Sign +1 first with r = 2 - alpha, 4 - alpha, ..., alpha, then sign -1
-    with r = -alpha, 2 - alpha, ..., alpha - 2: alpha values of r each.
-    Raises ConditionViolation, as check_admissible does, when g, n or
-    alpha is out of range, and TypeError when one is not an integer; the
-    checks run when iteration starts.
+    with r = -alpha, 2 - alpha, ..., alpha - 2: alpha values of r each,
+    exactly those that check_admissible accepts.  The grid is enumerated
+    here alone; admissible_points flattens it, and the sweep hands each
+    range whole to the block cores of gauge.  Raises ConditionViolation,
+    as check_admissible does, when g, n or alpha is out of range, and
+    TypeError when one is not an integer; the checks run once, when
+    iteration starts.
     """
     g, n, alpha = map(operator.index, (g, n, alpha))
     check_admissible(g, n, alpha, 1, alpha)
     for sign, low in ((1, 2 - alpha), (-1, -alpha)):
-        for r in range(low, low + 2 * alpha, 2):
+        yield sign, range(low, low + 2 * alpha, 2)
+
+
+def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every point (g, n, alpha, sign, r) over this (g, n, alpha) that check_admissible accepts.
+
+    The flattening of admissible_blocks, in its order: sign +1 with
+    r ascending, then sign -1.  Raises as admissible_blocks does, when
+    iteration starts.
+    """
+    g, n, alpha = map(operator.index, (g, n, alpha))
+    for sign, rs in admissible_blocks(g, n, alpha):
+        for r in rs:
             yield g, n, alpha, sign, r
 
 

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
+from contactsurgery.gauge import omega_red_closed, omega_red_long
 from contactsurgery.homology import SpinCClass, admissible_points, presentation, spinc_offset
 
 # the package root rebinds `homology` to the function of that name
@@ -346,7 +348,7 @@ class TestSweepBound:
             raise AssertionError("evaluated")
 
         monkeypatch.setattr(cli, "mu_order", refuse)
-        monkeypatch.setattr(cli, "admissible_points", refuse)
+        monkeypatch.setattr(cli, "admissible_blocks", refuse)
 
     @pytest.mark.parametrize(
         "ranges",
@@ -374,7 +376,7 @@ class TestSweepBound:
     def test_caps_are_inclusive(self, monkeypatch):
         # evaluation stubbed out: only the counts decide
         monkeypatch.setattr(cli, "mu_order", lambda inv: 2 * inv.g * inv.pairs[0][0] + 1)
-        monkeypatch.setattr(cli, "admissible_points", lambda g, n, alpha: [])
+        monkeypatch.setattr(cli, "admissible_blocks", lambda g, n, alpha: [])
         # 20,000 (g, alpha) blocks; 2 * (1 + ... + 499) = 249,500 points
         assert cli.run_sweep((1, 1), (0, 0), (1, 20000), mu_only=True)["all_pass"]
         assert cli.run_sweep((1, 1), (0, 0), (1, 499))["all_pass"]
@@ -447,6 +449,31 @@ class TestGapLawMutation:
         assert all(checks.values())
 
 
+def skewed_by_a_seventh(core, *points):
+    """An omega block core whose (numerator, denominator) is off by 1/7 at points alone.
+
+    The block cores take (g, n, alpha, sign, rs) and yield one pair per
+    r; report runs them on one r and the sweep on a whole block.
+    """
+
+    def skewed(g, n, alpha, sign, rs):
+        for r, (num, den) in zip(rs, core(g, n, alpha, sign, rs)):
+            yield (7 * num + den, 7 * den) if (g, n, alpha, sign, r) in points else (num, den)
+
+    return skewed
+
+
+def moy_failing_at(original, *target):
+    """A _moy_units that fails reducibles_only at the target (g, n, alpha, k) alone."""
+
+    def failing(g, n, alpha, ks):
+        ks = tuple(ks)  # a block's offsets arrive as a generator
+        for k, verdict in zip(ks, original(g, n, alpha, ks)):
+            yield (False, *verdict[1:]) if (g, n, alpha, k) == target else verdict
+
+    return failing
+
+
 class TestRouteDisagreement:
     """A closed route off by 1/7 at one point must fail A1 and the gap law."""
 
@@ -454,13 +481,8 @@ class TestRouteDisagreement:
 
     @pytest.fixture(autouse=True)
     def skewed_closed_route(self, monkeypatch):
-        # the closed route's integer core, read by report and sweep alike
-        original = gauge._omega_closed_ratio
-
-        def skewed(*args):
-            num, den = original(*args)
-            return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
-
+        # the closed route's block core, read by report and sweep alike
+        skewed = skewed_by_a_seventh(gauge._omega_closed_ratio, self.POINT)
         monkeypatch.setattr(gauge, "_omega_closed_ratio", skewed)
 
     def test_sweep_records_both_failures(self, capsys):
@@ -502,12 +524,7 @@ class TestLongRouteDisagreement:
 
     @pytest.fixture(autouse=True)
     def skewed_long_route(self, monkeypatch):
-        original = gauge._omega_long_ratio
-
-        def skewed(*args):
-            num, den = original(*args)
-            return (7 * num + den, 7 * den) if args == self.POINT else (num, den)
-
+        skewed = skewed_by_a_seventh(gauge._omega_long_ratio, self.POINT)
         monkeypatch.setattr(gauge, "_omega_long_ratio", skewed)
 
     def test_sweep_records_both_failures(self, capsys):
@@ -561,14 +578,7 @@ class TestMuAndMoyFailures:
         target = spinc_offset(*point).offset
         offsets = [spinc_offset(*p).offset for p in admissible_points(2, 4, 3)]
         assert offsets.count(target) == 1  # so the patch fails this point alone
-        original = gauge._moy_units
-
-        def failing(g, n, alpha, k):
-            verdict = original(g, n, alpha, k)
-            if (g, n, alpha, k) == (*point[:3], target):
-                return (False, *verdict[1:])
-            return verdict
-
+        failing = moy_failing_at(gauge._moy_units, *point[:3], target)
         monkeypatch.setattr(gauge, "_moy_units", failing)
         assert main(self.SWEEP + ["--json"]) == 3
         data = json.loads(capsys.readouterr().out)
@@ -576,6 +586,122 @@ class TestMuAndMoyFailures:
         assert data["failures"] == [{"check": "moy", **where}]
         assert data["checks"] == self.COUNTS
         assert data["all_pass"] is False
+
+
+class TestFailureOrder:
+    """Failures keep the sweep's point order: omega_identity, gap_law, then moy, point by point."""
+
+    SWEEP = ["sweep", "--g-range", "1..1", "--n-range", "2g..2g+1", "--alpha-range", "1..3"]
+    # the first and the last r of one (g, n, alpha, sign) block at n = 2g
+    BOTH, OMEGA_ONLY = (1, 2, 3, -1, -3), (1, 2, 3, -1, 1)
+
+    def test_exact_failure_list(self, monkeypatch, capsys):
+        target = spinc_offset(*self.BOTH).offset
+        offsets = [spinc_offset(*p).offset for p in admissible_points(*self.BOTH[:3])]
+        assert offsets.count(target) == 1  # so the MOY patch fails BOTH alone
+        skewed = skewed_by_a_seventh(gauge._omega_closed_ratio, self.BOTH, self.OMEGA_ONLY)
+        monkeypatch.setattr(gauge, "_omega_closed_ratio", skewed)
+        monkeypatch.setattr(gauge, "_moy_units", moy_failing_at(gauge._moy_units, 1, 2, 3, target))
+        assert main(self.SWEEP + ["--json"]) == 3
+        data = json.loads(capsys.readouterr().out)
+
+        def where(check, point):
+            return {"check": check, **dict(zip(("g", "n", "alpha", "sign", "r"), point))}
+
+        assert data["failures"] == [
+            where("omega_identity", self.BOTH),
+            where("gap_law", self.BOTH),
+            where("moy", self.BOTH),
+            where("omega_identity", self.OMEGA_ONLY),
+            where("gap_law", self.OMEGA_ONLY),
+        ]
+
+
+@st.composite
+def sweep_grids(draw):
+    """(g_range, n_span, alpha_range) with g <= 4, offsets <= 4 and alpha <= 40, a few wide."""
+    g = draw(st.integers(1, 4))
+    offset = draw(st.integers(0, 4))
+    alpha = draw(st.integers(1, 40))
+    return (
+        (g, draw(st.integers(g, min(g + 1, 4)))),
+        (offset, draw(st.integers(offset, min(offset + 1, 4)))),
+        (alpha, draw(st.integers(alpha, min(alpha + 3, 40)))),
+    )
+
+
+def grid_blocks(g_range, n_span, alpha_range):
+    """Every (g, n, alpha, sign, rs) block of a sweep grid, in sweep order."""
+    for g in range(g_range[0], g_range[1] + 1):
+        for alpha in range(alpha_range[0], alpha_range[1] + 1):
+            for offset in range(n_span[0], n_span[1] + 1):
+                for sign, rs in homology_module.admissible_blocks(g, 2 * g + offset, alpha):
+                    yield g, 2 * g + offset, alpha, sign, rs
+
+
+class TestBlockCoresMatchPointRoutes:
+    """The sweep's block cores agree with the guarded one-point routes at every point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_grids())
+    def test_block_verdicts_are_the_point_routes(self, grid):
+        for g, n, alpha, sign, rs in grid_blocks(*grid):
+            block = (g, n, alpha, sign, rs)
+            omega = list(gauge._omega_routes_agree(*block))
+            longs, closeds = gauge._omega_long_ratio(*block), gauge._omega_closed_ratio(*block)
+            for r, agree, long_ratio, closed_ratio in zip(rs, omega, longs, closeds, strict=True):
+                point = (g, n, alpha, sign, r)
+                long_form, closed_form = omega_red_long(*point), omega_red_closed(*point)
+                assert Fraction(*long_ratio) == long_form
+                assert Fraction(*closed_ratio) == closed_form
+                assert agree == (long_form == closed_form)
+            if n != 2 * g:
+                continue
+            deg_k, top = Fraction((2 * g - 1) * alpha - 1, alpha), 2 * g + Fraction(1, alpha)
+            for r, holds in zip(rs, gauge._moy_holds(*block), strict=True):
+                verdict = gauge.moy_check(g, n, alpha, spinc_offset(g, n, alpha, sign, r).offset)
+                assert holds == (
+                    verdict.reducibles_only
+                    and verdict.dirac_kernels_trivial
+                    and deg_k < verdict.representative < top
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sweep_grids(),
+        st.data(),
+        st.sampled_from(("first", "middle", "last")),
+        st.sampled_from(("closed", "long", "moy")),
+    )
+    def test_a_skew_is_recorded_at_its_point_alone(self, grid, data, where, core):
+        blocks = list(grid_blocks(*grid))
+        if core == "moy":
+            blocks = [b for b in blocks if b[1] == 2 * b[0]]
+            if not blocks:
+                return
+        g, n, alpha, sign, rs = data.draw(st.sampled_from(blocks))
+        r = rs[{"first": 0, "middle": len(rs) // 2, "last": -1}[where]]
+        point = (g, n, alpha, sign, r)
+        clean = cli.run_sweep(*grid)
+        assert clean["all_pass"]
+        if core == "moy":
+            original = cli._moy_holds
+
+            def skewed(g_, n_, alpha_, sign_, rs_):
+                for r_, holds in zip(rs_, original(g_, n_, alpha_, sign_, rs_)):
+                    yield holds and (g_, n_, alpha_, sign_, r_) != point
+
+            patch = mock.patch.object(cli, "_moy_holds", skewed)
+            checks = ("moy",)
+        else:
+            name = f"_omega_{core}_ratio"
+            patch = mock.patch.object(gauge, name, skewed_by_a_seventh(getattr(gauge, name), point))
+            checks = ("omega_identity", "gap_law")
+        with patch:
+            skewed_doc = cli.run_sweep(*grid)
+        coordinates = dict(zip(("g", "n", "alpha", "sign", "r"), point))
+        assert skewed_doc["failures"] == [{"check": c, **coordinates} for c in checks]
+        assert skewed_doc["checks"] == clean["checks"]
 
 
 class TestObstructionCommand:

@@ -27,6 +27,12 @@ from contactsurgery.gauge import (
 from contactsurgery.homology import _spinc_offset, spinc_offset
 
 
+def at_point(core, point):
+    """A block core's one result at a single point (g, n, alpha, sign, r)."""
+    (value,) = core(*point[:4], (point[4],))
+    return value
+
+
 def admissible_rotations(alpha, sign):
     low = -alpha + (1 if sign == 1 else 0)
     high = alpha - (0 if sign == 1 else 1)
@@ -447,8 +453,8 @@ class TestLargeInputs:
     @given(large_admissible_inputs(max_g=50))
     def test_omega_cores_are_the_routes_unreduced(self, params):
         _, n, alpha, _, _ = params
-        long_num, long_den = _omega_long_ratio(*params)
-        closed_num, closed_den = _omega_closed_ratio(*params)
+        long_num, long_den = at_point(_omega_long_ratio, params)
+        closed_num, closed_den = at_point(_omega_closed_ratio, params)
         assert Fraction(long_num, long_den) == omega_red_long(*params)
         assert Fraction(closed_num, closed_den) == omega_red_closed(*params)
         assert long_den == 24 * alpha * (2 * n * alpha + 2) ** 2
@@ -458,10 +464,10 @@ class TestLargeInputs:
     @given(large_admissible_inputs(max_g=50))
     def test_moy_and_offset_cores_match_the_guarded_routes(self, params):
         g, n, alpha, _, _ = params
-        k = _spinc_offset(*params)
+        k = at_point(_spinc_offset, params)
         assert k == spinc_offset(*params).offset
-        reducibles_only, dirac_kernels_trivial, candidate, representative = _moy_units(
-            g, n, alpha, k
+        ((reducibles_only, dirac_kernels_trivial, candidate, representative),) = _moy_units(
+            g, n, alpha, (k,)
         )
         verdict = moy_check(g, n, alpha, k)
         assert verdict.reducibles_only == reducibles_only
@@ -474,7 +480,7 @@ class TestLargeInputs:
     def test_routes_agree_is_the_identity_and_the_gap_law(self, params):
         long_form, closed_form = omega_red_long(*params), omega_red_closed(*params)
         assert long_form == closed_form
-        assert _omega_routes_agree(*params) is True
+        assert at_point(_omega_routes_agree, params) is True
         assert d3_certificate(params[0], long_form, closed_form)["gap_law"] is True
 
     @given(inadmissible_inputs())
@@ -518,15 +524,15 @@ class TestMoyOffsetInterval:
     def test_ends_and_interior(self, g, alpha, sign, i):
         m = 2 * g * alpha + 1
         low_end, high_end = (g, 2 * g, alpha, -1, -alpha), (g, 2 * g, alpha, 1, alpha)
-        assert _spinc_offset(*low_end) == m - alpha - 1
-        assert _spinc_offset(*high_end) == m - 1
+        assert at_point(_spinc_offset, low_end) == m - alpha - 1
+        assert at_point(_spinc_offset, high_end) == m - 1
         # the (i mod alpha)-th admissible rotation: 2 - alpha + 2i (sign +1), -alpha + 2i (sign -1)
         r = (2 if sign == 1 else 0) - alpha + 2 * (i % alpha)
         interior = (g, 2 * g, alpha, sign, r)
         for point in (low_end, high_end, interior):
-            k = _spinc_offset(*point)
+            k = at_point(_spinc_offset, point)
             assert m - alpha - 1 <= k <= m - 1
-            assert _moy_holds(*point)
+            assert at_point(_moy_holds, point)
             # the guarded route, in Fractions, gives the same verdict
             verdict = moy_check(g, 2 * g, alpha, k)
             assert verdict.reducibles_only and verdict.dirac_kernels_trivial
@@ -580,25 +586,27 @@ class _Poly:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _omega_closed_without_sign(g, n, alpha, sign, r):
+def _omega_closed_without_sign(g, n, alpha, sign, rs):
     """_omega_closed_ratio with its sign * 2 (n - 2g) r term dropped."""
-    numerator = (n - 2 * g) ** 2 * alpha - r * r * n
     m = n * alpha + 1
-    return 2 * (2 * g - 1) * m - numerator, 4 * m
+    for r in rs:
+        numerator = (n - 2 * g) ** 2 * alpha - r * r * n
+        yield 2 * (2 * g - 1) * m - numerator, 4 * m
 
 
 class TestOmegaIdentityOnPolynomials:
     """The omega identity as a polynomial identity in (g, n, alpha, r).
 
     _omega_long_terms applies only +, - and * to its arguments, so it
-    runs on symbols; the cross-multiply with the closed core is then the
-    zero polynomial for each sign, with no admissibility assumed.
+    runs on symbols, here on the one-r block (r,); the cross-multiply
+    with the closed core is then the zero polynomial for each sign, with
+    no admissibility assumed.
     """
 
     def _cross(self, closed, sign):
         g, n, alpha, r = map(_Poly.var, range(4))
-        q, *_, long_num = _omega_long_terms(g, n, alpha, sign, r)
-        closed_num, closed_den = closed(g, n, alpha, sign, r)
+        q, *_, long_num = at_point(_omega_long_terms, (g, n, alpha, sign, r))
+        closed_num, closed_den = at_point(closed, (g, n, alpha, sign, r))
         return long_num * closed_den - closed_num * (24 * alpha * q * q)
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -609,12 +617,26 @@ class TestOmegaIdentityOnPolynomials:
     def test_dropping_the_sign_term_breaks_it(self, sign):
         assert self._cross(_omega_closed_without_sign, sign).terms != {}
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_a_block_is_its_points(self, sign):
+        # the r-free terms are computed once per block; each r's tuple is
+        # still the one-point tuple at that r, as polynomials
+        g, n, alpha, r = map(_Poly.var, range(4))
+        rs = (r, r + 2, r * 3 - 1)
+        block = list(_omega_long_terms(g, n, alpha, sign, rs))
+        singles = [at_point(_omega_long_terms, (g, n, alpha, sign, x)) for x in rs]
+        assert len(block) == len(singles) == 3
+        for got, want in zip(block, singles):
+            assert [p.terms for p in map(_Poly.coerce, got)] == [
+                p.terms for p in map(_Poly.coerce, want)
+            ]
+
     def test_symbolic_terms_match_integer_ones(self):
         # evaluating each symbolic output at a point gives the integer helper's value
         point = (2, 5, 3, -1, 1)
         g, n, alpha, r = map(_Poly.var, range(4))
-        symbolic = _omega_long_terms(g, n, alpha, point[3], r)
-        for poly, value in zip(symbolic, _omega_long_terms(*point)):
+        symbolic = at_point(_omega_long_terms, (g, n, alpha, point[3], r))
+        for poly, value in zip(symbolic, at_point(_omega_long_terms, point)):
             at = sum(
                 c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2] * point[4] ** e[3]
                 for e, c in poly.terms.items()

@@ -23,6 +23,7 @@ from contactsurgery.homology import (
     SpinCClass,
     Witness,
     _validate_witness,
+    admissible_blocks,
     admissible_points,
     check_admissible,
     distinct_witness,
@@ -1024,16 +1025,28 @@ class TestAdmissiblePoints:
                     assert list(admissible_points(g, n, alpha)) == accepted
                     assert len(accepted) == 2 * alpha
 
+    def test_points_are_the_blocks_flattened(self):
+        for g in (1, 2):
+            for n in range(2 * g, 2 * g + 3):
+                for alpha in range(1, 13):
+                    blocks = list(admissible_blocks(g, n, alpha))
+                    assert [sign for sign, _ in blocks] == [1, -1]
+                    assert all(isinstance(rs, range) and len(rs) == alpha for _, rs in blocks)
+                    flat = [(g, n, alpha, sign, r) for sign, rs in blocks for r in rs]
+                    assert flat == list(admissible_points(g, n, alpha))
+
     def test_rejects_out_of_range(self):
         for g, n, alpha in ((0, 0, 3), (1, 1, 3), (1, 2, 0), (-1, 2, 3)):
-            with pytest.raises(ConditionViolation):
-                list(admissible_points(g, n, alpha))
+            for enumerate_grid in (admissible_points, admissible_blocks):
+                with pytest.raises(ConditionViolation):
+                    list(enumerate_grid(g, n, alpha))
 
     @pytest.mark.parametrize("args", [(1.0, 2, 1), (1, 2.0, 1), (1, 2, 1.0), (1, 2, Fraction(1))])
     def test_arguments_must_be_exact_integers(self, args):
         # admissible_points(1, 2.0, 1) yielded points with float n
-        with pytest.raises(TypeError):
-            list(admissible_points(*args))
+        for enumerate_grid in (admissible_points, admissible_blocks):
+            with pytest.raises(TypeError):
+                list(enumerate_grid(*args))
 
 
 def _trial_prime(p: int) -> bool:
