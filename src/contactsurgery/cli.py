@@ -2,8 +2,9 @@
 
 Subcommands: convert, report, sweep, obstruction, witness, normalize, cf,
 all from one table, _SUBCOMMANDS.  Every call registers all seven names
-but adds options only to the subcommands that its argv names, since
-argparse runs a subcommand only when its exact name is a token of argv.
+but adds options and a -h action only to the subcommands that its argv
+names, since argparse runs a subcommand only when its exact name is a
+token of argv.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -543,11 +544,12 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser, with options only on the subcommands that argv names.
+    """The parser, with options and -h only on the subcommands that argv names.
 
     Every name is registered, so the top-level usage, help and errors
-    are those of the full parser; a name that is only a value in argv
-    just fills one more subparser.
+    are those of the full parser: they read each name and help line
+    from the subparsers action, not from its subparser.  A name that is
+    only a value in argv just fills one more subparser.
     """
     parser = argparse.ArgumentParser(
         prog="contactsurgery",
@@ -560,8 +562,10 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser.set_defaults(passed=_no_pass_flag)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, defaults) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name in argv:
+        named = name in argv
+        # a subparser argv does not name is never run, so its -h is never reached
+        p = sub.add_parser(name, help=help_text, add_help=named)
+        if named:
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             # added last, so every usage line and option listing ends with it

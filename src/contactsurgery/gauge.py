@@ -19,10 +19,10 @@ point.  omega_red_long and omega_red_closed are check_admissible plus
 one Fraction built from the core run on their one r.  The long route's
 arithmetic lives in one helper, _omega_long_terms, which applies only
 +, - and * and yields the ingredients' numerators with the summed one;
-_omega_long_ratio reads it and adds the rho assertion at every r, and
-dedekind_context reads it and only constructs Fractions.  The long
-form is never reduced algebraically into the closed one, so the check
-stays a comparison of two routes.
+_omega_long_ratio and dedekind_context read it, each asserts rho at
+every r it reads through _check_rho, and dedekind_context then only
+constructs Fractions.  The long form is never reduced algebraically
+into the closed one, so the check stays a comparison of two routes.
 
 d3_certificate takes one value of each route and computes, in Fraction
 arithmetic, the d3 of the contact structure from the closed one,
@@ -113,14 +113,15 @@ def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindC
     S_rho = (alpha^2 - 3 alpha (1 + 2 gamma) + 2 (1 + 3 gamma + 3 gamma^2))
     / (12 alpha).  Each field is one Fraction built from an integer
     numerator of _omega_long_terms, the long route's one arithmetic,
-    over the denominator its docstring names.  rho always lands strictly
-    inside (0, 1) on the admissible range; _omega_long_ratio asserts it.
+    over the denominator its docstring names, from one run of that
+    helper.  rho always lands strictly inside (0, 1) on the admissible
+    range; _check_rho asserts it, as in _omega_long_ratio.
     """
     check_admissible(g, n, alpha, sign, r)
-    (_,) = _omega_long_ratio(g, n, alpha, sign, (r,))  # asserts rho in (0, 1)
     ((q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _),) = _omega_long_terms(
         g, n, alpha, sign, (r,)
     )
+    _check_rho(q, rho_num)
     return DedekindContext(
         l=Fraction(q, 2 * alpha),
         rho=Fraction(rho_num, q),
@@ -172,6 +173,12 @@ def _omega_long_terms(g, n, alpha, sign, rs):
         yield q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, numerator
 
 
+def _check_rho(q: int, rho_num: int) -> None:
+    """Assert that rho = rho_num / q lies in (0, 1), the long route's one assertion."""
+    if not (0 < rho_num < q):
+        raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
+
+
 def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, rs):
     """omega_red_long per r in rs as an unreduced (numerator, 24 alpha Q^2), unguarded.
 
@@ -182,8 +189,7 @@ def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, rs):
     """
     denominator = 0  # 24 alpha Q^2, positive, built at the block's first r
     for q, rho_num, _, _, _, _, numerator in _omega_long_terms(g, n, alpha, sign, rs):
-        if not (0 < rho_num < q):
-            raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
+        _check_rho(q, rho_num)
         denominator = denominator or 24 * alpha * q * q
         yield numerator, denominator
 

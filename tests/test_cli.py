@@ -1,5 +1,6 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib
@@ -985,6 +986,7 @@ _TOKENS = [
 _ARGV_EXAMPLES = [
     [], ["-h"], *([name, "-h"] for name in cli._SUBCOMMANDS), ["--", "report"],
     ["-x", "report"], ["cf", "--r", "report"], ["rep", "--g", "1"], ["report", "--he"],
+    ["cf", "--r", "report", "-h"], ["report", "-h", "sweep"],
 ]
 
 
@@ -995,7 +997,7 @@ def _with_examples(test):
 
 
 class TestParserFilter:
-    """main adds only the options of the subcommands its argv names."""
+    """main adds options and -h only to the subcommands its argv names."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
@@ -1008,6 +1010,18 @@ class TestParserFilter:
             expected = _outcome(argv)
             patch.setattr(cli, "_build_parser", full)
             assert _outcome(argv) == expected
+
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+    @_with_examples
+    def test_help_only_on_the_named_subcommands(self, argv):
+        parser = cli._build_parser(argv)
+        (subparsers,) = (
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        assert "[-h]" in parser.format_usage()
+        assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
+        for name, subparser in subparsers.choices.items():
+            assert ("[-h]" in subparser.format_usage()) == (name in argv), name
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         argv = ["obstruction", "--g", "1", "--json"]

@@ -24,7 +24,7 @@ from contactsurgery.gauge import (
     omega_red_closed,
     omega_red_long,
 )
-from contactsurgery.homology import _spinc_offset, spinc_offset
+from contactsurgery.homology import _spinc_offset, admissible_points, spinc_offset
 
 
 def at_point(core, point):
@@ -80,6 +80,31 @@ class TestDedekindContext:
             dedekind_context(1, 2, 1, 1, -1)
         with pytest.raises(ConditionViolation):
             dedekind_context(0, 0, 1, 1, 1)
+
+    def test_a_core_yielding_rho_one_trips_the_shared_assertion(self):
+        def rho_one(*block):
+            for q, _, *rest in _omega_long_terms(*block):
+                yield (q, q, *rest)
+
+        with mock.patch("contactsurgery.gauge._omega_long_terms", rho_one):
+            for route in (dedekind_context, omega_red_long):
+                with pytest.raises(AssertionError, match=r"^rho = 1 outside \(0, 1\)$"):
+                    route(1, 2, 1, 1, 1)
+
+    def test_one_run_of_the_long_core(self):
+        with mock.patch(
+            "contactsurgery.gauge._omega_long_terms", wraps=_omega_long_terms
+        ) as core:
+            dedekind_context(2, 5, 7, -1, 3)
+        assert core.call_count == 1
+
+    def test_fields_on_the_default_sweep_grid(self):
+        # g 1..3, n 2g..2g+4, alpha 1..15: every admissible point
+        for g in range(1, 4):
+            for n in range(2 * g, 2 * g + 5):
+                for alpha in range(1, 16):
+                    for point in admissible_points(g, n, alpha):
+                        assert dedekind_context(*point) == _dedekind_reference(*point)
 
 
 class TestOmegaRed:
