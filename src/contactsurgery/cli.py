@@ -2,9 +2,10 @@
 
 Subcommands: convert, report, sweep, obstruction, witness, normalize, cf,
 all from one table, _SUBCOMMANDS.  Every call registers all seven names
-but adds options and a -h action only to the subcommands that its argv
-names, since argparse runs a subcommand only when its exact name is a
-token of argv.
+and help lines, but its parser_class builds a subparser (with -h,
+options and --json) only for the subcommands that its argv names and
+maps the others to None, since argparse runs a subcommand only when its
+exact name is a token of argv.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -544,12 +545,15 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser, with options and -h only on the subcommands that argv names.
+    """The parser, with a subparser only for the subcommands that argv names.
 
-    Every name is registered, so the top-level usage, help and errors
-    are those of the full parser: they read each name and help line
-    from the subparsers action, not from its subparser.  A name that is
-    only a value in argv just fills one more subparser.
+    Every name is registered with its help line, so the top-level usage,
+    help and errors are those of the full parser: they read only the
+    names and help lines of the subparsers action.  Its parser_class
+    builds a subparser, with -h, options and --json, for a name that is
+    a token of argv, and maps every other name to None, which argparse
+    never reads since it runs a subparser only for the token that names
+    it.  A name that is only a value in argv just builds one more.
     """
     parser = argparse.ArgumentParser(
         prog="contactsurgery",
@@ -560,12 +564,14 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     # report and sweep override this with their document's pass flag
     parser.set_defaults(passed=_no_pass_flag)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=lambda named, **kwargs: argparse.ArgumentParser(**kwargs) if named else None,
+    )
     for name, (help_text, options, defaults) in _SUBCOMMANDS.items():
-        named = name in argv
-        # a subparser argv does not name is never run, so its -h is never reached
-        p = sub.add_parser(name, help=help_text, add_help=named)
-        if named:
+        p = sub.add_parser(name, help=help_text, named=name in argv)
+        if p is not None:
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
             # added last, so every usage line and option listing ends with it

@@ -986,7 +986,7 @@ _TOKENS = [
 _ARGV_EXAMPLES = [
     [], ["-h"], *([name, "-h"] for name in cli._SUBCOMMANDS), ["--", "report"],
     ["-x", "report"], ["cf", "--r", "report"], ["rep", "--g", "1"], ["report", "--he"],
-    ["cf", "--r", "report", "-h"], ["report", "-h", "sweep"],
+    ["cf", "--r", "report", "-h"], ["report", "-h", "sweep"], ["bogus"], ["report"], ["--json"],
 ]
 
 
@@ -997,7 +997,12 @@ def _with_examples(test):
 
 
 class TestParserFilter:
-    """main adds options and -h only to the subcommands its argv names."""
+    """main builds a subparser only for the subcommands its argv names.
+
+    Every name keeps its help line; the subparsers action's parser_class
+    maps a name that is not a token of argv to None, and argparse reads
+    only the names and help lines for usage, -h and its errors.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
@@ -1020,8 +1025,30 @@ class TestParserFilter:
         )
         assert "[-h]" in parser.format_usage()
         assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
+        assert [(action.dest, action.help) for action in subparsers._get_subactions()] == [
+            (name, help_text) for name, (help_text, _, _) in cli._SUBCOMMANDS.items()
+        ]
         for name, subparser in subparsers.choices.items():
-            assert ("[-h]" in subparser.format_usage()) == (name in argv), name
+            if name in argv:
+                assert "[-h]" in subparser.format_usage(), name
+            else:
+                assert subparser is None, name
+
+    @pytest.mark.parametrize(
+        "argv, inits", [(["cf", "--r=-7/5"], 2), (["cf", "--r", "report"], 3), (["bogus"], 1)]
+    )
+    def test_one_parser_per_named_subcommand(self, argv, inits, monkeypatch, capsys):
+        calls = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert len(calls) == inits, calls
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         argv = ["obstruction", "--g", "1", "--json"]
