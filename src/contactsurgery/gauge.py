@@ -22,7 +22,9 @@ arithmetic lives in one helper, _omega_long_terms, which applies only
 _omega_long_ratio and dedekind_context read it, each asserts rho at
 every r it reads through _check_rho, and dedekind_context then only
 constructs Fractions.  The long form is never reduced algebraically
-into the closed one, so the check stays a comparison of two routes.
+into the closed one, so the check stays a comparison of two routes;
+tests/test_routes.py checks on the call graph that omega_red_long and
+omega_red_closed share no callee but check_admissible.
 
 d3_certificate takes one value of each route and computes, in Fraction
 arithmetic, the d3 of the contact structure from the closed one,

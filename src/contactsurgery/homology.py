@@ -36,7 +36,9 @@ closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
 matrix and no Smith form: O(k) integer operations over the Euler
 numerator E = n prod alpha_j + sum_j beta_j prod_{i != j} alpha_i.  It
 shares nothing with the elimination behind `homology`, which computes
-its own E from the legs, so the two routes check each other.
+its own E from the legs, so the two routes check each other;
+tests/test_routes.py checks on the call graph that they meet only in
+the input guard _check_presentable.
 
 The tracked class mu is the meridian of the terminal vertex of the first
 leg: the fiber class whose order controls how many torsion Spin^c
@@ -58,7 +60,8 @@ construction: the first `count` primes p = 2g*a + 1, used as rotation
 numbers, give c1 classes of pairwise distinct orders (2g*alpha + 1)/p at
 an alpha built from their product, which forces the corresponding
 contact structures apart.  Each order it returns is checked against the
-c1 order that spinc_offset gives for that rotation.
+c1 order that spinc_offset gives for that rotation, by a check that
+calls nothing the construction calls (tests/test_routes.py).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Exact integer matrix kernels: determinant and Smith normal form.
+"""Exact integer matrix kernels: Smith normal form, exact and modulo |det|.
 
-Two independent routes to the same torsion data keep each other honest:
-`determinant` is fraction-free Bareiss elimination, `smith_normal_form`
-is a full diagonalization with unimodular row and column transforms.
-For any square integer matrix the product of the Smith diagonal entries
-must reproduce |det| exactly.
+`smith_normal_form` is a full diagonalization with unimodular row and
+column transforms.  The module runs no determinant: the tests check the
+product of the Smith diagonal entries against |det| by the Bareiss
+elimination of `tests/reference.py`, and the package's one Bareiss pass
+is `lattice.is_negative_definite`.
 
 The Smith form is one elimination that carries its transforms beside
 the matrix: each row of A travels with the same row of S, and T is kept
@@ -22,14 +22,13 @@ cokernel Z^n / A Z^n is identified with Z^n / D Z^n by x -> S x, so
 column j of S gives the coordinates of the j-th standard generator in
 the diagonalized quotient.
 
-A third kernel, the private `_smith_form_mod`, computes the invariant
+A second kernel, the private `_smith_form_mod`, computes the invariant
 factors and the left transform of a nonsingular square matrix modulo
 its |det|, which the caller supplies, so no entry of the matrix or of S
 outgrows it.  `homology` runs it on the k x k fiber block of every star
 whose Euler numerator E is nonzero, with modulus |E|, and runs
 `smith_normal_form` only on a singular block (E = 0).  The tests run
-`smith_normal_form` on whole linking matrices and `determinant`
-everywhere as the references.
+`smith_normal_form` on whole linking matrices as the reference.
 """
 
 from __future__ import annotations
@@ -40,38 +39,7 @@ from dataclasses import dataclass
 
 from .errors import ConditionViolation
 
-__all__ = ["SmithForm", "determinant", "smith_normal_form"]
-
-
-def determinant(matrix) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Every intermediate value is an exact integer (the divisions in the
-    Bareiss recurrence are exact), so there is no overflow or rounding at
-    any size.
-    """
-    m = [[operator.index(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ConditionViolation("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+__all__ = ["SmithForm", "smith_normal_form"]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ certificate, refuses any other q before any leg is built.
 
 embeds_in_diagonal decides embeddability of any negative definite
 lattice by certified exhaustive search; on lambda_q it is the
-certificate's independent second route, run by the tests.  Writing each
-basis vector as an integer coordinate row V_i with gram_ij =
+certificate's independent second route, run by the tests.  The two
+routes share only lambda_q's star, _lambda_star and the `presentation`
+behind it, which tests/test_routes.py checks on the call graph.
+Writing each basis vector as an integer coordinate row V_i with gram_ij =
 -<V_i, V_j> (Euclidean pairing), a vector of square -s has coordinates
 bounded by floor(sqrt(s)) and support at most s, so m = sum |gram_ii|
 columns suffice for any embedding that exists at all.  Columns of D_m
@@ -146,7 +148,9 @@ def is_negative_definite(lattice: Lattice) -> bool:
     it skipped telescope to p_k / p_s, with p_s the pivot of its last
     update, so when it is next touched its step divides by p_s instead,
     exactly.  On a tree such as lambda_q a step touches one or two rows,
-    and the pass costs O(rank^2) rather than O(rank^3).
+    and the pass costs O(rank^2) rather than O(rank^3).  It is the
+    package's one Bareiss pass; the tests check it against each leading
+    minor by the determinant of `tests/reference.py`.
     """
     m = [list(row) for row in lattice.gram]
     n = lattice.rank

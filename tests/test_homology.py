@@ -32,8 +32,10 @@ from contactsurgery.homology import (
     presentation,
     spinc_offset,
 )
-from contactsurgery.intmat import determinant, smith_normal_form
+from contactsurgery.intmat import smith_normal_form
 from contactsurgery.seifert import SeifertInvariants
+
+from reference import determinant
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")

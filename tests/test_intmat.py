@@ -1,4 +1,9 @@
-"""Integer determinant and Smith normal form, cross-checked against each other."""
+"""Smith normal form, exact and modulo |det|, against the reference determinant.
+
+The determinant is the Bareiss elimination of `reference`, which the
+package does not run; TestDeterminant checks it, and every other class
+reads the product of a Smith diagonal against it.
+"""
 
 import math
 import random
@@ -8,7 +13,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.intmat import _smith_form_mod, determinant, smith_normal_form
+from contactsurgery.intmat import _smith_form_mod, smith_normal_form
+
+from reference import determinant
 
 
 def mat_mul(a, b):

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation, SearchExhausted
 from contactsurgery.homology import homology, mu_order, presentation
-from contactsurgery.intmat import determinant
 import contactsurgery.lattice as lattice_module
 from contactsurgery.lattice import (
     DiagonalEmbedding,
@@ -26,6 +26,8 @@ from contactsurgery.lattice import (
     nonfillability_obstruction,
 )
 from contactsurgery.seifert import SeifertInvariants
+
+from reference import determinant
 
 
 def _recursive_search(lattice: Lattice) -> DiagonalEmbedding | None:
@@ -211,6 +213,20 @@ def weighted_stars(draw):
             gram[prev][k] = gram[k][prev] = 1
             prev, k = k, k + 1
     return Lattice(gram=tuple(map(tuple, gram)), rank=rank)
+
+
+@st.composite
+def presentable_stars(draw):
+    """Seifert invariants of 1..8 fibers alpha >= beta >= 1, alpha <= 40,
+    so up to 313 vertices; beta = alpha - 1 half the time, a leg of
+    alpha - 1 entries of -2, and n on either side of -sum beta / alpha."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        alpha = draw(st.integers(1, 40))
+        beta = draw(st.one_of(st.just(max(alpha - 1, 1)), st.integers(1, alpha)))
+        common = math.gcd(alpha, beta)
+        pairs.append((alpha // common, beta // common))
+    return SeifertInvariants(0, draw(st.integers(-len(pairs) - 1, 1)), tuple(pairs))
 
 
 @st.composite
@@ -459,6 +475,20 @@ class TestNegativeDefinite:
         lat = lambda_q(2)
         assert determinant([list(r) for r in lat.gram]) == 0
         assert not is_negative_definite(lat)
+
+    @settings(deadline=None)
+    @given(presentable_stars())
+    @example(SeifertInvariants(0, -2, ((40, 39), (40, 39), (39, 1))))  # lambda_40's star
+    @example(SeifertInvariants(0, -8, ((40, 39),) * 8))  # 313 vertices, e = -1/5
+    def test_star_definite_exactly_when_its_euler_numerator_is_negative(self, inv):
+        # [DERIVED] the Schur complement of the legs at the centre is
+        # e = n + sum beta / alpha and each leg's chain is definite, so the
+        # form is definite exactly when E = e prod alpha < 0 (Neumann-Raymond)
+        matrix = presentation(inv).matrix
+        euler = (inv.n + sum(Fraction(b, a) for a, b in inv.pairs)) * math.prod(
+            a for a, _ in inv.pairs
+        )
+        assert is_negative_definite(Lattice(gram=matrix, rank=len(matrix))) is (euler < 0)
 
 
 class TestEmbedsInDiagonal:
