@@ -1,11 +1,14 @@
 """Command line driver tying the pipeline together.
 
 Subcommands: convert, report, sweep, obstruction, witness, normalize, cf,
-all from one table, _SUBCOMMANDS.  Every call registers all seven names
-and help lines, but its parser_class builds a subparser (with -h,
-options and --json) only for the subcommands that its argv names and
-maps the others to None, since argparse runs a subcommand only when its
-exact name is a token of argv.
+all from one table, _SUBCOMMANDS.  Every call builds the top-level
+parser and registers all seven names and help lines, but its
+parser_class hands out a subparser (with -h, options and --json) only
+for the subcommands that its argv names and maps the others to None,
+since argparse runs a subcommand only when its exact name is a token of
+argv.  Each subparser is built on its first call and reused by every
+later call in the same process, so main(argv) may be called in process
+as often as needed; a fresh process builds only the parser it runs.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -25,6 +28,7 @@ option string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -544,19 +548,41 @@ _SUBCOMMANDS = {
 }
 
 
+_PROG = "contactsurgery"
+
+
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built once per process.
+
+    It depends on the _SUBCOMMANDS entry of name alone, and parsing only
+    reads it: argparse builds each help formatter, with the terminal
+    width of that moment, when it formats usage, help or an error.
+    """
+    _, options, defaults = _SUBCOMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"{_PROG} {name}")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    # added last, so every usage line and option listing ends with it
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(**defaults)
+    return parser
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser, with a subparser only for the subcommands that argv names.
 
     Every name is registered with its help line, so the top-level usage,
     help and errors are those of the full parser: they read only the
     names and help lines of the subparsers action.  Its parser_class
-    builds a subparser, with -h, options and --json, for a name that is
-    a token of argv, and maps every other name to None, which argparse
-    never reads since it runs a subparser only for the token that names
-    it.  A name that is only a value in argv just builds one more.
+    returns _subparser(name), with -h, options and --json, for a name
+    that is a token of argv, and maps every other name to None, which
+    argparse never reads since it runs a subparser only for the token
+    that names it.  A name that is only a value in argv costs one more
+    cache lookup, and a build only on its first call in the process.
     """
     parser = argparse.ArgumentParser(
-        prog="contactsurgery",
+        prog=_PROG,
         description=(
             "Exact invariants of contact surgeries on Seifert fibered spaces. "
             "Negative values must use --flag=value form, e.g. --r=-4/3."
@@ -564,19 +590,14 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     # report and sweep override this with their document's pass flag
     parser.set_defaults(passed=_no_pass_flag)
+    # argparse passes prog="contactsurgery <name>", which _subparser sets itself
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=lambda named, **kwargs: argparse.ArgumentParser(**kwargs) if named else None,
+        parser_class=lambda named, **_: _subparser(named) if named else None,
     )
-    for name, (help_text, options, defaults) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, named=name in argv)
-        if p is not None:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            # added last, so every usage line and option listing ends with it
-            p.add_argument("--json", action="store_true")
-            p.set_defaults(**defaults)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, named=name if name in argv else None)
     return parser
 
 

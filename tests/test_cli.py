@@ -996,6 +996,26 @@ def _with_examples(test):
     return test
 
 
+def _parser_inits(monkeypatch, argvs) -> list[int]:
+    """ArgumentParser.__init__ calls of each main(argv) in turn, from an empty cache."""
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._subparser.cache_clear()
+    counts = []
+    for argv in argvs:
+        calls.clear()
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        counts.append(len(calls))
+    return counts
+
+
 class TestParserFilter:
     """main builds a subparser only for the subcommands its argv names.
 
@@ -1011,9 +1031,12 @@ class TestParserFilter:
         full = cli._build_parser
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("COLUMNS", "80")
+            # the reference builds every subparser anew, past the cache
             patch.setattr(cli, "_build_parser", lambda _: full(list(cli._SUBCOMMANDS)))
+            patch.setattr(cli, "_subparser", cli._subparser.__wrapped__)
             expected = _outcome(argv)
-            patch.setattr(cli, "_build_parser", full)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("COLUMNS", "80")
             assert _outcome(argv) == expected
 
     @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
@@ -1038,17 +1061,14 @@ class TestParserFilter:
         "argv, inits", [(["cf", "--r=-7/5"], 2), (["cf", "--r", "report"], 3), (["bogus"], 1)]
     )
     def test_one_parser_per_named_subcommand(self, argv, inits, monkeypatch, capsys):
-        calls = []
-        init = argparse.ArgumentParser.__init__
+        """With the cache empty, a call builds the top-level parser and one
+        per named subcommand; the same argv again builds only the top-level one."""
+        counts = _parser_inits(monkeypatch, [argv, argv])
+        assert counts == [inits, 1]
 
-        def counted(self, *args, **kwargs):
-            calls.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        with contextlib.suppress(SystemExit):
-            main(argv)
-        assert len(calls) == inits, calls
+    def test_each_subparser_is_built_once_per_process(self, monkeypatch, capsys):
+        argvs = [["cf", "--r=-7/5"], ["cf", "--r=-7/5"], ["cf", "--r", "report"], ["bogus"]]
+        assert _parser_inits(monkeypatch, argvs) == [2, 1, 2, 1]
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         argv = ["obstruction", "--g", "1", "--json"]
@@ -1063,3 +1083,87 @@ class TestParserFilter:
         expected = capsys.readouterr()
         assert main(("cf", "--r=-7/5")) == 0
         assert capsys.readouterr() == expected
+
+
+# one short valid call per subcommand, and the pairs whose options differ
+_VALID_ARGV = [
+    ["convert", "--r=-4/3"], ["convert", "--r=4/7", "--tb=-2", "--json"],
+    ["report", "--g", "1", "--n", "2", "--alpha", "3", "--sign", "+", "--r", "1"],
+    ["sweep", "--g-range", "1..1", "--alpha-range", "1..2"], ["sweep", "--mu-only", "--json"],
+    ["obstruction", "--g", "1"], ["witness", "--g", "1", "--count", "2", "--json"],
+    ["normalize", "--g", "1", "--n", "3", "--pairs", "5/12,3/1"],
+    ["normalize", "--g", "0", "--n", "1"],
+    ["cf", "--r=-7/5"], ["cf", "--entries=-2,-3", "--json"],
+]
+
+
+def _fresh_outcome(argv) -> tuple:
+    """_outcome of argv with every subparser built anew."""
+    cli._subparser.cache_clear()
+    return _outcome(argv)
+
+
+class TestParserCache:
+    """Each subparser is built once per process and carries no state from
+    one main call to the next: a warm call's exit code, stdout and stderr
+    are those of the same argv right after cache_clear()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["60", "80", "120"]),
+                st.sampled_from(_VALID_ARGV)
+                | st.sampled_from(_ARGV_EXAMPLES)
+                | st.lists(st.sampled_from(_TOKENS), max_size=7),
+            ),
+            max_size=5,
+        )
+    )
+    def test_warm_calls_match_fresh_ones(self, sequence):
+        def outcomes(run) -> list:
+            results = []
+            with pytest.MonkeyPatch.context() as patch:
+                for columns, argv in sequence:
+                    patch.setenv("COLUMNS", columns)
+                    results.append(run(argv))
+            return results
+
+        # the second pass finds every subparser it names in the cache
+        warm = outcomes(_outcome) + outcomes(_outcome)
+        assert cli._subparser.cache_info().currsize <= len(cli._SUBCOMMANDS)
+        assert warm == outcomes(_fresh_outcome) * 2
+
+    def test_help_wraps_at_the_width_of_each_call(self, monkeypatch):
+        widths = ("60", "120", "60")
+        warm, fresh = [], []
+        cli._subparser.cache_clear()
+        for columns in widths:
+            monkeypatch.setenv("COLUMNS", columns)
+            warm.append(_outcome(["report", "-h"]))
+        for columns in widths:
+            monkeypatch.setenv("COLUMNS", columns)
+            fresh.append(_fresh_outcome(["report", "-h"]))
+        assert warm == fresh
+        assert warm[0] != warm[1]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["report", "--sign", "?"], _VALID_ARGV[2]),
+            (["cf", "--r=-7/5"], ["cf", "--entries=-2,-3"]),
+            (["sweep", "--mu-only", "--json"], ["sweep", "--json"]),
+        ],
+    )
+    def test_a_call_leaves_nothing_to_the_next(self, first, second, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = _fresh_outcome(first), _fresh_outcome(second)
+        cli._subparser.cache_clear()
+        assert (_outcome(first), _outcome(second)) == expected
+        assert cli._subparser.cache_info().currsize == 1
+
+    def test_plain_sweep_after_mu_only_reads_false(self, capsys):
+        assert main(["sweep", "--mu-only", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"]["mu_only"] is True
+        assert main(["sweep", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"]["mu_only"] is False
