@@ -5,24 +5,79 @@ denominator pairs where a rational is needed) and hand rationals across
 the API as fractions.Fraction; no floating point is used anywhere.
 
 The package root re-exports the public names of its seven layers,
-exactly as each module lists them in its own __all__.
+exactly as each module lists them in its own __all__.  Importing it
+loads contfrac, seifert, intmat and homology, which every subcommand
+runs; homology is loaded here so that the name `homology` stays bound
+to the function, not to the submodule.  legendrian, gauge and lattice
+load on first use (PEP 562): reading one of their public names, or the
+layer itself, from the root imports that layer and binds its names
+here, and reading __all__ (as `from contactsurgery import *` does)
+imports all three.  Any other missing name raises AttributeError and
+imports nothing, so `from contactsurgery import cli` loads cli alone.
 """
 
-from . import contfrac, gauge, homology, intmat, lattice, legendrian, seifert
+from .contfrac import *  # noqa: F403
+from .seifert import *  # noqa: F403
+from .intmat import *  # noqa: F403
+from .homology import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# collected before the star imports: they rebind `homology` to the function
-__all__ = [
-    name
-    for module in (contfrac, legendrian, seifert, intmat, homology, gauge, lattice)
-    for name in module.__all__
-] + ["__version__"]
+# each lazy layer's __all__, written out so that no name needs an import to
+# find its layer; test_exports fails on a name missing here
+_LAZY = {
+    "legendrian": (
+        "LegendrianComponent",
+        "PlusMinusDiagram",
+        "StabilizationChoice",
+        "convert",
+        "enumerate_choices",
+        "smooth_coefficient",
+    ),
+    "gauge": (
+        "DedekindContext",
+        "MoyVerdict",
+        "dedekind_context",
+        "omega_red_long",
+        "omega_red_closed",
+        "d3_certificate",
+        "moy_check",
+    ),
+    "lattice": (
+        "Lattice",
+        "DiagonalEmbedding",
+        "lambda_q",
+        "lambda_q_certificate",
+        "is_negative_definite",
+        "embeds_in_diagonal",
+        "nonfillability_obstruction",
+    ),
+}
+_OWNER = {name: layer for layer, names in _LAZY.items() for name in (layer, *names)}
 
-from .contfrac import *  # noqa: E402,F403
-from .legendrian import *  # noqa: E402,F403
-from .seifert import *  # noqa: E402,F403
-from .intmat import *  # noqa: E402,F403
-from .homology import *  # noqa: E402,F403
-from .gauge import *  # noqa: E402,F403
-from .lattice import *  # noqa: E402,F403
+
+def __getattr__(name: str):
+    if name == "__all__":
+        layers = ("contfrac", "legendrian", "seifert", "intmat", "homology", "gauge", "lattice")
+        modules = [_load(layer) for layer in layers]
+        value = [entry for module in modules for entry in module.__all__] + ["__version__"]
+    elif name in _OWNER:
+        _load(_OWNER[name])
+        value = globals()[name]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER, "__all__"})
+
+
+def _load(layer: str):
+    """Import one layer and bind its public names here; return the module."""
+    from importlib import import_module
+
+    module = import_module(f".{layer}", __name__)
+    globals().update((name, getattr(module, name)) for name in module.__all__)
+    return module

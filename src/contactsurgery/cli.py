@@ -9,6 +9,14 @@ since argparse runs a subcommand only when its exact name is a token of
 argv.  Each subparser is built on its first call and reused by every
 later call in the same process, so main(argv) may be called in process
 as often as needed; a fresh process builds only the parser it runs.
+Likewise it imports only the layers it runs: importing cli loads
+contfrac, seifert, intmat and homology (through the package root), and
+the builders that run gauge, lattice or legendrian import them in their
+first line, once per call and never per point: build_report and
+run_sweep import gauge, _diagram_summary (convert and report) imports
+legendrian, and _obstruction imports lattice.  So a fresh cf, normalize
+or witness loads none of the three, obstruction loads lattice alone and
+sweep gauge alone.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -35,14 +43,6 @@ from fractions import Fraction
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import ConditionViolation
-from .gauge import (
-    _moy_holds,
-    _omega_routes_agree,
-    d3_certificate,
-    moy_check,
-    omega_red_closed,
-    omega_red_long,
-)
 from .homology import (
     admissible_blocks,
     check_admissible,
@@ -52,8 +52,6 @@ from .homology import (
     presentation,
     spinc_offset,
 )
-from .lattice import nonfillability_obstruction
-from .legendrian import convert
 from .seifert import SeifertInvariants, coefficients_from_seifert, normalize
 
 __all__ = ["build_report", "render_json", "main"]
@@ -77,6 +75,8 @@ def render_json(document: dict) -> str:
 
 
 def _diagram_summary(coefficient: Fraction, tb: int = -1, rot: int = 0) -> dict:
+    from .legendrian import convert
+
     diagram = convert(coefficient, tb, rot)
     return {
         "coefficient": coefficient,
@@ -104,6 +104,8 @@ def build_report(g: int, n: int, alpha: int, sign: int, r: int) -> dict:
     evaluated once; the d3 pair, the gap and the fillability verdict all
     come from those two values.
     """
+    from .gauge import d3_certificate, moy_check, omega_red_closed, omega_red_long
+
     check_admissible(g, n, alpha, sign, r)
     inv = SeifertInvariants(g, n, ((alpha, 1),))
     coefficient = coefficients_from_seifert(inv)[0]
@@ -212,6 +214,7 @@ def run_sweep(
     _SWEEP_BLOCK_LIMIT blocks it raises ConditionViolation, and so it
     does for g < 1, after the size check.
     """
+    from .gauge import _moy_holds, _omega_routes_agree
 
     def size(low: int, high: int) -> int:
         return max(0, high - low + 1)
@@ -390,6 +393,8 @@ def _sweep_passed(doc: dict) -> bool:
 
 
 def _obstruction(args) -> dict:
+    from .lattice import nonfillability_obstruction
+
     return nonfillability_obstruction(args.g)
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ConditionViolation
 
 __all__ = [
@@ -40,15 +40,13 @@ __all__ = [
 _CHAIN_LIMIT = 3000  # entries of one expansion, and (+1)-pushoffs of one chain
 
 
-@dataclass(frozen=True)
-class NegContinuedFraction:
+class NegContinuedFraction(Record):
     """Expansion [c0, c1, ..., cm] with c0 <= -1 and ci <= -2 for i >= 1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(operator.index(c) for c in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(operator.index(c) for c in entries)
         if not entries:
             raise ConditionViolation("expansion needs at least one entry")
         if entries[0] > -1:
@@ -56,6 +54,7 @@ class NegContinuedFraction:
         for c in entries[1:]:
             if c > -2:
                 raise ConditionViolation(f"tail entries must be <= -2, got {c}")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -61,9 +61,9 @@ not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .homology import _spinc_offset, check_admissible
 
 __all__ = [
@@ -77,20 +77,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DedekindContext:
+class DedekindContext(Record):
     """The exact rational ingredients of the long omega_red formula."""
 
-    l: Fraction
-    rho: Fraction
-    gamma: Fraction
-    S: Fraction
-    S_rho: Fraction
-    F_rho: Fraction
+    __slots__ = ("l", "rho", "gamma", "S", "S_rho", "F_rho")
+
+    def __init__(
+        self,
+        l: Fraction,
+        rho: Fraction,
+        gamma: Fraction,
+        S: Fraction,
+        S_rho: Fraction,
+        F_rho: Fraction,
+    ) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S_rho", S_rho)
+        object.__setattr__(self, "F_rho", F_rho)
 
 
-@dataclass(frozen=True)
-class MoyVerdict:
+class MoyVerdict(Record):
     """Outcome of the reducibility and Dirac-kernel criteria.
 
     witness_degrees lists the members of the degree coset that land in
@@ -100,10 +109,19 @@ class MoyVerdict:
     central framing n = 2g satisfies deg K < representative < 2g + 1/alpha.
     """
 
-    reducibles_only: bool
-    dirac_kernels_trivial: bool
-    witness_degrees: tuple[Fraction, ...]
-    representative: Fraction
+    __slots__ = ("reducibles_only", "dirac_kernels_trivial", "witness_degrees", "representative")
+
+    def __init__(
+        self,
+        reducibles_only: bool,
+        dirac_kernels_trivial: bool,
+        witness_degrees: tuple[Fraction, ...],
+        representative: Fraction,
+    ) -> None:
+        object.__setattr__(self, "reducibles_only", reducibles_only)
+        object.__setattr__(self, "dirac_kernels_trivial", dirac_kernels_trivial)
+        object.__setattr__(self, "witness_degrees", witness_degrees)
+        object.__setattr__(self, "representative", representative)
 
 
 def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindContext:

@@ -69,9 +69,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import islice
 
+from ._record import Record
 from .contfrac import _neg_cf_entries
 from .errors import ConditionViolation, SearchExhausted
 from .intmat import _smith_form_mod, smith_normal_form
@@ -100,8 +100,7 @@ _COUNT_LIMIT = 100
 _BASE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class IntegralPresentation:
+class IntegralPresentation(Record):
     """The star-shaped surgery presentation, kept as a star.
 
     The central unknot is framed n; legs holds one tuple of framings
@@ -111,9 +110,12 @@ class IntegralPresentation:
     the centre outwards.
     """
 
-    n: int
-    legs: tuple[tuple[int, ...], ...]
-    free_rank: int
+    __slots__ = ("n", "legs", "free_rank")
+
+    def __init__(self, n: int, legs: tuple[tuple[int, ...], ...], free_rank: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "free_rank", free_rank)
 
     @property
     def mu_index(self) -> int:
@@ -137,8 +139,7 @@ class IntegralPresentation:
         return tuple(map(tuple, m))
 
 
-@dataclass(frozen=True)
-class FirstHomology:
+class FirstHomology(Record):
     """H1 = Z^free_rank + sum Z/d for d in torsion (d_1 | d_2 | ...).
 
     Every meridian generator is an integer multiple a * e_r of a
@@ -161,11 +162,22 @@ class FirstHomology:
     basis-free.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    torsion_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    free_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-    legs: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ("free_rank", "torsion", "torsion_rows", "free_rows", "legs")
+    _hidden = ("torsion_rows", "free_rows", "legs")
+
+    def __init__(
+        self,
+        free_rank: int,
+        torsion: tuple[int, ...],
+        torsion_rows: tuple[tuple[int, ...], ...],
+        free_rows: tuple[tuple[int, ...], ...],
+        legs: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "torsion_rows", torsion_rows)
+        object.__setattr__(self, "free_rows", free_rows)
+        object.__setattr__(self, "legs", legs)
 
     @property
     def class_map(self) -> tuple[tuple[int, ...], ...]:
@@ -230,8 +242,7 @@ class FirstHomology:
         return r, _leg_end(leg[i + 1 :])[0]
 
 
-@dataclass(frozen=True)
-class SpinCClass:
+class SpinCClass(Record):
     """A torsion Spin^c structure written relative to the canonical one.
 
     offset is the coefficient j in t = t_can + j * PD(mu), reduced modulo
@@ -239,13 +250,14 @@ class SpinCClass:
     that multiple is pinned down (central framing n = 2g), None otherwise.
     """
 
-    offset: int
-    modulus: int
-    c1_coefficient: int | None
+    __slots__ = ("offset", "modulus", "c1_coefficient")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, offset: int, modulus: int, c1_coefficient: int | None) -> None:
+        if modulus < 1:
             raise ConditionViolation("modulus must be a positive integer")
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "c1_coefficient", c1_coefficient)
 
     @property
     def c1_order(self) -> int:
@@ -255,13 +267,15 @@ class SpinCClass:
         return self.modulus // math.gcd(self.c1_coefficient, self.modulus)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Parameters certifying `len(rotations)` pairwise distinct structures."""
 
-    alpha: int
-    rotations: tuple[int, ...]
-    orders: tuple[int, ...]
+    __slots__ = ("alpha", "rotations", "orders")
+
+    def __init__(self, alpha: int, rotations: tuple[int, ...], orders: tuple[int, ...]) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "orders", orders)
 
 
 def presentation(inv: SeifertInvariants) -> IntegralPresentation:

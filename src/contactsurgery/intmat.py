@@ -35,24 +35,31 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ConditionViolation
 
 __all__ = ["SmithForm", "smith_normal_form"]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Diagonalization D = S A T with S, T unimodular.
 
     diagonal holds d_1 | d_2 | ... | d_r followed by zeros, all
     nonnegative.  left is S as a tuple of rows; right is T.
     """
 
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    __slots__ = ("diagonal", "left", "right")
+
+    def __init__(
+        self,
+        diagonal: tuple[int, ...],
+        left: tuple[tuple[int, ...], ...],
+        right: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def smith_normal_form(matrix) -> SmithForm:

@@ -54,8 +54,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._record import Record
 from .contfrac import _CHAIN_LIMIT
 from .errors import ConditionViolation, SearchExhausted
 from .homology import IntegralPresentation, presentation
@@ -76,29 +76,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A finite-rank lattice given by its Gram matrix."""
 
-    gram: tuple[tuple[int, ...], ...]
-    rank: int
+    __slots__ = ("gram", "rank")
 
-    def __post_init__(self) -> None:
-        gram = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
-        object.__setattr__(self, "gram", gram)
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
+    def __init__(self, gram: tuple[tuple[int, ...], ...], rank: int) -> None:
+        gram = tuple(tuple(operator.index(x) for x in row) for row in gram)
+        if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ConditionViolation("gram matrix must be rank x rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ConditionViolation("gram matrix must be symmetric")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class DiagonalEmbedding:
+class DiagonalEmbedding(Record):
     """Rows are images of the lattice basis in D_m, columns D_m coordinates."""
 
-    vectors: tuple[tuple[int, ...], ...]
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "vectors", vectors)
 
     def pairing(self, i: int, j: int) -> int:
         """The D_m product of rows i and j: minus the Euclidean dot."""

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .contfrac import _CHAIN_LIMIT, _exact, neg_cf_expand, stabilization_counts
 from .errors import ConditionViolation
 
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LegendrianComponent:
+class LegendrianComponent(Record):
     """One component of a (+1)/(-1) surgery chain.
 
     Component i of a chain is a pushoff of component i - 1, the first of
@@ -53,25 +52,30 @@ class LegendrianComponent:
     built).
     """
 
-    contact_coefficient: int  # +1 or -1
-    stab_count: int
-    tb: int
-    rot: int
+    __slots__ = ("contact_coefficient", "stab_count", "tb", "rot")
 
-    def __post_init__(self) -> None:
-        if self.contact_coefficient not in (1, -1):
+    def __init__(self, contact_coefficient: int, stab_count: int, tb: int, rot: int) -> None:
+        if contact_coefficient not in (1, -1):
             raise ConditionViolation("contact coefficient must be +1 or -1")
-        if self.stab_count < 0:
+        if stab_count < 0:
             raise ConditionViolation("stabilization count must be >= 0")
+        object.__setattr__(self, "contact_coefficient", contact_coefficient)
+        object.__setattr__(self, "stab_count", stab_count)
+        object.__setattr__(self, "tb", tb)
+        object.__setattr__(self, "rot", rot)
 
 
-@dataclass(frozen=True)
-class PlusMinusDiagram:
+class PlusMinusDiagram(Record):
     """A chain of (+1)/(-1)-surgered pushoffs replacing one rational surgery."""
 
-    components: tuple[LegendrianComponent, ...]
-    root_tb: int
-    root_rot: int
+    __slots__ = ("components", "root_tb", "root_rot")
+
+    def __init__(
+        self, components: tuple[LegendrianComponent, ...], root_tb: int, root_rot: int
+    ) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "root_tb", root_tb)
+        object.__setattr__(self, "root_rot", root_rot)
 
     @property
     def plus_count(self) -> int:
@@ -86,8 +90,7 @@ class PlusMinusDiagram:
         return math.prod(s + 1 for s in self.stab_counts)
 
 
-@dataclass(frozen=True)
-class StabilizationChoice:
+class StabilizationChoice(Record):
     """One distribution of stabilization signs over a diagram.
 
     signs[i] = (#positive, #negative) on component i; rotations[i] is the
@@ -95,8 +98,11 @@ class StabilizationChoice:
     Two choices are distinct exactly when their sign vectors differ.
     """
 
-    signs: tuple[tuple[int, int], ...]
-    rotations: tuple[int, ...]
+    __slots__ = ("signs", "rotations")
+
+    def __init__(self, signs: tuple[tuple[int, int], ...], rotations: tuple[int, ...]) -> None:
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "rotations", rotations)
 
     @property
     def final_rot(self) -> int:

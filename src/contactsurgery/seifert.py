@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .contfrac import _exact
 from .errors import ConditionViolation
 
@@ -40,25 +40,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeifertInvariants:
+class SeifertInvariants(Record):
     """The tuple (g, n; (alpha_1, beta_1), ..., (alpha_k, beta_k)).
 
     Each alpha_i must be positive and each pair coprime; beta_i = 0 is
     tolerated with any alpha_i because a -alpha/0 surgery is trivial.
     """
 
-    g: int
-    n: int
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("g", "n", "pairs")
 
-    def __post_init__(self) -> None:
-        pairs = tuple((operator.index(a), operator.index(b)) for a, b in self.pairs)
-        object.__setattr__(self, "g", operator.index(self.g))
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "pairs", pairs)
-        if self.g < 0:
-            raise ConditionViolation(f"genus must be >= 0, got {self.g}")
+    def __init__(self, g: int, n: int, pairs: tuple[tuple[int, int], ...] = ()) -> None:
+        pairs = tuple((operator.index(a), operator.index(b)) for a, b in pairs)
+        g, n = operator.index(g), operator.index(n)
+        if g < 0:
+            raise ConditionViolation(f"genus must be >= 0, got {g}")
         for alpha, beta in pairs:
             if alpha <= 0:
                 raise ConditionViolation(f"multiplicity must be positive, got {alpha}")
@@ -66,6 +61,9 @@ class SeifertInvariants:
                 raise ConditionViolation(
                     f"surgery coefficient -{alpha}/{beta} is not in lowest terms"
                 )
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def e_invariant(self) -> Fraction:

@@ -17,6 +17,14 @@ import contactsurgery
 PACKAGE = Path(contactsurgery.__file__).parent
 CONTRACT = {"ConditionViolation", "SearchExhausted", "TypeError", "AssertionError"}
 PARSE_HELPERS = {"_parse_range", "_parse_pairs", "_cf"}
+# AttributeError belongs to Python's attribute protocol, not to the outcome
+# of a call: a record refuses assignment and deletion with it, as a frozen
+# dataclass does, and the package root's module __getattr__ (PEP 562)
+# answers a name it does not serve with it
+ATTRIBUTE_PROTOCOL = {
+    "_record.py": ["__delattr__", "__setattr__"],
+    "__init__.py": ["__getattr__"],
+}
 
 
 def _raises(path):
@@ -32,12 +40,30 @@ def _raises(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_raise_names_a_contract_type(path):
     helpers = PARSE_HELPERS if path.name == "cli.py" else set()
+    protocol = path.name in ATTRIBUTE_PROTOCOL
     stray = [
         (line, name)
         for owner, name, line in _raises(path)
-        if name not in CONTRACT and not (name == "ValueError" and owner in helpers)
+        if name not in CONTRACT
+        and not (name == "ValueError" and owner in helpers)
+        and not (name == "AttributeError" and protocol)
     ]
     assert stray == []
+
+
+@pytest.mark.parametrize("name", sorted(ATTRIBUTE_PROTOCOL))
+def test_attribute_error_only_in_the_attribute_protocol(name):
+    path = PACKAGE / name
+    owners = sorted(
+        function.name
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise) and node.exc.func.id == "AttributeError"
+    )
+    assert owners == ATTRIBUTE_PROTOCOL[name]
+    raised = [raised for _, raised, _ in _raises(path) if raised == "AttributeError"]
+    assert len(raised) == len(owners)
 
 
 def test_value_error_only_in_the_parse_helpers():

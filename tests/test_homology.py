@@ -7,7 +7,6 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,11 +147,12 @@ class TestHomology:
             assert y % x == 0
 
 
-@dataclass(frozen=True)
 class _WholeMatrixHomology(FirstHomology):
     """A FirstHomology whose vertex r is the block generator e_r itself."""
 
-    size: int = 0
+    def __init__(self, h: FirstHomology, size: int) -> None:
+        super().__init__(h.free_rank, h.torsion, h.torsion_rows, h.free_rows, h.legs)
+        object.__setattr__(self, "size", size)
 
     def _vertices(self):
         return ((r, 1) for r in range(self.size))
@@ -174,7 +174,7 @@ def _whole_matrix_homology(rows, free_rank=0):
     if any(len(row) != size for row in rows):
         raise ValueError("linking matrix must be square")
     h = homology_module._cokernel(rows, (), free_rank, 0)
-    return _WholeMatrixHomology(**{f.name: getattr(h, f.name) for f in fields(h)}, size=size)
+    return _WholeMatrixHomology(h, size)
 
 
 def _raw(rows, free_rank=0):

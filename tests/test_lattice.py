@@ -1,6 +1,5 @@
 """Obstruction lattices and the certified diagonal embedding search."""
 
-import dataclasses
 import math
 import re
 import sys
@@ -12,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation, SearchExhausted
-from contactsurgery.homology import homology, mu_order, presentation
+from contactsurgery.homology import IntegralPresentation, homology, mu_order, presentation
 import contactsurgery.lattice as lattice_module
 from contactsurgery.lattice import (
     DiagonalEmbedding,
@@ -827,7 +826,7 @@ def _mutated_presentation(change):
 
 
 def _w_framed_minus_3(star):
-    return dataclasses.replace(star, legs=(*star.legs[:2], (-3,)))
+    return IntegralPresentation(star.n, (*star.legs[:2], (-3,)), star.free_rank)
 
 
 class TestLambdaQCertificate:
@@ -858,13 +857,13 @@ class TestLambdaQCertificate:
     @pytest.mark.parametrize(
         "change, hypothesis",
         [
-            (lambda s: dataclasses.replace(s, n=-3), "the centre is framed -2"),
+            (lambda s: IntegralPresentation(-3, s.legs, s.free_rank), "the centre is framed -2"),
             (
-                lambda s: dataclasses.replace(s, legs=((-2, -3), *s.legs[1:])),
+                lambda s: IntegralPresentation(s.n, ((-2, -3), *s.legs[1:]), s.free_rank),
                 "the first leg is 2 entries of -2",
             ),
             (
-                lambda s: dataclasses.replace(s, legs=(s.legs[0], (-3, -2), s.legs[2])),
+                lambda s: IntegralPresentation(s.n, (s.legs[0], (-3, -2), s.legs[2]), s.free_rank),
                 "the second leg is 2 entries of -2",
             ),
             (_w_framed_minus_3, "w is one vertex framed -2"),

@@ -13,9 +13,11 @@ The graph's nodes are the module-level functions, classes and names of
 each module and the methods and properties of each class, a class
 standing for its dunder methods too, since Python calls those itself.
 A node refers to every package name its code loads, resolved through
-the module's own definitions and its `from .x import y` bindings, so a
-function passed as a value counts as called; a local variable hides a
-module name of the same spelling.  An attribute read `x.name` refers to
+the module's own definitions and its `from .x import y` bindings, those
+at module level and those inside the node's own code (cli imports the
+lazy layers in the builders that run them), so a function passed as a
+value counts as called; a local variable hides a module name of the
+same spelling.  An attribute read `x.name` refers to
 every method or property called `name` in the package, whatever x is.
 Annotations are left out: they are never evaluated.
 """
@@ -78,6 +80,16 @@ def _bound_locally(function: ast.FunctionDef) -> set[str]:
     return bound
 
 
+def _relative_imports(statements) -> dict[str, str]:
+    """The names that the `from .x import y` statements among these bind, each to 'x.y'."""
+    return {
+        alias.asname or alias.name: f"{statement.module}.{alias.name}"
+        for statement in statements
+        if isinstance(statement, ast.ImportFrom) and statement.level == 1
+        for alias in statement.names
+    }
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -94,12 +106,9 @@ def call_graph() -> tuple[dict[str, str], dict[str, set[str]]]:
     scopes: dict[str, dict[str, str]] = {}
     methods: dict[str, set[str]] = {}
     for module, tree in TREES.items():
-        scope = scopes[module] = {}
+        scope = scopes[module] = _relative_imports(tree.body)
         for statement in tree.body:
-            if isinstance(statement, ast.ImportFrom) and statement.level == 1:
-                for alias in statement.names:
-                    scope[alias.asname or alias.name] = f"{statement.module}.{alias.name}"
-            elif isinstance(statement, ast.FunctionDef):
+            if isinstance(statement, ast.FunctionDef):
                 node = scope[statement.name] = f"{module}.{statement.name}"
                 kinds[node] = "function"
                 bodies[node] = (module, [statement], _bound_locally(statement))
@@ -129,10 +138,9 @@ def call_graph() -> tuple[dict[str, str], dict[str, set[str]]]:
         references = _References()
         for part in code:
             references.visit(part)
+        scope = {**scopes[module], **_relative_imports(n for part in code for n in ast.walk(part))}
         edges[node] = {
-            scopes[module][name]
-            for name in references.names - local
-            if name in scopes[module] and scopes[module][name] in kinds
+            scope[name] for name in references.names - local if name in scope and scope[name] in kinds
         }
         for attribute in references.attributes:
             edges[node] |= methods.get(attribute, set())
@@ -231,6 +239,26 @@ def test_the_graph_sees_calls_by_value_through_tables_and_by_attribute():
     assert "errors.ConditionViolation" in EDGES["seifert.SeifertInvariants"]  # __post_init__
     # annotations are never evaluated
     assert "seifert.SeifertInvariants" not in EDGES["homology.mu_order"]
+
+
+def test_the_graph_binds_function_level_imports():
+    """cli imports gauge, lattice and legendrian in the builders that run them."""
+    for callee in (
+        "gauge.omega_red_long",
+        "gauge.omega_red_closed",
+        "gauge.d3_certificate",
+        "gauge.moy_check",
+    ):
+        assert callee in EDGES["cli.build_report"]
+    assert "legendrian.convert" in EDGES["cli._diagram_summary"]
+    assert {"gauge._omega_routes_agree", "gauge._moy_holds"} <= EDGES["cli.run_sweep"]
+    assert "lattice.nonfillability_obstruction" in EDGES["cli._obstruction"]
+    # a function-level import binds its names in that function alone
+    assert "gauge.omega_red_long" not in EDGES["cli.run_sweep"]
+    assert "legendrian.convert" not in EDGES["cli.build_report"]
+    # and cli imports no lazy layer at module level
+    lazy = {"gauge", "lattice", "legendrian"}
+    assert not {target.split(".")[0] for target in _relative_imports(TREES["cli"].body).values()} & lazy
 
 
 def test_every_private_function_has_a_caller():
