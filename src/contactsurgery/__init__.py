@@ -57,17 +57,16 @@ _OWNER = {name: layer for layer, names in _LAZY.items() for name in (layer, *nam
 
 
 def __getattr__(name: str):
+    """A lazy layer, one of its public names, or __all__; see the module docstring."""
+    global __all__
+    if name in _OWNER:
+        _load(_OWNER[name])
+        return globals()[name]
     if name == "__all__":
         layers = ("contfrac", "legendrian", "seifert", "intmat", "homology", "gauge", "lattice")
-        modules = [_load(layer) for layer in layers]
-        value = [entry for module in modules for entry in module.__all__] + ["__version__"]
-    elif name in _OWNER:
-        _load(_OWNER[name])
-        value = globals()[name]
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+        __all__ = [entry for layer in layers for entry in _load(layer).__all__] + ["__version__"]
+        return __all__
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
