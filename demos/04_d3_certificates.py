@@ -9,7 +9,9 @@ difference is always exactly 2g + 1.  A nonzero gap certifies that no
 filling can exist.
 """
 
-from contactsurgery import d3_certificate, dedekind_context, omega_red_closed, omega_red_long
+from fractions import Fraction
+
+from contactsurgery import d3_certificate, omega_red_closed, omega_red_long
 
 
 def certificate(g, n, alpha, sign, r):
@@ -19,9 +21,15 @@ def certificate(g, n, alpha, sign, r):
 
 
 g, n, alpha, sign, r = 1, 2, 3, 1, 1
-c = dedekind_context(g, n, alpha, sign, r)
+# the long form's ingredients, from their definitions in omega_red_long's docstring
+l = n + Fraction(1, alpha)
+rho = Fraction(alpha * (n - sign * (n - 2 * g)) - r + 1, 2 * n * alpha + 2)
+gamma = Fraction(r + alpha - 2, 2)
+S = Fraction(alpha**2 + 2, 12 * alpha) - Fraction(1, 4)
+S_rho = (alpha**2 - 3 * alpha * (1 + 2 * gamma) + 2 * (1 + 3 * gamma + 3 * gamma**2)) / (12 * alpha)
+F_rho = (gamma + rho) / alpha
 print(f"ingredients at (g,n,alpha,sign,r) = (1,2,3,+,1):")
-print(f"  l={c.l} rho={c.rho} gamma={c.gamma} S={c.S} S_rho={c.S_rho} F_rho={c.F_rho}")
+print(f"  l={l} rho={rho} gamma={gamma} S={S} S_rho={S_rho} F_rho={F_rho}")
 print(f"  omega_red long form   = {omega_red_long(g, n, alpha, sign, r)}")
 print(f"  omega_red closed form = {omega_red_closed(g, n, alpha, sign, r)}\n")
 

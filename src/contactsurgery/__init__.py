@@ -35,9 +35,7 @@ _LAZY = {
         "smooth_coefficient",
     ),
     "gauge": (
-        "DedekindContext",
         "MoyVerdict",
-        "dedekind_context",
         "omega_red_long",
         "omega_red_closed",
         "d3_certificate",

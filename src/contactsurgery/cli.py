@@ -199,10 +199,10 @@ def run_sweep(
     the MOY verdict at each r's offset from homology._spinc_offset with
     the sandwich deg K < representative < 2g + 1/alpha.  A block whose
     verdicts all hold records nothing; otherwise its r range is zipped
-    with those verdicts, so failures keep the point order of
-    admissible_points.  The long core still asserts rho in (0, 1) at
-    every point.  The gap law is read
-    from the identity comparison itself, never from gauge.d3_certificate:
+    with those verdicts, so failures keep the grid's point order: sign +1
+    with r ascending, then sign -1.  The long core still asserts rho in
+    (0, 1) at every point.  The gap law is read from the identity
+    comparison itself, never from gauge.d3_certificate:
     by the algebra in that function's docstring, the gap is 2g + 1
     exactly when the routes agree, so a failed identity is recorded as
     omega_identity and then gap_law, each counted once per point.

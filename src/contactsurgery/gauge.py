@@ -19,12 +19,11 @@ point.  omega_red_long and omega_red_closed are check_admissible plus
 one Fraction built from the core run on their one r.  The long route's
 arithmetic lives in one helper, _omega_long_terms, which applies only
 +, - and * and yields the ingredients' numerators with the summed one;
-_omega_long_ratio and dedekind_context read it, each asserts rho at
-every r it reads through _check_rho, and dedekind_context then only
-constructs Fractions.  The long form is never reduced algebraically
-into the closed one, so the check stays a comparison of two routes;
-tests/test_routes.py checks on the call graph that omega_red_long and
-omega_red_closed share no callee but check_admissible.
+_omega_long_ratio reads it and asserts rho at every r.  The long form
+is never reduced algebraically into the closed one, so the check stays
+a comparison of two routes; tests/test_routes.py checks on the call
+graph that omega_red_long and omega_red_closed share no callee but
+check_admissible.
 
 d3_certificate takes one value of each route and computes, in Fraction
 arithmetic, the d3 of the contact structure from the closed one,
@@ -61,42 +60,20 @@ not assumed.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ._record import Record
+from .contfrac import _exact
 from .homology import _spinc_offset, check_admissible
 
 __all__ = [
-    "DedekindContext",
     "MoyVerdict",
-    "dedekind_context",
     "omega_red_long",
     "omega_red_closed",
     "d3_certificate",
     "moy_check",
 ]
-
-
-class DedekindContext(Record):
-    """The exact rational ingredients of the long omega_red formula."""
-
-    __slots__ = ("l", "rho", "gamma", "S", "S_rho", "F_rho")
-
-    def __init__(
-        self,
-        l: Fraction,
-        rho: Fraction,
-        gamma: Fraction,
-        S: Fraction,
-        S_rho: Fraction,
-        F_rho: Fraction,
-    ) -> None:
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "S_rho", S_rho)
-        object.__setattr__(self, "F_rho", F_rho)
 
 
 class MoyVerdict(Record):
@@ -122,34 +99,6 @@ class MoyVerdict(Record):
         object.__setattr__(self, "dirac_kernels_trivial", dirac_kernels_trivial)
         object.__setattr__(self, "witness_degrees", witness_degrees)
         object.__setattr__(self, "representative", representative)
-
-
-def dedekind_context(g: int, n: int, alpha: int, sign: int, r: int) -> DedekindContext:
-    """Assemble (l, rho, gamma, S, S_rho, F_rho) for an admissible input.
-
-    l = n + 1/alpha, rho = (alpha*(n -+ (n-2g)) - r + 1) / (2n*alpha + 2)
-    (upper sign for sign = +1), gamma = (r + alpha - 2)/2,
-    S = (alpha^2 + 2)/(12 alpha) - 1/4, F_rho = (gamma + rho)/alpha, and
-    S_rho = (alpha^2 - 3 alpha (1 + 2 gamma) + 2 (1 + 3 gamma + 3 gamma^2))
-    / (12 alpha).  Each field is one Fraction built from an integer
-    numerator of _omega_long_terms, the long route's one arithmetic,
-    over the denominator its docstring names, from one run of that
-    helper.  rho always lands strictly inside (0, 1) on the admissible
-    range; _check_rho asserts it, as in _omega_long_ratio.
-    """
-    check_admissible(g, n, alpha, sign, r)
-    ((q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _),) = _omega_long_terms(
-        g, n, alpha, sign, (r,)
-    )
-    _check_rho(q, rho_num)
-    return DedekindContext(
-        l=Fraction(q, 2 * alpha),
-        rho=Fraction(rho_num, q),
-        gamma=Fraction(gamma2, 2),
-        S=Fraction(s_num, 12 * alpha),
-        S_rho=Fraction(s_rho_num, 24 * alpha),
-        F_rho=Fraction(f_rho_num, 2 * alpha * q),
-    )
 
 
 def _omega_long_terms(g, n, alpha, sign, rs):
@@ -193,12 +142,6 @@ def _omega_long_terms(g, n, alpha, sign, rs):
         yield q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, numerator
 
 
-def _check_rho(q: int, rho_num: int) -> None:
-    """Assert that rho = rho_num / q lies in (0, 1), the long route's one assertion."""
-    if not (0 < rho_num < q):
-        raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
-
-
 def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, rs):
     """omega_red_long per r in rs as an unreduced (numerator, 24 alpha Q^2), unguarded.
 
@@ -209,7 +152,8 @@ def _omega_long_ratio(g: int, n: int, alpha: int, sign: int, rs):
     """
     denominator = 0  # 24 alpha Q^2, positive, built at the block's first r
     for q, rho_num, _, _, _, _, numerator in _omega_long_terms(g, n, alpha, sign, rs):
-        _check_rho(q, rho_num)
+        if not (0 < rho_num < q):
+            raise AssertionError(f"rho = {Fraction(rho_num, q)} outside (0, 1)")
         denominator = denominator or 24 * alpha * q * q
         yield numerator, denominator
 
@@ -218,12 +162,17 @@ def omega_red_long(g: int, n: int, alpha: int, sign: int, r: int) -> Fraction:
     """The correction term via the Dedekind-sum route.
 
     (2g-1)/2 - (l-1)/4 + l rho (1-rho) - rho + (1-alpha)/(2 alpha) (1-2 rho)
-    + S + F_rho + 2 S_rho, with the ingredients of dedekind_context.
-    The -(l-1)/4 term uses sign(l) = 1, valid since l = n + 1/alpha > 0.
-    Each term is put over the common denominator 24 alpha Q^2, where
-    Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha), by _omega_long_terms,
-    the one helper that dedekind_context reads too, and one Fraction is
-    built from the summed numerators: the block core run on the one r.
+    + S + F_rho + 2 S_rho, with l = n + 1/alpha,
+    rho = (alpha*(n -+ (n-2g)) - r + 1) / (2n*alpha + 2) (upper sign for
+    sign = +1), gamma = (r + alpha - 2)/2, S = (alpha^2 + 2)/(12 alpha) - 1/4,
+    F_rho = (gamma + rho)/alpha and
+    S_rho = (alpha^2 - 3 alpha (1 + 2 gamma) + 2 (1 + 3 gamma + 3 gamma^2))
+    / (12 alpha).  The -(l-1)/4 term uses sign(l) = 1, valid since
+    l = n + 1/alpha > 0, and rho always lands strictly inside (0, 1) on
+    the admissible range.  Each term is put over the common denominator
+    24 alpha Q^2, where Q = 2n alpha + 2, rho = R/Q and l = Q/(2 alpha),
+    by _omega_long_terms, and one Fraction is built from the summed
+    numerators: the block core run on the one r.
     """
     check_admissible(g, n, alpha, sign, r)
     (ratio,) = _omega_long_ratio(g, n, alpha, sign, (r,))
@@ -325,8 +274,10 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     representative returned is the largest member of D that is at most
     deg K + n + 1/alpha.  The arithmetic is _moy_units'.  Raises
     ConditionViolation, as check_admissible does, when g, n or alpha is
-    out of range.
+    out of range, and TypeError when one of g, n, alpha and k is not an
+    integer.
     """
+    g, n, alpha, k = map(operator.index, (g, n, alpha, k))
     check_admissible(g, n, alpha, 1, alpha)
     ((reducibles_only, dirac_kernels_trivial, candidate, representative),) = _moy_units(
         g, n, alpha, (k,)
@@ -354,8 +305,10 @@ def d3_certificate(g: int, omega_long: Fraction, omega_closed: Fraction) -> dict
     gap rules out a filling whose canonical field would be homotopic to
     the contact structure, so fillable is 'no (certified)' whenever the
     gap is nonzero.  Tightness is established upstream for the family
-    and reported as metadata.
+    and reported as metadata.  g must be an integer and each omega an
+    int or a Fraction (TypeError otherwise).
     """
+    g, omega_long, omega_closed = operator.index(g), _exact(omega_long), _exact(omega_closed)
     d3_contact = (2 * g - 1) - omega_closed
     d3_canonical = -2 - omega_long
     gap = d3_contact - d3_canonical

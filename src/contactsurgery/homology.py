@@ -88,7 +88,6 @@ __all__ = [
     "spinc_offset",
     "check_admissible",
     "admissible_blocks",
-    "admissible_points",
     "distinct_witness",
 ]
 
@@ -497,29 +496,15 @@ def admissible_blocks(g: int, n: int, alpha: int) -> Iterator[tuple[int, range]]
     Sign +1 first with r = 2 - alpha, 4 - alpha, ..., alpha, then sign -1
     with r = -alpha, 2 - alpha, ..., alpha - 2: alpha values of r each,
     exactly those that check_admissible accepts.  The grid is enumerated
-    here alone; admissible_points flattens it, and the sweep hands each
-    range whole to the block cores of gauge.  Raises ConditionViolation,
-    as check_admissible does, when g, n or alpha is out of range, and
-    TypeError when one is not an integer; the checks run once, when
-    iteration starts.
+    here alone, and the sweep hands each range whole to the block cores
+    of gauge.  Raises ConditionViolation, as check_admissible does, when
+    g, n or alpha is out of range, and TypeError when one is not an
+    integer; the checks run once, when iteration starts.
     """
     g, n, alpha = map(operator.index, (g, n, alpha))
     check_admissible(g, n, alpha, 1, alpha)
     for sign, low in ((1, 2 - alpha), (-1, -alpha)):
         yield sign, range(low, low + 2 * alpha, 2)
-
-
-def admissible_points(g: int, n: int, alpha: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Every point (g, n, alpha, sign, r) over this (g, n, alpha) that check_admissible accepts.
-
-    The flattening of admissible_blocks, in its order: sign +1 with
-    r ascending, then sign -1.  Raises as admissible_blocks does, when
-    iteration starts.
-    """
-    g, n, alpha = map(operator.index, (g, n, alpha))
-    for sign, rs in admissible_blocks(g, n, alpha):
-        for r in rs:
-            yield g, n, alpha, sign, r
 
 
 def _is_prime(n: int) -> bool:

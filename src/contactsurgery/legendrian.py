@@ -78,10 +78,6 @@ class PlusMinusDiagram(Record):
         object.__setattr__(self, "root_rot", root_rot)
 
     @property
-    def plus_count(self) -> int:
-        return sum(1 for c in self.components if c.contact_coefficient == 1)
-
-    @property
     def stab_counts(self) -> tuple[int, ...]:
         return tuple(c.stab_count for c in self.components)
 
@@ -103,10 +99,6 @@ class StabilizationChoice(Record):
     def __init__(self, signs: tuple[tuple[int, int], ...], rotations: tuple[int, ...]) -> None:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "rotations", rotations)
-
-    @property
-    def final_rot(self) -> int:
-        return self.rotations[-1]
 
 
 def convert(

@@ -70,10 +70,6 @@ class SeifertInvariants(Record):
         """n + sum beta_i/alpha_i, the quantity preserved by Rolfsen twists."""
         return self.n + sum((Fraction(b, a) for a, b in self.pairs), Fraction(0))
 
-    @property
-    def is_normal_form(self) -> bool:
-        return all(a > b >= 1 for a, b in self.pairs)
-
 
 def rolfsen_twist(inv: SeifertInvariants, i: int, direction: int) -> SeifertInvariants:
     """Twist pair i: direction +1 sends (alpha, beta) to (alpha, beta + alpha)

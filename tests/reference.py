@@ -1,5 +1,9 @@
 """Reference kernels that the tests compare the package against.
 
+`admissible_points` flattens `homology.admissible_blocks` into the
+points (g, n, alpha, sign, r) of the grid, in its order; the package
+itself only ever walks whole blocks.
+
 `determinant` is fraction-free Bareiss elimination with row pivoting.
 The package runs no determinant: `lattice.is_negative_definite` is its
 one Bareiss pass, and it stops at the first leading minor of the wrong
@@ -13,6 +17,14 @@ from __future__ import annotations
 import operator
 
 from contactsurgery.errors import ConditionViolation
+from contactsurgery.homology import admissible_blocks
+
+
+def admissible_points(g, n, alpha):
+    """Every point of the (g, n, alpha) grid: sign +1 with r ascending, then sign -1."""
+    for sign, rs in admissible_blocks(g, n, alpha):
+        for r in rs:
+            yield g, n, alpha, sign, r
 
 
 def determinant(matrix) -> int:

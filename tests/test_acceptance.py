@@ -132,8 +132,8 @@ def test_a6_rotation_partition():
             choices = enumerate_choices(diagram)
             # component 2 is the single-stabilization pushoff whose sign
             # selects the branch; the final rotation labels the structure
-            plus = sorted(c.final_rot for c in choices if c.signs[2] == (1, 0))
-            minus = sorted(c.final_rot for c in choices if c.signs[2] == (0, 1))
+            plus = sorted(c.rotations[-1] for c in choices if c.signs[2] == (1, 0))
+            minus = sorted(c.rotations[-1] for c in choices if c.signs[2] == (0, 1))
             if not (
                 len(choices) == 2 * alpha
                 and plus == list(range(-alpha + 2, alpha + 1, 2))

@@ -19,13 +19,9 @@ from contactsurgery import cli, gauge
 from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import omega_red_closed, omega_red_long
-from contactsurgery.homology import (
-    IntegralPresentation,
-    SpinCClass,
-    admissible_points,
-    presentation,
-    spinc_offset,
-)
+from contactsurgery.homology import IntegralPresentation, SpinCClass, presentation, spinc_offset
+
+from reference import admissible_points
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")

@@ -4,9 +4,12 @@ tests/demos_golden.json maps each script in demos/ to its exact stdout.
 Each demo runs as a fresh interpreter with the package source on its
 path, the way a reader runs it, and must print those bytes and exit 0.
 Update the file only together with a deliberate change of a demo's
-narrative.
+narrative.  A demo shows the public surface: it imports from the
+package only names in the importing module's __all__.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -38,3 +41,15 @@ def test_demo_output(name):
     )
     assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
     assert result.stdout.decode("utf-8") == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_demo_imports_only_public_names(name):
+    stray = []
+    for node in ast.walk(ast.parse((ROOT / "demos" / name).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            stray += [a.name for a in node.names if a.name.split(".")[0] == "contactsurgery"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "contactsurgery":
+            public = importlib.import_module(node.module).__all__
+            stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert stray == []

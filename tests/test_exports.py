@@ -32,6 +32,13 @@ def test_root_all_is_the_union_of_the_layers():
     assert set(contactsurgery.__all__) == union | {"__version__"}
 
 
+@pytest.mark.parametrize("name", sorted(contactsurgery._LAZY))
+def test_lazy_table_is_the_layer_all(name):
+    # a stray entry would show in dir() and raise KeyError when read
+    module = importlib.import_module(f"contactsurgery.{name}")
+    assert contactsurgery._LAZY[name] == tuple(module.__all__)
+
+
 def test_every_root_name_resolves_to_its_layer_object():
     for name in LAYERS:
         module = importlib.import_module(f"contactsurgery.{name}")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import (
-    DedekindContext,
     MoyVerdict,
     _moy_holds,
     _moy_units,
@@ -19,12 +18,13 @@ from contactsurgery.gauge import (
     _omega_long_terms,
     _omega_routes_agree,
     d3_certificate,
-    dedekind_context,
     moy_check,
     omega_red_closed,
     omega_red_long,
 )
-from contactsurgery.homology import _spinc_offset, admissible_points, spinc_offset
+from contactsurgery.homology import _spinc_offset, spinc_offset
+
+from reference import admissible_points
 
 
 def at_point(core, point):
@@ -49,37 +49,54 @@ def admissible_inputs(draw, max_g=3, max_extra=4, max_alpha=12):
     return g, n, alpha, sign, r
 
 
+def long_ingredients(g, n, alpha, sign, r):
+    """(l, rho, gamma, S, S_rho, F_rho): _omega_long_terms's numerators over their denominators."""
+    ((q, rho_num, gamma2, s_num, f_rho_num, s_rho_num, _),) = _omega_long_terms(
+        g, n, alpha, sign, (r,)
+    )
+    return {
+        "l": Fraction(q, 2 * alpha),
+        "rho": Fraction(rho_num, q),
+        "gamma": Fraction(gamma2, 2),
+        "S": Fraction(s_num, 12 * alpha),
+        "S_rho": Fraction(s_rho_num, 24 * alpha),
+        "F_rho": Fraction(f_rho_num, 2 * alpha * q),
+    }
+
+
 class TestDedekindContext:
+    """The long route's ingredients, read from the one helper that computes them."""
+
     def test_anchor(self):
         # [DERIVED] l = 3, rho = (1*2 - 0)/6 = 1/3, gamma = 0,
         # S(1,1) = 3/12 - 1/4 = 0, F = 1/3, S_rho = (1 - 3 + 2)/12 = 0
-        c = dedekind_context(1, 2, 1, 1, 1)
-        assert c.l == 3
-        assert c.rho == Fraction(1, 3)
-        assert c.gamma == 0
-        assert c.S == 0
-        assert c.F_rho == Fraction(1, 3)
-        assert c.S_rho == 0
+        assert long_ingredients(1, 2, 1, 1, 1) == {
+            "l": 3,
+            "rho": Fraction(1, 3),
+            "gamma": 0,
+            "S": 0,
+            "S_rho": 0,
+            "F_rho": Fraction(1, 3),
+        }
 
     def test_dedekind_sum_value(self):
         # [DERIVED] S(1,3) = 11/36 - 9/36 = 1/18
-        assert dedekind_context(1, 2, 3, 1, 1).S == Fraction(1, 18)
+        assert long_ingredients(1, 2, 3, 1, 1)["S"] == Fraction(1, 18)
 
     def test_gamma_vanishes_at_low_rotation(self):
         # gamma = (r + alpha - 2)/2 is zero exactly at r = 2 - alpha
-        assert dedekind_context(1, 2, 5, 1, -3).gamma == 0
+        assert long_ingredients(1, 2, 5, 1, -3)["gamma"] == 0
 
     @settings(max_examples=80)
     @given(admissible_inputs())
     def test_rho_strictly_interior(self, params):
-        c = dedekind_context(*params)
-        assert 0 < c.rho < 1
+        assert 0 < long_ingredients(*params)["rho"] < 1
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ConditionViolation):
-            dedekind_context(1, 2, 1, 1, -1)
+            omega_red_long(1, 2, 1, 1, -1)
         with pytest.raises(ConditionViolation):
-            dedekind_context(0, 0, 1, 1, 1)
+            omega_red_long(0, 0, 1, 1, 1)
 
     def test_a_core_yielding_rho_one_trips_the_shared_assertion(self):
         def rho_one(*block):
@@ -87,15 +104,14 @@ class TestDedekindContext:
                 yield (q, q, *rest)
 
         with mock.patch("contactsurgery.gauge._omega_long_terms", rho_one):
-            for route in (dedekind_context, omega_red_long):
-                with pytest.raises(AssertionError, match=r"^rho = 1 outside \(0, 1\)$"):
-                    route(1, 2, 1, 1, 1)
+            with pytest.raises(AssertionError, match=r"^rho = 1 outside \(0, 1\)$"):
+                omega_red_long(1, 2, 1, 1, 1)
 
     def test_one_run_of_the_long_core(self):
         with mock.patch(
             "contactsurgery.gauge._omega_long_terms", wraps=_omega_long_terms
         ) as core:
-            dedekind_context(2, 5, 7, -1, 3)
+            omega_red_long(2, 5, 7, -1, 3)
         assert core.call_count == 1
 
     def test_fields_on_the_default_sweep_grid(self):
@@ -104,7 +120,7 @@ class TestDedekindContext:
             for n in range(2 * g, 2 * g + 5):
                 for alpha in range(1, 16):
                     for point in admissible_points(g, n, alpha):
-                        assert dedekind_context(*point) == _dedekind_reference(*point)
+                        assert long_ingredients(*point) == _dedekind_reference(*point)
 
 
 class TestOmegaRed:
@@ -272,6 +288,14 @@ class TestMoyCheck:
                         deg_k = Fraction((2 * g - 1) * alpha - 1, alpha)
                         assert deg_k < rep < 2 * g + Fraction(1, alpha)
 
+    @pytest.mark.parametrize(
+        "args", [(1, 2, 3, Fraction(1, 2)), (1, 2, 3, 1.0), (1.0, 2, 3, 1), (Fraction(1), 2, 3, 1)]
+    )
+    def test_arguments_must_be_exact_integers(self, args):
+        # moy_check(1, 2, 3, 1/2) once returned representative 5/2
+        with pytest.raises(TypeError):
+            moy_check(*args)
+
 
 class TestFillabilityVerdict:
     def test_anchor(self):
@@ -318,6 +342,14 @@ class TestD3Certificate:
         assert verdict["gap"] == 0
         assert verdict["gap_law"] is False
         assert verdict["fillable"] == "conjectured no"
+
+    @pytest.mark.parametrize(
+        "args", [(1, Fraction(1), 2.5), (1, 0.5, Fraction(1)), (1.0, Fraction(1), Fraction(2))]
+    )
+    def test_arguments_must_be_exact(self, args):
+        # d3_certificate(1, 1, 2.5) once returned the float d3_contact -1.5
+        with pytest.raises(TypeError):
+            d3_certificate(*args)
 
 
 # Sizes well beyond the toy grid: g <= 40 (50 for the integer cores),
@@ -366,21 +398,22 @@ def _dedekind_reference(g, n, alpha, sign, r):
     s_rho = (
         alpha * alpha - 3 * alpha * (1 + 2 * gamma) + 2 * (1 + 3 * gamma + 3 * gamma * gamma)
     ) / Fraction(12 * alpha)
-    return DedekindContext(l=l, rho=rho, gamma=gamma, S=s, S_rho=s_rho, F_rho=f_rho)
+    return {"l": l, "rho": rho, "gamma": gamma, "S": s, "S_rho": s_rho, "F_rho": f_rho}
 
 
 def _omega_long_reference(g, n, alpha, sign, r):
     """The Dedekind route assembled term by term in Fraction arithmetic."""
     c = _dedekind_reference(g, n, alpha, sign, r)
+    l, rho = c["l"], c["rho"]
     return (
         Fraction(2 * g - 1, 2)
-        - (c.l - 1) / 4
-        + c.l * c.rho * (1 - c.rho)
-        - c.rho
-        + Fraction(1 - alpha, 2 * alpha) * (1 - 2 * c.rho)
-        + c.S
-        + c.F_rho
-        + 2 * c.S_rho
+        - (l - 1) / 4
+        + l * rho * (1 - rho)
+        - rho
+        + Fraction(1 - alpha, 2 * alpha) * (1 - 2 * rho)
+        + c["S"]
+        + c["F_rho"]
+        + 2 * c["S_rho"]
     )
 
 
@@ -406,7 +439,7 @@ class TestLargeInputs:
     @settings(max_examples=300)
     @given(large_admissible_inputs())
     def test_dedekind_context_matches_its_definitions(self, params):
-        assert dedekind_context(*params) == _dedekind_reference(*params)
+        assert long_ingredients(*params) == _dedekind_reference(*params)
 
     @settings(max_examples=300)
     @given(large_admissible_inputs())
@@ -510,7 +543,7 @@ class TestLargeInputs:
 
     @given(inadmissible_inputs())
     def test_inadmissible_inputs_raise(self, params):
-        for route in (omega_red_long, omega_red_closed, dedekind_context):
+        for route in (omega_red_long, omega_red_closed):
             with pytest.raises(ConditionViolation):
                 route(*params)
 
@@ -523,9 +556,8 @@ class TestLargeInputs:
         rho_num = -distance if below else q + distance
         r = alpha * (n - sign * (n - 2 * g)) + 1 - rho_num
         with mock.patch("contactsurgery.gauge.check_admissible", lambda *args: None):
-            for route in (omega_red_long, dedekind_context):
-                with pytest.raises(AssertionError, match="outside"):
-                    route(g, n, alpha, sign, r)
+            with pytest.raises(AssertionError, match="outside"):
+                omega_red_long(g, n, alpha, sign, r)
 
 
 class TestMoyOffsetInterval:

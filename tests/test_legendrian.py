@@ -120,7 +120,7 @@ class TestReducePositive:
     @staticmethod
     def _split(r):
         d = convert(r)
-        k = d.plus_count
+        k = sum(c.contact_coefficient == 1 for c in d.components)
         residual = Fraction(r.numerator, r.denominator - k * r.numerator)
         return d, k, residual
 
@@ -177,7 +177,7 @@ class TestConvertOneOverK:
         d = convert(Fraction(1))
         assert len(d.components) == 1
         assert d.components[0].contact_coefficient == 1
-        assert d.plus_count == 1
+        assert sum(c.contact_coefficient == 1 for c in d.components) == 1
 
     def test_one_third(self):
         # 1/k -> k unstabilized (+1)-pushoffs chained off the root
@@ -248,7 +248,7 @@ class TestEnumerateChoices:
     def test_rotation_accumulation(self):
         # single component, 2 stabs: rotations -2, 0, +2 as the split moves
         d = convert(Fraction(3, 2))
-        rots = sorted(ch.final_rot for ch in enumerate_choices(d))
+        rots = sorted(ch.rotations[-1] for ch in enumerate_choices(d))
         assert rots == [-2, 0, 2]
 
     def test_family_rotations(self):
@@ -256,7 +256,7 @@ class TestEnumerateChoices:
         # are -alpha, -alpha+2, ..., alpha
         alpha = 4
         d = convert(Fraction(alpha + 1, 2 * alpha + 1))
-        rots = sorted(ch.final_rot for ch in enumerate_choices(d))
+        rots = sorted(ch.rotations[-1] for ch in enumerate_choices(d))
         assert rots == [-alpha + 2 * j for j in range(alpha + 1)]
 
     def test_signs_partition(self):
@@ -271,7 +271,7 @@ class TestEnumerateChoices:
         d = convert(Fraction(3, 2))
         first = enumerate_choices(d)[0]
         assert all(pos == 0 for pos, _ in first.signs)
-        assert first.final_rot == -2
+        assert first.rotations[-1] == -2
 
 
 class TestChainBound:
@@ -281,7 +281,8 @@ class TestChainBound:
         # [DERIVED] 2999/(2999^2 + 1): k = 3000, residual -2999/2998 with
         # 2998 entries, the longest chain a positive coefficient can give
         d = convert(Fraction(2999, 2999 * 2999 + 1))
-        assert (d.plus_count, len(d.components)) == (3000, 5998)
+        plus = sum(c.contact_coefficient == 1 for c in d.components)
+        assert (plus, len(d.components)) == (3000, 5998)
 
     @pytest.mark.parametrize(
         "r",
@@ -306,7 +307,8 @@ class TestChainBound:
 
     def test_plus_ones_bounded(self):
         d = convert(Fraction(1, 3000))
-        assert (d.plus_count, len(d.components)) == (3000, 3000)
+        plus = sum(c.contact_coefficient == 1 for c in d.components)
+        assert (plus, len(d.components)) == (3000, 3000)
         with pytest.raises(ConditionViolation):
             convert(Fraction(1, 3001))
 

@@ -7,25 +7,32 @@ the package's call graph from the AST of src/contactsurgery, with no
 import and no run, and assert that the transitive callees of the two
 routes of each pair meet only in that pair's list of shared pieces,
 each with the reason it is safe to share.  The same graph shows that no
-private function is left without a caller.
+private function is left without a caller, and that every public name
+is run by a subcommand or a second route, or is listed with the
+ROADMAP item that keeps it.
 
 The graph's nodes are the module-level functions, classes and names of
 each module and the methods and properties of each class, a class
-standing for its dunder methods too, since Python calls those itself.
-A node refers to every package name its code loads, resolved through
-the module's own definitions and its `from .x import y` bindings, those
-at module level and those inside the node's own code (cli imports the
-lazy layers in the builders that run them), so a function passed as a
-value counts as called; a local variable hides a module name of the
-same spelling.  An attribute read `x.name` refers to
-every method or property called `name` in the package, whatever x is.
-Annotations are left out: they are never evaluated.
+standing for its dunder methods, its bases and its class keywords too,
+since Python calls or reads those itself.  A node refers to every
+package name its code loads, resolved through the module's own
+definitions and its `from .x import y` bindings, those at module level
+and those inside the node's own code (cli imports the lazy layers in
+the builders that run them), so a function passed as a value counts as
+called; a local variable hides a module name of the same spelling.  An
+attribute read `x.name` refers to every method or property called
+`name` in the package, whatever x is.  Annotations are left out: they
+are never evaluated.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from contactsurgery._record import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "contactsurgery"
 # the package root and __main__ only re-export and run cli.main
@@ -35,8 +42,10 @@ TREES = {
     if not path.stem.startswith("__")
 }
 
-# raising one computes nothing, so every route may share them
-EXCEPTIONS = {"errors.ConditionViolation", "errors.SearchExhausted"}
+# raising an exception computes nothing, and the records' base only
+# compares, hashes and prints the fields it is given, so every route may
+# share them
+FREE_TO_SHARE = {"errors.ConditionViolation", "errors.SearchExhausted", "_record.Record"}
 
 
 class _References(ast.NodeVisitor):
@@ -115,7 +124,8 @@ def call_graph() -> tuple[dict[str, str], dict[str, set[str]]]:
             elif isinstance(statement, ast.ClassDef):
                 node = scope[statement.name] = f"{module}.{statement.name}"
                 kinds[node] = "class"
-                own, local = [], set()
+                own = [*statement.bases, *(keyword.value for keyword in statement.keywords)]
+                local = set()
                 for item in statement.body:
                     if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                         method = f"{node}.{item.name}"
@@ -215,6 +225,23 @@ ROUTE_PAIRS = {
         {("homology.distinct_witness", "homology._validate_witness")},
         {},
     ),
+    # the inverse recovers the tuple from its coefficients (the round trip
+    # of test_seifert.py and test_acceptance.py)
+    "coefficient dictionary vs its inverse": (
+        ("seifert.coefficients_from_seifert",),
+        ("seifert.seifert_from_coefficients",),
+        (),
+        {},
+    ),
+    # normalize undoes any sequence of twists (test_acceptance.py)
+    "normalize vs Rolfsen twists": (
+        ("seifert.normalize",),
+        ("seifert.rolfsen_twist",),
+        (),
+        {
+            "seifert.SeifertInvariants": "the record both return; its guard computes no invariant",
+        },
+    ),
 }
 
 
@@ -225,7 +252,7 @@ def test_routes_meet_only_in_their_shared_pieces(pair):
     meet = {
         node
         for node in reach(first, cut) & reach(second, cut)
-        if KINDS[node] != "name" and node not in EXCEPTIONS
+        if KINDS[node] != "name" and node not in FREE_TO_SHARE
     }
     assert meet == set(shared)
 
@@ -236,9 +263,18 @@ def test_the_graph_sees_calls_by_value_through_tables_and_by_attribute():
     assert "cli._report_passed" in EDGES["cli._SUBCOMMANDS"]
     assert "homology.FirstHomology.order" in EDGES["cli.build_report"]  # h.order(...)
     assert "homology._leg_end" in EDGES["homology.FirstHomology._vertex"]
-    assert "errors.ConditionViolation" in EDGES["seifert.SeifertInvariants"]  # __post_init__
+    assert "errors.ConditionViolation" in EDGES["seifert.SeifertInvariants"]  # __init__
     # annotations are never evaluated
     assert "seifert.SeifertInvariants" not in EDGES["homology.mu_order"]
+
+
+def test_the_graph_reads_class_bases():
+    """Each of the 13 record classes refers to the base it inherits from."""
+    for layer in TREES:
+        importlib.import_module(f"contactsurgery.{layer}")
+    records = {f"{c.__module__.split('.')[1]}.{c.__name__}" for c in Record.__subclasses__()}
+    assert len(records) == 13
+    assert {node for node in KINDS if "_record.Record" in EDGES[node]} == records
 
 
 def test_the_graph_binds_function_level_imports():
@@ -261,27 +297,58 @@ def test_the_graph_binds_function_level_imports():
     assert not {target.split(".")[0] for target in _relative_imports(TREES["cli"].body).values()} & lazy
 
 
-def test_every_private_function_has_a_caller():
-    """Every private function or method is reachable from a public name:
-    a name in its module's __all__ (cli.main among them) or a public
-    method or property of such a class.  Dunders are exempt."""
-    roots = set()
+def _public_surface() -> set[str]:
+    """Every name in a module's __all__ (cli.main among them), and every
+    public method or property of a class among those."""
+    public = set()
     for module, tree in TREES.items():
         for statement in tree.body:
             if isinstance(statement, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets
             ):
-                roots.update(f"{module}.{name}" for name in ast.literal_eval(statement.value))
-    roots.update(
+                public.update(f"{module}.{name}" for name in ast.literal_eval(statement.value))
+    public.update(
         node
         for node, kind in KINDS.items()
         if kind == "method"
-        and node.rsplit(".", 1)[0] in roots
+        and node.rsplit(".", 1)[0] in public
         and not node.rsplit(".", 1)[1].startswith("_")
     )
+    return public
+
+
+PUBLIC = _public_surface()
+
+# The run paths start at cli.main, whose parser reaches every builder in
+# cli._SUBCOMMANDS, and at the second route of each pair above.
+RUN_ROOTS = ("cli.main", *(node for _, second, _, _ in ROUTE_PAIRS.values() for node in second))
+
+# public names on no run path, each with the ROADMAP item that keeps it
+NOT_ON_A_RUN_PATH = {
+    "legendrian.enumerate_choices": "the stabilization choices whose d3 item 6 computes",
+    "legendrian.smooth_coefficient": "the diagonal of item 6's linking matrix",
+    "legendrian.StabilizationChoice": "the record enumerate_choices returns (item 6)",
+    "lattice.DiagonalEmbedding.pairing": "item 5 re-checks an embedding by its dots",
+    "homology.FirstHomology.class_map": "pinned by homology_golden.json; item 6 reads its rows",
+    "homology.FirstHomology.free_map": "pinned by homology_golden.json; item 6 reads its rows",
+}
+
+
+def test_every_public_name_is_on_a_run_path_or_listed():
+    """Each public name is reached from cli.main or a second route, or
+    sits in NOT_ON_A_RUN_PATH, and that list holds nothing reached."""
+    assert EDGES["cli._SUBCOMMANDS"] <= reach(["cli.main"])
+    assert all(re.search(r"\bitem \d+", reason) for reason in NOT_ON_A_RUN_PATH.values())
+    assert PUBLIC - reach(RUN_ROOTS) == set(NOT_ON_A_RUN_PATH)
+
+
+def test_every_private_function_has_a_caller():
+    """Every private function or method is reachable from a public name:
+    a name in its module's __all__ (cli.main among them) or a public
+    method or property of such a class.  Dunders are exempt."""
     private = {
         node
         for node, kind in KINDS.items()
         if kind in ("function", "method") and node.rsplit(".", 1)[1].startswith("_")
     }
-    assert private - reach(roots) == set()
+    assert private - reach(PUBLIC) == set()

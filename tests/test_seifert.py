@@ -24,12 +24,6 @@ class TestInvariants:
         inv = SeifertInvariants(2, 2, ((5, 1),))
         assert inv.e_invariant == Fraction(11, 5)
 
-    def test_normal_form_flag(self):
-        assert SeifertInvariants(1, 3, ((5, 2),)).is_normal_form
-        assert not SeifertInvariants(1, 3, ((5, 7),)).is_normal_form
-        assert not SeifertInvariants(1, 3, ((5, 0),)).is_normal_form
-        assert SeifertInvariants(0, -2).is_normal_form
-
     def test_validation(self):
         with pytest.raises(ConditionViolation):
             SeifertInvariants(-1, 0)
@@ -108,7 +102,7 @@ class TestNormalize:
         inv = SeifertInvariants(g, n, pairs)
         out = normalize(inv)
         assert out.e_invariant == inv.e_invariant
-        assert out.is_normal_form
+        assert all(a > b >= 1 for a, b in out.pairs)
         assert normalize(out) == out
 
 
