@@ -18,7 +18,6 @@ imports nothing, so `from contactsurgery import cli` loads cli alone.
 
 from .contfrac import *  # noqa: F403
 from .seifert import *  # noqa: F403
-from .intmat import *  # noqa: F403
 from .homology import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -41,12 +41,18 @@ _CHAIN_LIMIT = 3000  # entries of one expansion, and (+1)-pushoffs of one chain
 
 
 class NegContinuedFraction(Record):
-    """Expansion [c0, c1, ..., cm] with c0 <= -1 and ci <= -2 for i >= 1."""
+    """Expansion [c0, c1, ..., cm] with c0 <= -1 and ci <= -2 for i >= 1.
+
+    At most _CHAIN_LIMIT entries: a longer tuple is refused before any
+    entry is checked.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]) -> None:
         entries = tuple(operator.index(c) for c in entries)
+        if len(entries) > _CHAIN_LIMIT:
+            raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
         if not entries:
             raise ConditionViolation("expansion needs at least one entry")
         if entries[0] > -1:

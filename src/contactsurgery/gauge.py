@@ -277,7 +277,7 @@ def moy_check(g: int, n: int, alpha: int, k: int) -> MoyVerdict:
     out of range, and TypeError when one of g, n, alpha and k is not an
     integer.
     """
-    g, n, alpha, k = map(operator.index, (g, n, alpha, k))
+    k = operator.index(k)
     check_admissible(g, n, alpha, 1, alpha)
     ((reducibles_only, dirac_kernels_trivial, candidate, representative),) = _moy_units(
         g, n, alpha, (k,)

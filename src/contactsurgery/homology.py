@@ -19,8 +19,9 @@ which leaves the k x k fiber block on the terminal vertices; its |det|
 is |E|, for the Euler numerator E below, read off the legs.  When E is
 nonzero a Smith elimination modulo |E| with generator tracking gives
 the invariant factors and a left transform S with entries in [0, |E|);
-a singular block (E = 0) takes the exact Smith form.  `homology` walks
-each leg once, for its ends alone, and the result holds the torsion
+a singular block (E = 0) takes the exact elimination, which keeps the
+same left transform and no right one.  `homology` walks each leg once,
+for its ends alone, and the result holds the torsion
 and free rows of S and each leg's framings (shared with the
 presentation), O(k * t) for t such rows, and keeps no vertex multiple.
 A vertex's multiple is walked off its leg when it is read: order(j)
@@ -74,7 +75,7 @@ from itertools import islice
 from ._record import Record
 from .contfrac import _neg_cf_entries
 from .errors import ConditionViolation, SearchExhausted
-from .intmat import _smith_form_mod, smith_normal_form
+from .intmat import _smith_form, _smith_form_mod
 from .seifert import SeifertInvariants
 
 __all__ = [
@@ -148,9 +149,9 @@ class FirstHomology(Record):
     torsion_rows and free_rows are the rows of the left transform S on
     the torsion and on the free diagonal entries.  On a nonsingular
     block their entries are residues modulo |E|, which every torsion
-    order divides; on a singular one they come from the exact Smith
-    form.  The coordinates of a vertex are column r of those rows times
-    a.  legs holds the framings the multiples are walked from, and no
+    order divides; on a singular one they are the exact elimination's
+    integers.  The coordinates of a vertex are column r of those rows
+    times a.  legs holds the framings the multiples are walked from, and no
     multiple is kept, so the state stays O(k * t) for k legs and t
     torsion and free rows, however many vertices are read.  order(j)
     walks vertex j's leg from its terminal vertex to j alone (no step
@@ -308,8 +309,8 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     diagonal; the centre is a_0 times t_1's column.  When E != 0, S and
     D come from the elimination modulo |E|, and AssertionError is raised
     unless the torsion multiplies to |E|; when E = 0, from the exact
-    Smith form.  Each leg is walked once here for its ends (a_0, a_1)
-    alone; the result holds the rows of S and the legs, and walks a
+    left-only elimination.  Each leg is walked once here for its ends
+    (a_0, a_1) alone; the result holds the rows of S and the legs, and walks a
     vertex's multiple a_j when the vertex is read (see FirstHomology).
     Linear in the vertex count, plus one elimination of k rows.
     """
@@ -346,16 +347,13 @@ def _cokernel(matrix, legs, free_rank: int, modulus: int) -> FirstHomology:
     Generator rows, relation columns; see `homology` for how the left
     transform gives the coordinates.  modulus is |det matrix|: when it
     is nonzero the elimination runs modulo it, and 0 (a singular
-    matrix) takes the exact Smith form.  The result keeps the torsion
-    rows and the free rows of S as the kernel returns them, and legs,
-    the framings a vertex's multiple is walked from when it is read;
-    no vertex's coordinates are built here.
+    matrix) takes the exact one; both kernels return (diagonal, S) and
+    no right transform.  The result keeps the torsion rows and the
+    free rows of S as the kernel returns them, and legs, the framings
+    a vertex's multiple is walked from when it is read; no vertex's
+    coordinates are built here.
     """
-    if modulus:
-        diagonal, left = _smith_form_mod(matrix, modulus)
-    else:
-        snf = smith_normal_form(matrix)
-        diagonal, left = snf.diagonal, snf.left
+    diagonal, left = _smith_form_mod(matrix, modulus) if modulus else _smith_form(matrix)
     return FirstHomology(
         free_rank=free_rank + diagonal.count(0),
         torsion=tuple(d for d in diagonal if d > 1),
@@ -460,7 +458,6 @@ def spinc_offset(g: int, n: int, alpha: int, sign: int, r: int) -> SpinCClass:
     that is r * PD(mu).  Every argument must be an integer (TypeError
     otherwise).
     """
-    g, n, alpha, sign, r = map(operator.index, (g, n, alpha, sign, r))
     check_admissible(g, n, alpha, sign, r)
     modulus = n * alpha + 1
     c1 = r % modulus if n == 2 * g else None  # the sign -1 shift is 0 at n = 2g
@@ -473,7 +470,9 @@ def check_admissible(g: int, n: int, alpha: int, sign: int, r: int) -> None:
 
     Needs g >= 1, n >= 2g, alpha >= 1, r = alpha (mod 2), and
     -alpha < r <= alpha for sign +1, -alpha <= r < alpha for sign -1.
+    Every argument must be an integer (TypeError otherwise).
     """
+    g, n, alpha, sign, r = map(operator.index, (g, n, alpha, sign, r))
     if g < 1:
         raise ConditionViolation(f"need g >= 1, got {g}")
     if n < 2 * g:
@@ -501,7 +500,6 @@ def admissible_blocks(g: int, n: int, alpha: int) -> Iterator[tuple[int, range]]
     g, n or alpha is out of range, and TypeError when one is not an
     integer; the checks run once, when iteration starts.
     """
-    g, n, alpha = map(operator.index, (g, n, alpha))
     check_admissible(g, n, alpha, 1, alpha)
     for sign, low in ((1, 2 - alpha), (-1, -alpha)):
         yield sign, range(low, low + 2 * alpha, 2)

@@ -1,15 +1,18 @@
 """Exact integer matrix kernels: Smith normal form, exact and modulo |det|.
 
-`smith_normal_form` is a full diagonalization with unimodular row and
-column transforms.  The module runs no determinant: the tests check the
-product of the Smith diagonal entries against |det| by the Bareiss
-elimination of `tests/reference.py`, and the package's one Bareiss pass
-is `lattice.is_negative_definite`.
+The package exports nothing from here; `homology` runs both kernels
+privately.  Each returns (diagonal, S): the invariant factors and a
+left transform S with Z^n / A Z^n identified with the sum of the
+Z/d_i (and a Z for each d_i = 0) by x -> S x, so column j of S gives
+the coordinates of the j-th standard generator in the diagonalized
+quotient.  No consumer reads the right transform T, so neither kernel
+keeps it: both eliminate left-only, each row of A travelling with the
+same row of S while columns move unseen.  The module runs no
+determinant: the tests check the product of the Smith diagonal entries
+against |det| by the Bareiss elimination of `tests/reference.py`, and
+the package's one Bareiss pass is `lattice.is_negative_definite`.
 
-The Smith form is one elimination that carries its transforms beside
-the matrix: each row of A travels with the same row of S, and T is kept
-by columns, so every row move lands in S and every column move in T,
-and D = S A T is read off at the end.  Each entry is cleared by
+`_smith_form` is the exact elimination.  Each entry is cleared by
 Euclid's algorithm against the pivot run to the end before the next
 entry is touched.  Least-magnitude pivoting alone does not bound
 coefficient growth: interleaving unfinished Euclid steps across a row
@@ -17,18 +20,13 @@ and a column took the entries of a 5x5 four-fiber Seifert core from 10
 to 23,495 bits in ten passes (Kannan and Bachem, SIAM J. Comput. 8
 (1979), on why Smith-form elimination must control growth).
 
-The left transform is the piece consumers need: with D = S A T, the
-cokernel Z^n / A Z^n is identified with Z^n / D Z^n by x -> S x, so
-column j of S gives the coordinates of the j-th standard generator in
-the diagonalized quotient.
-
-A second kernel, the private `_smith_form_mod`, computes the invariant
-factors and the left transform of a nonsingular square matrix modulo
-its |det|, which the caller supplies, so no entry of the matrix or of S
-outgrows it.  `homology` runs it on the k x k fiber block of every star
-whose Euler numerator E is nonzero, with modulus |E|, and runs
-`smith_normal_form` only on a singular block (E = 0).  The tests run
-`smith_normal_form` on whole linking matrices as the reference.
+`_smith_form_mod` computes the invariant factors and S of a
+nonsingular square matrix modulo its |det|, which the caller supplies,
+so no entry of the matrix or of S outgrows it.  `homology` runs it on
+the k x k fiber block of every star whose Euler numerator E is nonzero,
+with modulus |E|, and runs `_smith_form` only on a singular block
+(E = 0).  The tests run `_smith_form` on whole linking matrices as the
+reference.
 """
 
 from __future__ import annotations
@@ -36,50 +34,28 @@ from __future__ import annotations
 import math
 import operator
 
-from ._record import Record
 from .errors import ConditionViolation
 
-__all__ = ["SmithForm", "smith_normal_form"]
+__all__ = []
 
 
-class SmithForm(Record):
-    """Diagonalization D = S A T with S, T unimodular.
+def _smith_form(matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Smith normal form of an integer matrix with a left transform.
 
-    diagonal holds d_1 | d_2 | ... | d_r followed by zeros, all
-    nonnegative.  left is S as a tuple of rows; right is T.
-    """
-
-    __slots__ = ("diagonal", "left", "right")
-
-    def __init__(
-        self,
-        diagonal: tuple[int, ...],
-        left: tuple[tuple[int, ...], ...],
-        right: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-
-def smith_normal_form(matrix) -> SmithForm:
-    """Smith normal form of an integer matrix with transform tracking.
-
-    Returns (diagonal, S, T) with diag = S A T, each d_i >= 0 and
-    d_i | d_{i+1}.  Each row of the working matrix holds a row of A
-    followed by the same row of S, so a row move acts on both; T is
-    kept by columns, so a column move on A is one move on a column of
-    T.  Before step k the first k rows and columns are zero off the
-    diagonal, so a column move touches only rows k and below.  At
-    step k a least-magnitude nonzero entry of the trailing block becomes
-    the pivot, the first in row-major order, so the scan stops at the
-    first unit.  Column k is cleared, then row k, each entry by Euclid's
-    algorithm against the pivot run to the end before the next entry is
-    touched.  The two passes repeat only while a column swap, made when
-    the pivot shrank, refilled column k.  A pivot that fails to divide
-    the rest of the trailing block takes the offending row added to row
-    k and is chosen again; a unit pivot divides everything, so its scan
-    is skipped.
+    Returns (diagonal, S) with diag = S A T for some unimodular T that
+    is not kept, each d_i >= 0 and d_i | d_{i+1}.  Each row of the
+    working matrix holds a row of A followed by the same row of S, so a
+    row move acts on both.  Before step k the first k rows and columns
+    are zero off the diagonal, so a column move touches only rows k and
+    below.  At step k a least-magnitude nonzero entry of the trailing
+    block becomes the pivot, the first in row-major order, so the scan
+    stops at the first unit.  Column k is cleared, then row k, each
+    entry by Euclid's algorithm against the pivot run to the end before
+    the next entry is touched.  The two passes repeat only while a
+    column swap, made when the pivot shrank, refilled column k.  A
+    pivot that fails to divide the rest of the trailing block takes the
+    offending row added to row k and is chosen again; a unit pivot
+    divides everything, so its scan is skipped.
     """
     m = [[*map(operator.index, row)] for row in matrix]
     rows = len(m)
@@ -88,7 +64,6 @@ def smith_normal_form(matrix) -> SmithForm:
         raise ConditionViolation("matrix rows must have equal length")
     for i, row in enumerate(m):  # row i of A, then row i of S = I
         row += [int(i == j) for j in range(rows)]
-    t = [[int(i == j) for i in range(cols)] for j in range(cols)]  # t[j]: column j of T
     size = min(rows, cols)
     k = 0
     while k < size:
@@ -109,7 +84,6 @@ def smith_normal_form(matrix) -> SmithForm:
         if pj != k:
             for row in m[k:]:
                 row[k], row[pj] = row[pj], row[k]
-            t[k], t[pj] = t[pj], t[k]
         # a column swap puts a smaller pivot and a fresh column at k
         refilled = True
         while refilled:
@@ -126,11 +100,9 @@ def smith_normal_form(matrix) -> SmithForm:
                     q = top[j] // top[k]
                     for row in m[k:]:
                         row[j] -= q * row[k]
-                    t[j] = [x - q * y for x, y in zip(t[j], t[k])]
                     if top[j]:
                         for row in m[k:]:
                             row[k], row[j] = row[j], row[k]
-                        t[k], t[j] = t[j], t[k]
                         refilled = True
         # divisibility: d_k must divide every remaining entry
         pivot = m[k][k]
@@ -145,11 +117,7 @@ def smith_normal_form(matrix) -> SmithForm:
         if pivot < 0:
             m[k] = [-x for x in m[k]]
         k += 1
-    return SmithForm(
-        diagonal=tuple(m[i][i] for i in range(size)),
-        left=tuple(tuple(row[cols:]) for row in m),
-        right=tuple(zip(*t)),
-    )
+    return tuple(m[i][i] for i in range(size)), tuple(tuple(row[cols:]) for row in m)
 
 
 def _bezout(p: int, x: int) -> tuple[int, int, int]:
@@ -175,9 +143,8 @@ def _smith_form_mod(matrix, modulus: int) -> tuple[tuple[int, ...], tuple[tuple[
     adj(A) A = det(A) I puts M Z^n inside A Z^n, so the cokernel is that
     of [A | M I], and every entry of A and of S may be reduced modulo M,
     since each d_i divides M (Domich, Kannan and Trotter, Math. Oper. Res.
-    12, 1987; Cohen, GTM 138, Alg. 2.4.14).  No consumer reads T, so the
-    elimination is left-only: each row of A travels with its row of S and
-    columns move unseen.  At step k the entry of column k with the least
+    12, 1987; Cohen, GTM 138, Alg. 2.4.14).  As in `_smith_form`, each
+    row of A travels with its row of S and columns move unseen.  At step k the entry of column k with the least
     symmetric residue (the representative in (-M/2, M/2]) becomes the
     pivot p, and the column is cleared below it by row moves on those
     residues: a quotient step when p divides the entry x, else one Bezout

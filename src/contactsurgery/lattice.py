@@ -464,6 +464,7 @@ def nonfillability_obstruction(g: int) -> dict:
     raises AssertionError, so the document's embedding keys always read
     the same.
     """
+    g = operator.index(g)
     d = d_range(g)
     if d is None:
         raise ConditionViolation(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")

@@ -900,6 +900,14 @@ class TestChainBound:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than 3000" in err
 
+    def test_entries_above_the_bound_are_refused(self, capsys):
+        # [DERIVED] 3,000 entries of -2 are the expansion of -3001/3000
+        entries = ",".join(["-2"] * 3000)
+        assert main(["cf", f"--entries={entries}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "-3001/3000"
+        assert main(["cf", f"--entries={entries},-2"]) == 2
+        assert capsys.readouterr() == ("", "error: the expansion has more than 3000 entries\n")
+
     @pytest.mark.parametrize("argv", [["cf", "--r=-1e5000"], ["convert", "--r=-1e5000", "--json"]])
     def test_integer_beyond_str_limit_is_invalid_input(self, argv, capsys):
         # 10^5000 has more digits than Python converts to str by default

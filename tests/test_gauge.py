@@ -166,6 +166,19 @@ class TestOmegaRed:
                                 g, n, alpha, sign, r
                             )
 
+    @pytest.mark.parametrize("route", [omega_red_long, omega_red_closed])
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 2, Fraction(7, 2), 1, Fraction(3, 2)), (Fraction(3, 2), 3, 3, 1, 1),
+         (1, 2, 3, 1, Fraction(1))],
+    )
+    def test_arguments_must_be_exact_integers(self, route, args):
+        # both routes once returned 41/64 at alpha = 7/2, r = 3/2, and the
+        # long one 43/40 at g = 3/2
+        with pytest.raises(TypeError):
+            route(*args)
+
+
 
 def _d3(g, n, alpha, sign, r):
     """d3_certificate at one point, from one value of each omega_red route."""

@@ -30,7 +30,7 @@ from contactsurgery.homology import (
     presentation,
     spinc_offset,
 )
-from contactsurgery.intmat import smith_normal_form
+from contactsurgery.intmat import _smith_form
 from contactsurgery.seifert import SeifertInvariants
 
 from reference import admissible_points, determinant
@@ -258,18 +258,15 @@ def _per_vertex_homology(inv):
     torsion, class_map, free_map).
     """
     p = presentation(inv)
-    snf = smith_normal_form(_seifert_core(inv))
+    diagonal, left = _smith_form(_seifert_core(inv))
     vertices = [(0, 1)] + [(r, a) for r, leg in enumerate(p.legs, 1) for a in _leg_multiples(leg)]
-    torsion_rows = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    free_rows = [i for i, d in enumerate(snf.diagonal) if d == 0]
+    torsion_rows = [i for i, d in enumerate(diagonal) if d > 1]
+    free_rows = [i for i, d in enumerate(diagonal) if d == 0]
     return (
         2 * inv.g + len(free_rows),
-        tuple(snf.diagonal[i] for i in torsion_rows),
-        tuple(
-            tuple(snf.left[i][r] * a % snf.diagonal[i] for i in torsion_rows)
-            for r, a in vertices
-        ),
-        tuple(tuple(snf.left[i][r] * a for i in free_rows) for r, a in vertices),
+        tuple(diagonal[i] for i in torsion_rows),
+        tuple(tuple(left[i][r] * a % diagonal[i] for i in torsion_rows) for r, a in vertices),
+        tuple(tuple(left[i][r] * a for i in free_rows) for r, a in vertices),
     )
 
 
@@ -298,9 +295,9 @@ def _assert_matches_full_smith_form(matrix, free_rank, h):
     to be an isomorphism: a surjection between isomorphic finitely
     generated abelian groups is one.
     """
-    full = smith_normal_form(matrix)
-    assert h.torsion == tuple(d for d in full.diagonal if d > 1)
-    assert h.free_rank == free_rank + full.diagonal.count(0)
+    diagonal, _ = _smith_form(matrix)
+    assert h.torsion == tuple(d for d in diagonal if d > 1)
+    assert h.free_rank == free_rank + diagonal.count(0)
     size = len(matrix)
     free = h.free_rank - free_rank
     images = [h.class_map[j] + h.free_map[j] for j in range(size)]
@@ -317,7 +314,7 @@ def _assert_matches_full_smith_form(matrix, free_rank, h):
             [v[t] for v in images] + [d if u == t else 0 for u, d in enumerate(h.torsion)]
             for t in range(len(moduli))
         ]
-        assert smith_normal_form(rows).diagonal == (1,) * len(moduli)
+        assert _smith_form(rows)[0] == (1,) * len(moduli)
 
 
 class TestCollapsedRoute:
@@ -600,7 +597,7 @@ class TestMuOrderSeifertRoute:
             "presentation",
             "_neg_cf_entries",
             "homology",
-            "smith_normal_form",
+            "_smith_form",
             "_cokernel",
             "_fiber_block",
             "_smith_form_mod",
@@ -994,6 +991,16 @@ class TestSpinCOffset:
                 check_admissible(*bad)
         check_admissible(1, 2, 3, 1, 3)
         check_admissible(1, 2, 3, -1, -3)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 2, Fraction(7, 2), 1, Fraction(3, 2)), (Fraction(3, 2), 3, 3, 1, 1),
+         (1, 2, 3, 1, Fraction(1)), (1, 2, 3, 1.0, 1), (1, 2.0, 3, 1, 1)],
+    )
+    def test_check_admissible_takes_exact_integers(self, args):
+        # every one of these points once passed the check
+        with pytest.raises(TypeError):
+            check_admissible(*args)
 
     def test_modulus_validation(self):
         with pytest.raises(ConditionViolation):

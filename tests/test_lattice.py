@@ -922,6 +922,14 @@ class TestNonfillabilityObstruction:
         with pytest.raises(ConditionViolation):
             nonfillability_obstruction(0)
 
+    def test_genus_is_read_as_an_exact_integer(self):
+        # True once came back as the document's "g": true
+        result = nonfillability_obstruction(True)
+        assert type(result["g"]) is int and result == nonfillability_obstruction(1)
+        for g in (1.0, Fraction(1)):
+            with pytest.raises(TypeError):
+                nonfillability_obstruction(g)
+
     def test_an_embedding_is_a_broken_invariant(self, monkeypatch):
         # q = d + 2 >= 3, where the chain lemma rules out an embedding of
         # lambda_q; a star that breaks its hypotheses (here w framed -3,

@@ -269,11 +269,11 @@ def test_the_graph_sees_calls_by_value_through_tables_and_by_attribute():
 
 
 def test_the_graph_reads_class_bases():
-    """Each of the 13 record classes refers to the base it inherits from."""
+    """Each of the 12 record classes refers to the base it inherits from."""
     for layer in TREES:
         importlib.import_module(f"contactsurgery.{layer}")
     records = {f"{c.__module__.split('.')[1]}.{c.__name__}" for c in Record.__subclasses__()}
-    assert len(records) == 13
+    assert len(records) == 12
     assert {node for node in KINDS if "_record.Record" in EDGES[node]} == records
 
 
