@@ -1,15 +1,17 @@
 """The immutable record that the package's value classes share.
 
 A record is a fixed tuple of named fields.  Its class lists the fields,
-in order, in __slots__, and its __init__ checks the arguments and
-assigns each field once through object.__setattr__.  Two records are
-equal exactly when they are of the same class and their field tuples
-are equal; the hash is that of the field tuple; repr lists the fields
-by name, leaving out those named in _hidden; assignment and deletion
-raise AttributeError.  Copies and pickles carry the field tuple as
-their state and restore it without running __init__.  This is what a
-frozen dataclass gives, without importing dataclasses (and inspect)
-when the package starts.
+in order, in __slots__, and Record.__init__ binds positional or keyword
+arguments to them in that order, raising TypeError for a missing,
+extra, unknown or doubled field; a record that checks its arguments
+does so in its own __init__ and then calls Record.__init__ once.  Two
+records are equal exactly when they are of the same class and their
+field tuples are equal; the hash is that of the field tuple; repr lists
+the fields by name, leaving out those named in _hidden; assignment and
+deletion raise AttributeError.  Copies and pickles carry the field
+tuple as their state and restore it without running __init__.  This is
+what a frozen dataclass gives, without importing dataclasses (and
+inspect) when the package starts.
 """
 
 from __future__ import annotations
@@ -22,6 +24,22 @@ class Record:
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()  # fields left out of repr
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, cls = self.__slots__, self.__class__.__qualname__
+        if kwargs:  # the fields after the positional ones, each once
+            rest = names[len(args) :]
+            for name in kwargs:
+                if name not in rest:
+                    problem = "got field {!r} twice" if name in names else "has no field {!r}"
+                    raise TypeError(f"{cls}() {problem.format(name)}")
+            try:
+                args += tuple(kwargs[name] for name in rest)
+            except KeyError as missing:
+                raise TypeError(f"{cls}() is missing field {missing.args[0]!r}") from None
+        if len(args) != len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
+        self.__setstate__(args)
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

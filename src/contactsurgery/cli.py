@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -58,6 +59,12 @@ __all__ = ["build_report", "render_json", "main"]
 
 # Python's default digit limit for int <-> str: 10**e above it cannot be printed
 _EXPONENT_LIMIT = 4300
+# fibers of normalize: e_invariant's Fraction sum grows quadratically in them; the
+# first 1,000 primes as p/1 (lcm about 10^3392) run in about 15 ms (Python 3.11,
+# shared 2-vCPU VM), and an lcm of the multiplicities below _LCM_LIMIT keeps the
+# sum's denominator printable (computed once: 10**4300 takes about 40 us)
+_PAIRS_LIMIT = 1000
+_LCM_LIMIT = 10**_EXPONENT_LIMIT
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
 # sweep work (best of five in-process runs, Python 3.11, shared 2-vCPU VM): a point,
@@ -427,7 +434,16 @@ def _witness_text(doc: dict) -> list[str]:
 
 
 def _normalize(args) -> dict:
-    inv = SeifertInvariants(args.g, args.n, _parse_pairs(args.pairs) if args.pairs else ())
+    pairs = _parse_pairs(args.pairs) if args.pairs else ()
+    lcm = 1
+    for alpha, _ in pairs:
+        lcm = math.lcm(lcm, alpha)
+        if len(pairs) > _PAIRS_LIMIT or lcm >= _LCM_LIMIT:
+            raise ConditionViolation(
+                f"--pairs takes at most {_PAIRS_LIMIT} fibers,"
+                f" whose multiplicities have an lcm below 10^{_EXPONENT_LIMIT}"
+            )
+    inv = SeifertInvariants(args.g, args.n, pairs)
     normal = normalize(inv)
     return {
         "input": {"g": inv.g, "n": inv.n, "pairs": [list(p) for p in inv.pairs]},

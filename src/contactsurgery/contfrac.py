@@ -60,7 +60,7 @@ class NegContinuedFraction(Record):
         for c in entries[1:]:
             if c > -2:
                 raise ConditionViolation(f"tail entries must be <= -2, got {c}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -79,6 +79,9 @@ __all__ = [
 class MoyVerdict(Record):
     """Outcome of the reducibility and Dirac-kernel criteria.
 
+    Fields reducibles_only, dirac_kernels_trivial, witness_degrees,
+    representative.
+
     witness_degrees lists the members of the degree coset that land in
     the window [0, deg K]; reducibles_only holds exactly when none of
     them differs from deg K / 2.  representative is the coset's
@@ -87,18 +90,6 @@ class MoyVerdict(Record):
     """
 
     __slots__ = ("reducibles_only", "dirac_kernels_trivial", "witness_degrees", "representative")
-
-    def __init__(
-        self,
-        reducibles_only: bool,
-        dirac_kernels_trivial: bool,
-        witness_degrees: tuple[Fraction, ...],
-        representative: Fraction,
-    ) -> None:
-        object.__setattr__(self, "reducibles_only", reducibles_only)
-        object.__setattr__(self, "dirac_kernels_trivial", dirac_kernels_trivial)
-        object.__setattr__(self, "witness_degrees", witness_degrees)
-        object.__setattr__(self, "representative", representative)
 
 
 def _omega_long_terms(g, n, alpha, sign, rs):

@@ -83,23 +83,20 @@ class Lattice(Record):
 
     def __init__(self, gram: tuple[tuple[int, ...], ...], rank: int) -> None:
         gram = tuple(tuple(operator.index(x) for x in row) for row in gram)
+        rank = operator.index(rank)
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ConditionViolation("gram matrix must be rank x rank")
         for i in range(rank):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ConditionViolation("gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "rank", rank)
+        super().__init__(gram, rank)
 
 
 class DiagonalEmbedding(Record):
-    """Rows are images of the lattice basis in D_m, columns D_m coordinates."""
+    """Field vectors: rows are images of the lattice basis in D_m, columns D_m coordinates."""
 
     __slots__ = ("vectors",)
-
-    def __init__(self, vectors: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "vectors", vectors)
 
     def pairing(self, i: int, j: int) -> int:
         """The D_m product of rows i and j: minus the Euclidean dot."""
@@ -246,7 +243,7 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
     gram = lattice.gram
     rank = lattice.rank
     if rank == 0:
-        yield DiagonalEmbedding(vectors=()), 0
+        yield DiagonalEmbedding(()), 0
         return 0
     # the placed rows stop at their last nonzero entry, and the columns
     # they use are a prefix 0..used-1: every later column is fresh
@@ -341,7 +338,7 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
             row = [top[1] - 1 for top in stack[base:]]
             i = len(placed)
             if i + 1 == rank:
-                yield DiagonalEmbedding(vectors=_pad([*placed, row])), nodes
+                yield DiagonalEmbedding(_pad([*placed, row])), nodes
                 continue
             placed.append(row)
             if len(row) > used:

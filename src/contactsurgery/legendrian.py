@@ -55,27 +55,24 @@ class LegendrianComponent(Record):
     __slots__ = ("contact_coefficient", "stab_count", "tb", "rot")
 
     def __init__(self, contact_coefficient: int, stab_count: int, tb: int, rot: int) -> None:
+        contact_coefficient, stab_count, tb, rot = map(
+            operator.index, (contact_coefficient, stab_count, tb, rot)
+        )
         if contact_coefficient not in (1, -1):
             raise ConditionViolation("contact coefficient must be +1 or -1")
         if stab_count < 0:
             raise ConditionViolation("stabilization count must be >= 0")
-        object.__setattr__(self, "contact_coefficient", contact_coefficient)
-        object.__setattr__(self, "stab_count", stab_count)
-        object.__setattr__(self, "tb", tb)
-        object.__setattr__(self, "rot", rot)
+        super().__init__(contact_coefficient, stab_count, tb, rot)
 
 
 class PlusMinusDiagram(Record):
-    """A chain of (+1)/(-1)-surgered pushoffs replacing one rational surgery."""
+    """A chain of (+1)/(-1)-surgered pushoffs replacing one rational surgery.
+
+    Fields components, root_tb, root_rot: the LegendrianComponents in
+    chain order, and the tb and rot of the root knot.
+    """
 
     __slots__ = ("components", "root_tb", "root_rot")
-
-    def __init__(
-        self, components: tuple[LegendrianComponent, ...], root_tb: int, root_rot: int
-    ) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "root_tb", root_tb)
-        object.__setattr__(self, "root_rot", root_rot)
 
     @property
     def stab_counts(self) -> tuple[int, ...]:
@@ -87,7 +84,7 @@ class PlusMinusDiagram(Record):
 
 
 class StabilizationChoice(Record):
-    """One distribution of stabilization signs over a diagram.
+    """One distribution of stabilization signs over a diagram: fields signs, rotations.
 
     signs[i] = (#positive, #negative) on component i; rotations[i] is the
     rotation number component i ends up with, accumulated along the chain.
@@ -95,10 +92,6 @@ class StabilizationChoice(Record):
     """
 
     __slots__ = ("signs", "rotations")
-
-    def __init__(self, signs: tuple[tuple[int, int], ...], rotations: tuple[int, ...]) -> None:
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "rotations", rotations)
 
 
 def convert(

@@ -61,9 +61,7 @@ class SeifertInvariants(Record):
                 raise ConditionViolation(
                     f"surgery coefficient -{alpha}/{beta} is not in lowest terms"
                 )
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
+        super().__init__(g, n, pairs)
 
     @property
     def e_invariant(self) -> Fraction:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import inspect
@@ -858,6 +859,55 @@ class TestNormalizeCommand:
 
     def test_malformed_pairs(self, capsys):
         assert main(["normalize", "--g", "0", "--n", "5", "--pairs", "5-7"]) == 2
+
+    @staticmethod
+    def _first_primes(count):
+        sieve = bytearray([1]) * 230_000  # the 20,000th prime is 224,737
+        primes = []
+        for p in range(2, len(sieve)):
+            if sieve[p]:
+                primes.append(p)
+                sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+        assert len(primes) >= count
+        return primes[:count]
+
+    @pytest.mark.parametrize("count", [3000, 10000, 20000])
+    def test_too_many_fibers_are_refused_before_any_sum(self, capsys, count):
+        pairs = ",".join(f"{p}/1" for p in self._first_primes(count))
+        # refused before the record whose e_invariant sums the fibers is built
+        with mock.patch.object(cli, "SeifertInvariants", side_effect=AssertionError("built")):
+            assert main(["normalize", "--g", "1", "--n", "2", f"--pairs={pairs}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --pairs takes at most 1000 fibers,"
+            " whose multiplicities have an lcm below 10^4300\n"
+        )
+
+    def test_multiplicities_whose_lcm_reaches_the_bound_are_refused(self, capsys):
+        # lcm 10^4300 has 4,301 digits; 2 * 10^4299, the largest below it here, 4,300
+        pairs = f"{2**4300}/1,{5**4300}/1"
+        assert main(["normalize", "--g", "0", "--n", "1", f"--pairs={pairs}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --pairs takes at most 1000 fibers")
+        pairs = f"{2**4300}/1,{5**4299}/1"
+        assert main(["normalize", "--g", "0", "--n", "1", f"--pairs={pairs}", "--json"]) == 0
+        e = json.loads(capsys.readouterr().out)["e_invariant"]
+        assert Fraction(e) == 1 + Fraction(1, 2**4300) + Fraction(1, 5**4299)
+
+    def test_the_first_thousand_primes_pass_unchanged(self, capsys):
+        # [PINNED] the bytes the unbounded parser wrote for this list
+        pairs = ",".join(f"{p}/1" for p in self._first_primes(1000))
+        for extra, size, digest in (
+            ([], 17633, "e2756bf63bd1078077abaef0617f00ee123a6aef3297c7af26c7c27a9663497e"),
+            (
+                ["--json"],
+                88548,
+                "75719e0b9837e4e57c188b78a055944127e032beff40bbf6f79414ba9804e1c6",
+            ),
+        ):
+            assert main(["normalize", "--g", "1", "--n", "2", f"--pairs={pairs}", *extra]) == 0
+            out = capsys.readouterr().out.encode()
+            assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 class TestCfCommand:

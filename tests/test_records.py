@@ -6,17 +6,22 @@ the hash is that of the field tuple; repr lists the fields by name
 (FirstHomology leaves its three row fields out); every field is
 assigned once, at construction, and assignment or deletion later
 raises AttributeError; copies and pickles round-trip to an equal
-record.  The refusals of a constructor raise ConditionViolation with
+record.  A missing, extra, unknown or doubled field raises TypeError,
+from the base's one __init__ or from a checked record's own signature,
+and the refusals of a checked constructor raise ConditionViolation with
 the message pinned here.
 """
 
+import ast
 import copy
 import importlib
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import contactsurgery
 from contactsurgery._record import Record
 from contactsurgery.errors import ConditionViolation
 
@@ -120,6 +125,17 @@ RECORDS = [
     ),
 ]
 IDS = [name for _, name, *_ in RECORDS]
+# records built by Record.__init__ alone; the other five check their
+# arguments in their own __init__ and then call it once
+ASSIGN_ONLY = {
+    "IntegralPresentation",
+    "FirstHomology",
+    "Witness",
+    "MoyVerdict",
+    "PlusMinusDiagram",
+    "StabilizationChoice",
+    "DiagonalEmbedding",
+}
 
 
 def _class(module, name):
@@ -154,6 +170,56 @@ def test_positional_and_keyword_construction(case):
     keyword = cls(**dict(zip(names, values)))
     assert _fields(positional, names) == _fields(keyword, names) == values
     assert positional == keyword
+
+
+def test_bad_field_lists_raise_type_error(case):
+    cls, names, values, _, _ = case
+    keywords = dict(zip(names, values))
+    for build in (
+        lambda: cls(**{name: keywords[name] for name in names[1:]}),  # the first is missing
+        lambda: cls(*values, values[0]),  # one positional argument too many
+        lambda: cls(*values, extra=0),  # no such field
+        lambda: cls(*values, **{names[0]: values[0]}),  # the first field twice
+    ):
+        with pytest.raises(TypeError, match=cls.__name__):
+            build()
+
+
+def test_only_the_base_assigns_fields():
+    package = Path(contactsurgery.__file__).parent
+    classes = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        setattr_calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ]
+        assert not setattr_calls or path.name == "_record.py", path.name
+        classes.update((node.name, node) for node in tree.body if isinstance(node, ast.ClassDef))
+    for _, name, *_ in RECORDS:
+        inits = [
+            node for node in classes[name].body
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        ]
+        if name in ASSIGN_ONLY:
+            assert inits == [], name
+            continue
+        (init,) = inits
+        super_inits = [
+            node
+            for node in ast.walk(init)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__init__"
+            and isinstance(node.func.value, ast.Call)
+            and getattr(node.func.value.func, "id", None) == "super"
+        ]
+        assert len(super_inits) == 1, name
 
 
 def test_equality(case):
@@ -225,11 +291,27 @@ def test_integer_fields_are_normalized():
     assert type(inv.g) is int and type(inv.pairs[0]) is tuple
     lattice = _class("lattice", "Lattice")([[-2, 1], [1, -2]], 2)
     assert lattice.gram == ((-2, 1), (1, -2)) and type(lattice.gram[0]) is tuple
+    rank_one = _class("lattice", "Lattice")(((-2,),), True)
+    assert rank_one == _class("lattice", "Lattice")(((-2,),), 1) and type(rank_one.rank) is int
+    component = _class("legendrian", "LegendrianComponent")(True, False, -True, False)
+    assert [type(x) for x in component.__getstate__()] == [int] * 4
+    assert component == _class("legendrian", "LegendrianComponent")(1, 0, -1, 0)
+    spinc = _class("homology", "SpinCClass")(True, True, None)
+    assert (type(spinc.offset), type(spinc.modulus), spinc.c1_coefficient) == (int, int, None)
+    assert type(_class("homology", "SpinCClass")(0, 3, True).c1_coefficient) is int
     for build in (
         lambda: _class("contfrac", "NegContinuedFraction")((-2.0,)),
         lambda: _class("seifert", "SeifertInvariants")(1.0, 2),
         lambda: _class("seifert", "SeifertInvariants")(1, 2, ((5.0, 2),)),
         lambda: _class("lattice", "Lattice")(((-2.0,),), 1),
+        lambda: _class("lattice", "Lattice")(((-2,),), 1.0),
+        lambda: _class("legendrian", "LegendrianComponent")(1.0, 1, -2, 0),
+        lambda: _class("legendrian", "LegendrianComponent")(1, 1.5, -2, 0),
+        lambda: _class("legendrian", "LegendrianComponent")(1, 1, -2.5, 0),
+        lambda: _class("legendrian", "LegendrianComponent")(1, 1, -2, 0.5),
+        lambda: _class("homology", "SpinCClass")(1.5, 7, None),
+        lambda: _class("homology", "SpinCClass")(1, 7.0, None),
+        lambda: _class("homology", "SpinCClass")(1, 7, 2.0),
     ):
         with pytest.raises(TypeError):
             build()
