@@ -62,7 +62,8 @@ _EXPONENT_LIMIT = 4300
 # fibers of normalize: e_invariant's Fraction sum grows quadratically in them; the
 # first 1,000 primes as p/1 (lcm about 10^3392) run in about 15 ms (Python 3.11,
 # shared 2-vCPU VM), and an lcm of the multiplicities below _LCM_LIMIT keeps the
-# sum's denominator printable (computed once: 10**4300 takes about 40 us)
+# sum's denominator printable (computed once: 10**4300 takes about 40 us); the
+# e invariant's numerator and the normal form's n are held below it too
 _PAIRS_LIMIT = 1000
 _LCM_LIMIT = 10**_EXPONENT_LIMIT
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
@@ -444,7 +445,13 @@ def _normalize(args) -> dict:
                 f" whose multiplicities have an lcm below 10^{_EXPONENT_LIMIT}"
             )
     inv = SeifertInvariants(args.g, args.n, pairs)
-    normal = normalize(inv)
+    normal, e = normalize(inv), inv.e_invariant
+    # the normal form's n lies within len(pairs) of e, so it may pass the bound alone
+    if abs(e.numerator) >= _LCM_LIMIT or abs(normal.n) >= _LCM_LIMIT:
+        raise ConditionViolation(
+            "the e invariant's numerator and the normal form's n"
+            f" must lie below 10^{_EXPONENT_LIMIT} in absolute value"
+        )
     return {
         "input": {"g": inv.g, "n": inv.n, "pairs": [list(p) for p in inv.pairs]},
         "normal_form": {
@@ -452,7 +459,7 @@ def _normalize(args) -> dict:
             "n": normal.n,
             "pairs": [list(p) for p in normal.pairs],
         },
-        "e_invariant": inv.e_invariant,
+        "e_invariant": e,
     }
 
 

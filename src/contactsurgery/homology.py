@@ -16,21 +16,27 @@ Seifert core on the centre and the k terminal vertices, with the
 centre's relation and each leg's head relation.  The first leg's head
 relation has the centre's coefficient 1, so it eliminates the centre,
 which leaves the k x k fiber block on the terminal vertices; its |det|
-is |E|, for the Euler numerator E below, read off the legs.  When E is
-nonzero a Smith elimination modulo |E| with generator tracking gives
-the invariant factors and a left transform S with entries in [0, |E|);
-a singular block (E = 0) takes the exact elimination, which keeps the
-same left transform and no right one.  `homology` walks each leg once,
-for its ends alone, and the result holds the torsion
-and free rows of S and each leg's framings (shared with the
-presentation), O(k * t) for t such rows, and keeps no vertex multiple.
+is |E|, for the Euler numerator E below, read off the legs.  One
+kernel, the Smith elimination modulo |det| of `intmat`, runs on every
+star.  When E is nonzero it runs on the block modulo |E| and gives the
+invariant factors and a left transform S with entries in [0, |E|).  A
+singular block (E = 0) is handed over, in O(k) from the legs' ends, as
+a nonsingular matrix with the same torsion, its |det| and the free rows
+(`_singular_block`), in one of three cases: no leg and n = 0 (the
+cokernel Z), two or more zero heads a_0 (hand-built stars only), or
+every head nonzero, where the block has rank k - 1.  Each free row is an
+exact primitive functional on the block's generators that vanishes on
+its relations; no exact elimination runs.  `homology` walks each leg
+once, for its ends alone, and the result holds the torsion and free
+rows and each leg's framings (shared with the presentation),
+O(k * t) for t such rows, and keeps no vertex multiple.
 A vertex's multiple is walked off its leg when it is read: order(j)
 walks from the leg's terminal vertex to j, and class_map and free_map
 walk every leg once.  Those coordinates are relative to the basis
 the elimination picks, so they are fixed only up to an automorphism of
 the torsion group; orders of classes do not depend on that choice.
 The cost is linear in the number of vertices plus one elimination of
-k rows on residues modulo |E|.
+k rows on residues modulo the torsion order.
 
 mu_order, the order of the tracked class mu below, solves that core in
 closed form straight from (g, n; (alpha_i, beta_i)), with no leg, no
@@ -75,7 +81,7 @@ from itertools import islice
 from ._record import Record
 from .contfrac import _neg_cf_entries
 from .errors import ConditionViolation, SearchExhausted
-from .intmat import _smith_form, _smith_form_mod
+from .intmat import _bezout, _smith_form_mod
 from .seifert import SeifertInvariants
 
 __all__ = [
@@ -144,12 +150,15 @@ class FirstHomology(Record):
     generator e_r of the fiber block: the vertices of leg r are its
     multiples a_j times e_r, the terminal one e_r itself, and the centre
     is a_0 of the first leg times e_0 (e_0 itself with no leg).
-    torsion_rows and free_rows are the rows of the left transform S on
-    the torsion and on the free diagonal entries.  On a nonsingular
-    block their entries are residues modulo |E|, which every torsion
-    order divides; on a singular one they are the exact elimination's
-    integers.  The coordinates of a vertex are column r of those rows
-    times a.  legs holds the framings the multiples are walked from, and no
+    torsion_rows are the rows of the left transform S on the torsion
+    diagonal entries, residues modulo the torsion order (|E| on a
+    nonsingular block), which every d divides.  free_rows are exact
+    primitive functionals on the block generators that vanish on the
+    relations, one per copy of Z in the block's cokernel and none on a
+    nonsingular block; on a star whose heads are all nonzero the one free
+    row is the block's primitive left kernel (see `_singular_block`).
+    The coordinates of a vertex are column r of those rows times a.
+    legs holds the framings the multiples are walked from, and no
     multiple is kept, so the state stays O(k * t) for k legs and t
     torsion and free rows, however many vertices are read.  order(j)
     walks vertex j's leg from its terminal vertex to j alone (no step
@@ -291,15 +300,28 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     Z^k / B Z^k is Z^k / D Z^k under x -> Sx, so vertex j lands at a_j
     times the column of S of its block generator, read modulo the
     diagonal; the centre is a_0 times t_1's column.  When E != 0, S and
-    D come from the elimination modulo |E|, and AssertionError is raised
-    unless the torsion multiplies to |E|; when E = 0, from the exact
-    left-only elimination.  Each leg is walked once here for its ends
-    (a_0, a_1) alone; the result holds the rows of S and the legs, and walks a
-    vertex's multiple a_j when the vertex is read (see FirstHomology).
-    Linear in the vertex count, plus one elimination of k rows.
+    D come from the elimination modulo |E|; when E = 0, `_singular_block`
+    hands the same elimination a nonsingular matrix with the torsion of
+    B's cokernel, its |det| and the free rows.  AssertionError is raised
+    unless the torsion multiplies to that modulus.  Each leg is walked
+    once here for its ends (a_0, a_1) alone; the result holds the rows of
+    S and the legs, and walks a vertex's multiple a_j when the vertex is
+    read (see FirstHomology).  Linear in the vertex count, plus one
+    elimination of k rows.
     """
-    block, euler = _fiber_block(p.n, [_leg_end(leg) for leg in p.legs])
-    return _cokernel(block, p.legs, p.free_rank, abs(euler))
+    ends = [_leg_end(leg) for leg in p.legs]
+    matrix, modulus = _fiber_block(p.n, ends)
+    free_rows = ()
+    if not modulus:
+        matrix, modulus, free_rows = _singular_block(matrix, ends)
+    diagonal, left = _smith_form_mod(matrix, abs(modulus))
+    return FirstHomology(  # by position: the base binds keywords about 1 us slower
+        p.free_rank + len(free_rows),
+        tuple(d for d in diagonal if d > 1),  # torsion
+        tuple(row for row, d in zip(left, diagonal) if d > 1),  # torsion_rows
+        free_rows,
+        p.legs,
+    )
 
 
 def _leg_end(framings: tuple[int, ...]) -> tuple[int, int]:
@@ -323,28 +345,6 @@ def _check_presentable(inv: SeifertInvariants) -> None:
             raise ConditionViolation(
                 f"pair ({alpha},{beta}) is not presentable; need alpha >= beta >= 1"
             )
-
-
-def _cokernel(matrix, legs, free_rank: int, modulus: int) -> FirstHomology:
-    """Z^free_rank plus the cokernel of a square matrix, tracking the star's vertices.
-
-    Generator rows, relation columns; see `homology` for how the left
-    transform gives the coordinates.  modulus is |det matrix|: when it
-    is nonzero the elimination runs modulo it, and 0 (a singular
-    matrix) takes the exact one; both kernels return (diagonal, S) and
-    no right transform.  The result keeps the torsion rows and the
-    free rows of S as the kernel returns them, and legs, the framings
-    a vertex's multiple is walked from when it is read; no vertex's
-    coordinates are built here.
-    """
-    diagonal, left = _smith_form_mod(matrix, modulus) if modulus else _smith_form(matrix)
-    return FirstHomology(  # by position: the base binds keywords about 1 us slower
-        free_rank + diagonal.count(0),
-        tuple(d for d in diagonal if d > 1),  # torsion
-        tuple(row for row, d in zip(left, diagonal) if d > 1),  # torsion_rows
-        tuple(row for row, d in zip(left, diagonal) if d == 0),  # free_rows
-        legs,
-    )
 
 
 def _fiber_block(n: int, ends) -> tuple[list[list[int]], int]:
@@ -374,6 +374,75 @@ def _fiber_block(n: int, ends) -> tuple[list[list[int]], int]:
     for a0, a1 in ends:
         product, euler = product * a0, euler * a0 + a1 * product
     return block, n * product + euler
+
+
+def _singular_block(block, ends) -> tuple[list[list[int]], int, tuple[tuple[int, ...], ...]]:
+    """A nonsingular stand-in for a singular fiber block (E = 0).
+
+    Returns (A, M, free rows): Z^k / A Z^k is the torsion of the block's
+    cokernel, M = |det A|, and the free rows are exact primitive
+    functionals on Z^k that vanish on the block's relations, so x ->
+    (S x, the free rows at x), for the S that `_smith_form_mod(A, M)`
+    returns, identifies the block's cokernel with its torsion plus
+    Z^(free rows).  Read off the legs' ends (a_0i, a_1i) by O(k) lcm,
+    gcd and Bezout steps:
+
+    - no leg: the block is [[0]] and the cokernel Z, so A = [[1]].
+    - two or more zero heads (one alone makes E != 0): x_0 = 0, t_i has
+      order |a_0i| on a nonzero head, and the centre relation
+      sum a_1i t_i, whose zero-head coefficients are +-1, eliminates the
+      first zero head t_f; A is diag(a_0i, or 1 on a zero head) with
+      column f replaced by (a_1i), M the product of the nonzero |a_0i|,
+      and each other zero head j gives the free row x_f - a_1f a_1j x_j.
+    - every head nonzero: B has rank k - 1.  E = 0 makes
+      sum a_1i / a_0i = -n an integer, so each prime's highest power
+      among the heads divides two of them, and L, the lcm of the heads,
+      is also the lcm of the heads past the first.  B's primitive left
+      kernel is w_i = L / a_0i (signed so w_0 > 0) and its primitive
+      right kernel r = (L, a_1i L / a_0i for i >= 2).  `_unit_dual`
+      gives v . w = 1 and u . r = 1, so A = B + v u^T has cokernel
+      Z^k / (B Z^k + Z v), the torsion of B's cokernel, since A r = v.
+      adj B = c r w^T, whose (0, 0) entry prod_{i >= 2} (-a_0i) is
+      c L w_0, gives det A = u^T adj(B) v = c, so M = |prod a_0i| / L^2,
+      and w is the one free row.
+    """
+    if not ends:
+        return [[1]], 1, ((1,),)
+    k = len(ends)
+    zero = [i for i, (head, _) in enumerate(ends) if not head]
+    if zero:
+        first, sign = zero[0], ends[zero[0]][1]
+        matrix = [[(head or 1) * (i == j) for j in range(k)] for i, (head, _) in enumerate(ends)]
+        for row, (_, end) in zip(matrix, ends):
+            row[first] = end
+        free_rows = tuple(
+            tuple(int(i == first) - sign * ends[j][1] * (i == j) for i in range(k)) for j in zero[1:]
+        )
+        return matrix, math.prod(abs(head) for head, _ in ends if head), free_rows
+    heads = [head for head, _ in ends]
+    lcm = math.lcm(*heads)
+    w = [lcm // head if heads[0] > 0 else -lcm // head for head in heads]
+    r = [lcm] + [end * lcm // head for head, end in ends[1:]]
+    v, u = _unit_dual(w), _unit_dual(r)
+    matrix = [[b + x * y for b, y in zip(row, u)] for row, x in zip(block, v)]
+    return matrix, abs(math.prod(heads)) // lcm**2, (tuple(w),)
+
+
+def _unit_dual(u: list[int]) -> list[int]:
+    """x with x . u = 1, for a primitive u with u_0 > 0: a Bezout chain.
+
+    After step i, x . u = g = gcd(u_0, ..., u_i): the next entry y takes
+    (g, s, t) = `intmat._bezout`(g, y), and x becomes s x with t at i.
+    The pairing is checked at the end, so a wrong step raises
+    AssertionError rather than reach the matrix it corrects.
+    """
+    x, g = [1] + [0] * (len(u) - 1), u[0]
+    for i, y in enumerate(u[1:], 1):
+        g, s, x[i] = _bezout(g, y)
+        x[:i] = [s * c for c in x[:i]]
+    if sum(map(operator.mul, x, u)) != 1:
+        raise AssertionError("the Bezout chain does not pair to 1")
+    return x
 
 
 def mu_order(inv: SeifertInvariants) -> int:

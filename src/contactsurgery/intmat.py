@@ -1,32 +1,26 @@
-"""Exact integer matrix kernels: Smith normal form, exact and modulo |det|.
+"""The one integer matrix kernel: Smith normal form modulo |det|.
 
-The package exports nothing from here; `homology` runs both kernels
-privately.  Each returns (diagonal, S): the invariant factors and a
-left transform S with Z^n / A Z^n identified with the sum of the
-Z/d_i (and a Z for each d_i = 0) by x -> S x, so column j of S gives
-the coordinates of the j-th standard generator in the diagonalized
-quotient.  No consumer reads the right transform T, so neither kernel
-keeps it: both eliminate left-only, each row of A travelling with the
-same row of S while columns move unseen.  The module runs no
-determinant: the tests check the product of the Smith diagonal entries
-against |det| by the Bareiss elimination of `tests/reference.py`, and
-the package's one Bareiss pass is `lattice.is_negative_definite`.
+The package exports nothing from here; `homology` runs the kernel
+privately.  `_smith_form_mod` returns (diagonal, S): the invariant
+factors of a nonsingular square matrix A and a left transform S with
+Z^n / A Z^n identified with the sum of the Z/d_i by x -> S x, so
+column j of S gives the coordinates of the j-th standard generator in
+the diagonalized quotient.  No consumer reads the right transform T,
+so the kernel keeps none: it eliminates left-only, each row of A
+travelling with the same row of S while columns move unseen.  It runs
+modulo |det A|, which the caller supplies, so no entry of the matrix
+or of S outgrows it.  `homology` runs it on the k x k fiber block of
+every star whose Euler numerator E is nonzero, with modulus |E|, and on
+a singular block (E = 0) on the nonsingular matrix with the same
+torsion that `homology._singular_block` builds from the legs' ends, so
+no exact elimination runs in the package.
 
-`_smith_form` is the exact elimination.  Each entry is cleared by
-Euclid's algorithm against the pivot run to the end before the next
-entry is touched.  Least-magnitude pivoting alone does not bound
-coefficient growth: interleaving unfinished Euclid steps across a row
-and a column took the entries of a 5x5 four-fiber Seifert core from 10
-to 23,495 bits in ten passes (Kannan and Bachem, SIAM J. Comput. 8
-(1979), on why Smith-form elimination must control growth).
-
-`_smith_form_mod` computes the invariant factors and S of a
-nonsingular square matrix modulo its |det|, which the caller supplies,
-so no entry of the matrix or of S outgrows it.  `homology` runs it on
-the k x k fiber block of every star whose Euler numerator E is nonzero,
-with modulus |E|, and runs `_smith_form` only on a singular block
-(E = 0).  The tests run `_smith_form` on whole linking matrices as the
-reference.
+The module runs no determinant and no exact elimination: the tests
+check the product of the Smith diagonal entries against |det| by the
+Bareiss elimination of `tests/reference.py`, and run the exact
+elimination kept there, `_smith_form`, on whole linking matrices as
+the reference.  The package's one Bareiss pass is
+`lattice.is_negative_definite`.
 """
 
 from __future__ import annotations
@@ -39,89 +33,8 @@ from .errors import ConditionViolation
 __all__ = []
 
 
-def _smith_form(matrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Smith normal form of an integer matrix with a left transform.
-
-    Returns (diagonal, S) with diag = S A T for some unimodular T that
-    is not kept, each d_i >= 0 and d_i | d_{i+1}.  Each row of the
-    working matrix holds a row of A followed by the same row of S, so a
-    row move acts on both.  Before step k the first k rows and columns
-    are zero off the diagonal, so a column move touches only rows k and
-    below.  At step k a least-magnitude nonzero entry of the trailing
-    block becomes the pivot, the first in row-major order, so the scan
-    stops at the first unit.  Column k is cleared, then row k, each
-    entry by Euclid's algorithm against the pivot run to the end before
-    the next entry is touched.  The two passes repeat only while a
-    column swap, made when the pivot shrank, refilled column k.  A
-    pivot that fails to divide the rest of the trailing block takes the
-    offending row added to row k and is chosen again; a unit pivot
-    divides everything, so its scan is skipped.
-    """
-    m = [[*map(operator.index, row)] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(row) != cols for row in m):
-        raise ConditionViolation("matrix rows must have equal length")
-    for i, row in enumerate(m):  # row i of A, then row i of S = I
-        row += [int(i == j) for j in range(rows)]
-    size = min(rows, cols)
-    k = 0
-    while k < size:
-        least = 0
-        for i in range(k, rows):
-            row = m[i]
-            for j in range(k, cols):
-                x = abs(row[j])
-                if x and (not least or x < least):
-                    least, pi, pj = x, i, j
-                    if x == 1:
-                        break
-            if least == 1:
-                break
-        if not least:
-            break
-        m[k], m[pi] = m[pi], m[k]
-        if pj != k:
-            for row in m[k:]:
-                row[k], row[pj] = row[pj], row[k]
-        # a column swap puts a smaller pivot and a fresh column at k
-        refilled = True
-        while refilled:
-            refilled = False
-            for i in range(k + 1, rows):
-                while m[i][k]:
-                    q = m[i][k] // m[k][k]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-            top = m[k]
-            for j in range(k + 1, cols):
-                while top[j]:
-                    q = top[j] // top[k]
-                    for row in m[k:]:
-                        row[j] -= q * row[k]
-                    if top[j]:
-                        for row in m[k:]:
-                            row[k], row[j] = row[j], row[k]
-                        refilled = True
-        # divisibility: d_k must divide every remaining entry
-        pivot = m[k][k]
-        if pivot not in (1, -1):
-            offender = next(
-                (i for i in range(k + 1, rows) if any(m[i][j] % pivot for j in range(k + 1, cols))),
-                None,
-            )
-            if offender is not None:
-                m[k] = [x + y for x, y in zip(m[k], m[offender])]
-                continue
-        if pivot < 0:
-            m[k] = [-x for x in m[k]]
-        k += 1
-    return tuple(m[i][i] for i in range(size)), tuple(tuple(row[cols:]) for row in m)
-
-
 def _bezout(p: int, x: int) -> tuple[int, int, int]:
-    """(g, u, v) with g = gcd(p, x) = u p + v x > 0, for x != 0.
+    """(g, u, v) with g = gcd(p, x) = u p + v x > 0, for p and x not both 0.
 
     The extended Euclid loop: after its first two steps every number is
     at most min(|p|, |x|), so a small entry against a large one is cheap.
@@ -143,9 +56,10 @@ def _smith_form_mod(matrix, modulus: int) -> tuple[tuple[int, ...], tuple[tuple[
     adj(A) A = det(A) I puts M Z^n inside A Z^n, so the cokernel is that
     of [A | M I], and every entry of A and of S may be reduced modulo M,
     since each d_i divides M (Domich, Kannan and Trotter, Math. Oper. Res.
-    12, 1987; Cohen, GTM 138, Alg. 2.4.14).  As in `_smith_form`, each
-    row of A travels with its row of S and columns move unseen.  At step k the entry of column k with the least
-    symmetric residue (the representative in (-M/2, M/2]) becomes the
+    12, 1987; Cohen, GTM 138, Alg. 2.4.14).  Each row of A travels with
+    its row of S and columns move unseen.  At step k the entry of column
+    k with the least symmetric residue (the representative in
+    (-M/2, M/2]) becomes the
     pivot p, and the column is cleared below it by row moves on those
     residues: a quotient step when p divides the entry x, else one Bezout
     move [[u, v], [-x/g, p/g]] with g = gcd(p, x) = u p + v x, after

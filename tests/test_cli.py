@@ -967,6 +967,11 @@ class TestChainBound:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_E_BOUND = (
+    "the e invariant's numerator and the normal form's n must lie below 10^4300 in absolute value"
+)
+
+
 class TestBoundedArguments:
     @pytest.mark.parametrize(
         "argv, message",
@@ -978,11 +983,21 @@ class TestBoundedArguments:
             (["convert", "--r=1/2", "--tb=-10000000000000"], "--tb must lie within -10^12..10^12"),
             (["convert", "--r=1/2", "--rot=1000000000001", "--json"],
              "--rot must lie within -10^12..10^12"),
+            # e = 7 * (10^4300 - 1) + 1 over 7, and 7 + (10^4300 - 1) over 7
+            (["normalize", "--g", "0", "--n", "9" * 4300, "--pairs", "7/1"], _E_BOUND),
+            (["normalize", "--g", "0", "--n", "1", "--pairs", "7/" + "9" * 4300], _E_BOUND),
+            # e = -(10^4300 - 1) is printable, but the normal form's n = -10^4300 is not
+            (["normalize", "--g", "0", "--n", "-" + "9" * 4299 + "8", "--pairs", "2/-1,2/-1"],
+             _E_BOUND),
         ],
     )
     def test_refused_with_one_line(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_an_e_invariant_just_below_the_bound_is_printed(self, capsys):
+        assert main(["normalize", "--g", "0", "--n", "9" * 4300, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["e_invariant"] == "9" * 4300
 
     @pytest.mark.parametrize(
         "r, entries",

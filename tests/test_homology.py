@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from contactsurgery.contfrac import _CHAIN_LIMIT
@@ -30,10 +30,9 @@ from contactsurgery.homology import (
     presentation,
     spinc_offset,
 )
-from contactsurgery.intmat import _smith_form
 from contactsurgery.seifert import SeifertInvariants
 
-from reference import admissible_points, determinant
+from reference import _smith_form, admissible_points, determinant
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")
@@ -163,7 +162,7 @@ class _WholeMatrixHomology(FirstHomology):
 
 
 def _whole_matrix_homology(rows, free_rank=0):
-    """H1 of a raw linking matrix: one Smith form of the whole matrix.
+    """H1 of a raw linking matrix: one exact Smith form (`reference`) of the whole matrix.
 
     Raw matrices (cycles, weight-2 edges, non-symmetric entries) are no
     star, so they skip the leg collapse and go straight to the cokernel,
@@ -172,7 +171,14 @@ def _whole_matrix_homology(rows, free_rank=0):
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValueError("linking matrix must be square")
-    h = homology_module._cokernel(rows, (), free_rank, 0)
+    diagonal, left = _smith_form(rows)
+    h = FirstHomology(
+        free_rank + diagonal.count(0),
+        tuple(d for d in diagonal if d > 1),
+        tuple(row for row, d in zip(left, diagonal) if d > 1),
+        tuple(row for row, d in zip(left, diagonal) if d == 0),
+        (),
+    )
     return _WholeMatrixHomology(h, size)
 
 
@@ -597,9 +603,8 @@ class TestMuOrderSeifertRoute:
             "presentation",
             "_neg_cf_entries",
             "homology",
-            "_smith_form",
-            "_cokernel",
             "_fiber_block",
+            "_singular_block",
             "_smith_form_mod",
         ):
             monkeypatch.setattr(homology_module, name, refuse)
@@ -732,7 +737,7 @@ class TestHomologyManyFibers:
     @given(many_fiber_normal_forms(most=24, alphas=(100, 999)))
     @example(SeifertInvariants(0, 1, SIXTEEN_FIBERS))
     @example(SeifertInvariants(0, 1, TWENTY_FOUR_FIBERS))
-    # e = 0 with eight fibers: the exact Smith form on the singular block
+    # e = 0 with eight fibers: the singular block's stand-in, modulo its torsion order
     @example(SeifertInvariants(0, -4, ((2, 1),) * 8))
     def test_under_the_default_deadline(self, inv):
         _assert_many_fiber_homology(inv)
@@ -747,6 +752,17 @@ class TestHomologyManyFibers:
             if math.gcd(alpha, beta) == 1:
                 pairs.append((alpha, beta))
         _assert_many_fiber_homology(SeifertInvariants(1, 2, tuple(pairs)))
+
+
+def _assert_matches_the_whole_matrix(p):
+    """homology(p) against the exact Smith form of p's whole linking
+    matrix: free rank, torsion and the order(j) outcome of every vertex."""
+    h = homology(p)
+    whole = _whole_matrix_homology(p.matrix, p.free_rank)
+    assert (h.free_rank, h.torsion) == (whole.free_rank, whole.torsion)
+    for j in range(len(p.matrix)):
+        assert _outcome(lambda: h.order(j)) == _outcome(lambda: whole.order(j))
+    _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
 
 
 # stars that `presentation` never builds: zero and positive framings, a
@@ -782,13 +798,7 @@ HAND_BUILT_STARS = {
 class TestHandBuiltStars:
     @pytest.mark.parametrize("name", sorted(HAND_BUILT_STARS))
     def test_against_the_whole_matrix(self, name):
-        p = HAND_BUILT_STARS[name]
-        h = homology(p)
-        whole = _whole_matrix_homology(p.matrix, p.free_rank)
-        assert (h.free_rank, h.torsion) == (whole.free_rank, whole.torsion)
-        for j in range(len(p.matrix)):
-            assert _outcome(lambda: h.order(j)) == _outcome(lambda: whole.order(j))
-        _assert_matches_full_smith_form(p.matrix, p.free_rank, h)
+        _assert_matches_the_whole_matrix(HAND_BUILT_STARS[name])
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT_STARS))
     def test_singular_exactly_when_the_determinant_vanishes(self, name):
@@ -810,6 +820,126 @@ class TestHandBuiltStars:
         monkeypatch.setattr(homology_module, "_fiber_block", doubled)
         with pytest.raises(AssertionError, match="^invariant factors do not multiply"):
             homology(HAND_BUILT_STARS["positive_framings"])
+
+    @pytest.mark.parametrize("name", ["positive_singular_with_torsion", "zero_heads_singular"])
+    def test_a_wrong_singular_modulus_fails_the_product_check(self, monkeypatch, name):
+        # the same check guards the modulus that _singular_block reads off the heads
+        singular = homology_module._singular_block
+
+        def doubled(block, ends):
+            matrix, modulus, free_rows = singular(block, ends)
+            return matrix, 2 * modulus, free_rows
+
+        monkeypatch.setattr(homology_module, "_singular_block", doubled)
+        with pytest.raises(AssertionError, match="^invariant factors do not multiply"):
+            homology(HAND_BUILT_STARS[name])
+
+
+def _head(leg):
+    """a_0 of a leg, by the recurrence of `homology` written out here."""
+    after, a = 0, 1
+    for framing in reversed(leg):
+        after, a = a, -(framing * a + after)
+    return a
+
+
+# every leg of one to three framings in -3..3 whose head a_0 is 0
+ZERO_HEAD_LEGS = tuple(
+    leg
+    for size in (1, 2, 3)
+    for leg in itertools.product(range(-3, 4), repeat=size)
+    if _head(leg) == 0
+)
+
+
+def _closing_pair(g, pairs):
+    """SeifertInvariants(g, n, pairs + the closing pair) with e = 0.
+
+    n = -floor(s) - 1 for s the sum of beta/alpha over pairs, and the
+    closing pair is beta/alpha = -(n + s), which lies in (0, 1].
+    """
+    rest = sum((Fraction(beta, alpha) for alpha, beta in pairs), Fraction(0))
+    n = -math.floor(rest) - 1
+    closing = -(n + rest)
+    return SeifertInvariants(g, n, (*pairs, (closing.denominator, closing.numerator)))
+
+
+@st.composite
+def singular_normal_forms(draw):
+    """e = 0: g 0..2, k - 1 <= 9 coprime pairs with alpha <= 12 and the closing pair."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 9))):
+        alpha = draw(st.integers(2, 12))
+        beta = draw(st.integers(1, alpha - 1).filter(lambda b, a=alpha: math.gcd(a, b) == 1))
+        pairs.append((alpha, beta))
+    return _closing_pair(draw(st.integers(0, 2)), tuple(pairs))
+
+
+@st.composite
+def zero_head_stars(draw):
+    """Hand-built stars with two or three zero heads (so E = 0) beside up
+    to three legs of nonzero head, framings in -3..3: zero framings inside
+    a leg and positive framings among them."""
+    legs = draw(st.lists(st.sampled_from(ZERO_HEAD_LEGS), min_size=2, max_size=3))
+    others = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple).filter(_head)
+    legs += draw(st.lists(others, max_size=3))
+    legs = draw(st.permutations(legs))
+    return IntegralPresentation(draw(st.integers(-3, 3)), tuple(legs), draw(st.integers(0, 2)))
+
+
+@st.composite
+def many_fiber_singular_stars(draw):
+    """e = 0 with 8-31 fibers: 7-30 three-digit pairs and the closing pair."""
+    inv = draw(many_fiber_normal_forms(most=31, alphas=(100, 999)))
+    return _closing_pair(inv.g, inv.pairs[:-1])
+
+
+# the 16-fiber e = 0 star of the CI step: 722 vertices, on which the exact
+# elimination of the singular block took 7 to 14 s
+SINGULAR_SIXTEEN = SeifertInvariants(0, -8, (
+    (195, 53), (527, 450), (503, 52), (542, 465), (467, 402), (780, 773), (905, 292), (537, 203),
+    (524, 175), (590, 63), (743, 719), (856, 173), (503, 467), (545, 106), (785, 116),
+    (1188643900004262839476600351064, 569643975868827830828529517787),
+))  # fmt: skip
+
+
+class TestSingularStars:
+    """H1 of a singular star (E = 0) by the modular kernel on the stand-in
+    of `_singular_block`, against the exact elimination of `reference`."""
+
+    @settings(max_examples=100)
+    @given(singular_normal_forms())
+    @example(RAW_CASES["singular_star"])
+    @example(RAW_CASES["singular_with_torsion"])
+    @example(SeifertInvariants(0, -1, ((1, 1),)))
+    def test_presentation_built(self, inv):
+        assert inv.e_invariant == 0
+        assume(1 + sum(map(len, presentation(inv).legs)) <= 150)
+        _assert_star_matches_full_smith_form(inv)
+
+    @settings(max_examples=100)
+    @given(zero_head_stars())
+    @example(HAND_BUILT_STARS["zero_heads_singular"])
+    @example(IntegralPresentation(-2, ((0,), (1, 1), (-1, -1), (2, 0, 2)), 1))
+    def test_hand_built_with_zero_heads(self, p):
+        assert determinant(p.matrix) == 0
+        _assert_matches_the_whole_matrix(p)
+
+    @given(many_fiber_singular_stars())
+    @example(SINGULAR_SIXTEEN)
+    def test_many_fibers_under_the_default_deadline(self, inv):
+        try:
+            p = presentation(inv)
+        except ConditionViolation:  # the closing leg passes the chain bound of `contfrac`
+            reject()
+        h = homology(p)
+        assert h.free_rank == 2 * inv.g + 1
+        assert all(b % a == 0 for a, b in zip(h.torsion, h.torsion[1:]))
+        assert _outcome(lambda: h.order(p.mu_index)) == "meridian class has infinite order"
+
+    def test_the_sixteen_fiber_star(self):
+        h = homology(presentation(SINGULAR_SIXTEEN))
+        assert (h.free_rank, h.torsion) == (1, (10, 10, 20, 392340))
 
 
 # class_map, free_map and order(j) for j in -size..size-1, generated by

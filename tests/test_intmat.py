@@ -1,8 +1,10 @@
 """Smith normal form, exact and modulo |det|, against the reference determinant.
 
-The determinant is the Bareiss elimination of `reference`, which the
-package does not run; TestDeterminant checks it, and every other class
-reads the product of a Smith diagonal against it.
+The determinant and the exact elimination `_smith_form` are the
+references of `reference`, which the package does not run;
+TestDeterminant checks the first, every other class reads the product
+of a Smith diagonal against it, and the exact elimination is pinned
+against the frozen block-matrix kernel below.
 """
 
 import math
@@ -13,9 +15,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from contactsurgery.errors import ConditionViolation
-from contactsurgery.intmat import _smith_form, _smith_form_mod
+from contactsurgery.intmat import _smith_form_mod
 
-from reference import determinant
+from reference import _smith_form, determinant
 
 
 def mat_mul(a, b):

@@ -212,11 +212,15 @@ ROUTE_PAIRS = {
             "contfrac._neg_cf_entries": "expands each leg of that star",
         },
     ),
+    # on E = 0 the modulus is read off the legs' heads by lcm and products
     "Smith product vs the legs' |E|": (
         ("intmat._smith_form_mod",),
-        ("homology._fiber_block",),
+        ("homology._fiber_block", "homology._singular_block"),
         (),
-        {},
+        {
+            "intmat._bezout": "the Bezout chains of the stand-in's rank-one correction,"
+            " each checked by its exact pairing; the modulus takes no Bezout step",
+        },
     ),
     "witness modulus // p vs _validate_witness": (
         ("homology.distinct_witness",),
@@ -255,6 +259,17 @@ def test_routes_meet_only_in_their_shared_pieces(pair):
         if KINDS[node] != "name" and node not in FREE_TO_SHARE
     }
     assert meet == set(shared)
+
+
+def test_one_smith_elimination_in_the_package():
+    """The modular kernel is the one Smith elimination in src; the exact
+    one is the tests' reference (tests/reference.py)."""
+    assert {node for node in KINDS if node.startswith("intmat.")} == {
+        "intmat.__all__",
+        "intmat._bezout",
+        "intmat._smith_form_mod",
+    }
+    assert {node for node in KINDS if "smith" in node.lower()} == {"intmat._smith_form_mod"}
 
 
 def test_the_graph_sees_calls_by_value_through_tables_and_by_attribute():
