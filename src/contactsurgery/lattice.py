@@ -41,12 +41,13 @@ lambda_q stays within it up to q = 496.
 The search runs on an explicit stack, so no rank reaches Python's
 recursion limit; its order is that of a plain recursion over columns,
 and its cuts skip only subtrees that hold no embedding, so the first
-embedding found, or None, is the same.  It keeps
-only the nonzero column entries and the nonzero remaining dots, so a
-node costs O(nonzeros), not O(rank).  On lambda_q, where a vector meets
-one or two placed rows, each vector still walks the used columns, most
-of them at the forced value 0, so the search grows about as 4 q^2
-nodes.
+embedding found, or None, is the same.  It keeps only the nonzero
+column entries and the nonzero remaining dots, so a node costs
+O(nonzeros), not O(rank); the column classes and the rows that end at a
+column are read off those column entries, not kept beside them.  On
+lambda_q, where a vector meets one or two placed rows, each vector still
+walks the used columns, most of them at the forced value 0, so the
+search grows about as 4 q^2 nodes.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ class Lattice(Record):
         rank = operator.index(rank)
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ConditionViolation("gram matrix must be rank x rank")
-        for i in range(rank):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ConditionViolation("gram matrix must be symmetric")
+        if gram != tuple(zip(*gram)):
+            raise ConditionViolation("gram matrix must be symmetric")
         super().__init__(gram, rank)
 
 
@@ -188,17 +187,20 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     The search is depth first on an explicit stack, one frame per column
     of each vector on the current path: [column, next value, upper bound,
     norm left, dots left], the dots a dict of the nonzero remaining
-    Euclidean dots by placed row.  A row is read off its frames' values
-    when it is placed, and it stops at its last nonzero entry.  The rows
-    placed use a prefix of the columns; every later column is fresh, and
-    the fresh columns form one class.  Each placed row is entered once
-    into views of the used columns: the nonzero (row, value) pairs of
-    every column's history, the rows whose last nonzero entry is there,
-    and the row's squared length after each column, which is all the
-    Cauchy-Schwarz cut needs.  A value updates the dots only where the
-    column's history is nonzero, and the cut runs only over the nonzero
-    dots, since a zero dot always passes, so a node costs O(nonzeros)
-    rather than O(rank).
+    Euclidean dots by placed row.  The open vector's frames are the top
+    of the stack, so a row is read off them when it is placed, and it
+    stops at its last nonzero entry.  The rows placed use a prefix of the
+    columns; every later column is fresh, and the fresh columns form one
+    class.  Each placed row is entered once into two views of the used
+    columns: every column's history as its nonzero (row, value) pairs in
+    row order, and the row's squared length after each column, which is
+    all the Cauchy-Schwarz cut needs.  The rest is read off these views:
+    two columns share a class when their histories are equal, a row ends
+    at a column of its history where its squared length after it is 0,
+    and the used columns are those with a nonempty history.  A value
+    updates the dots only where the column's history is nonzero, and the
+    cut runs only over the nonzero dots, since a zero dot always passes,
+    so a node costs O(nonzeros) rather than O(rank).
 
     Two rules skip subtrees that hold no embedding.  A row h that ends
     at a column must settle its dot d there, so the column takes the one
@@ -206,13 +208,13 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     no zero: the fresh class is nonnegative and non-increasing, so after
     a zero the rest of the row is zero, with norm still to place.  A
     column left with no value opens no frame, except a vector's column
-    0, whose give-up reopens the vector before.  When a vector's
-    placement starts, whether each used column shares the previous
-    column's class follows from the last row in one pass over the used
-    columns, so the state of the search is O(rank x used columns) plus
-    one frame per column reached, whatever the diagonal.  Once the norm
-    is used up, the rest of the row is forced to zero and the row is
-    accepted or rejected at once.
+    0, whose give-up reopens the vector before.  Two histories are
+    compared only where the class could change the column's range: after
+    a value below the next column's bound, or after a negative value
+    where a zero tail would follow.  The state of the search is O(rank x
+    used columns) plus one frame per column reached, whatever the
+    diagonal.  Once the norm is used up, the rest of the row is forced
+    to zero and the row is accepted or rejected at once.
     """
     if not is_negative_definite(lattice):
         raise ConditionViolation("embedding search needs a negative definite form")
@@ -246,17 +248,14 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
         yield DiagonalEmbedding(()), 0
         return 0
     # the placed rows stop at their last nonzero entry, and the columns
-    # they use are a prefix 0..used-1: every later column is fresh
+    # they use are a prefix 0..used-1, each with a nonempty history:
+    # every later column is fresh
     placed: list[list[int]] = []
-    # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero;
-    # ends[c]: those of the rows whose last nonzero entry is at c
+    # history[c]: the pairs (j, placed[j][c]) with placed[j][c] nonzero,
+    # by row; columns c - 1 and c share a class when their histories agree
     history: list[list[tuple[int, int]]] = []
-    ends: list[list[tuple[int, int]]] = []
     tails: list[list[int]] = []  # tails[j][c] = |placed[j][c+1:]|^2
-    same: list[bool] = []  # same[c]: columns c - 1 and c share their history
     used = 0
-    levels = [same]  # the class marks of each open vector
-    base = 0  # the stack index of the open vector's column 0
     stack: list[list] = []
     budget = _NODE_BUDGET
     isqrt = math.isqrt
@@ -269,15 +268,16 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
         if nxt < used:
             # non-increasing within the previous column's history class
             low = -bound
-            high = value if same[nxt] and value < bound else bound
-            if ends[nxt]:
-                # a row that ends here must settle its dot here
-                j, h = ends[nxt][0]
-                forced, rest = divmod(dots.get(j, 0), h)
-                if rest or not low <= forced <= high:
-                    low = high + 1
-                else:
-                    low = high = forced
+            high = value if nxt and value < bound and history[nxt - 1] == history[nxt] else bound
+            for j, h in history[nxt]:
+                if not tails[j][nxt]:
+                    # row j ends here, so it must settle its dot here
+                    forced, rest = divmod(dots.get(j, 0), h)
+                    if rest or not low <= forced <= high:
+                        low = high + 1
+                    else:
+                        low = high = forced
+                    break
         else:
             # a fresh column takes a positive value, non-increasing after
             # the first: after a zero the rest of the row would be zero,
@@ -295,17 +295,13 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
             if value > high:
                 stack.pop()
                 if col == 0 and placed:  # vector exhausted: reopen the one before
-                    levels.pop()
-                    same = levels[-1]
-                    used = len(same)
-                    row = placed.pop()
-                    base -= len(row)  # a row has one frame per entry
                     tails.pop()
-                    for c, x in enumerate(row):
+                    for c, x in enumerate(placed.pop()):
                         if x:
                             history[c].pop()
-                    ends[len(row) - 1].pop()
-                    del history[used:], ends[used:]
+                    while history and not history[-1]:  # the fresh columns the row took
+                        history.pop()
+                    used = len(history)
                 continue
             frame[1] = value + 1
             left = norm_left - value * value
@@ -333,20 +329,20 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
             # the rest of the row is zero, and the cut has made every dot
             # 0; a zero is refused only right after a negative value in
             # the same class, by the non-increasing rule
-            if nxt < used and same[nxt] and value < 0:
+            if nxt < used and value < 0 and history[col] == history[nxt]:
                 continue
-            row = [top[1] - 1 for top in stack[base:]]
+            # the open vector has one frame per column, on top of the stack
+            row = [top[1] - 1 for top in stack[-nxt:]]
             i = len(placed)
             if i + 1 == rank:
                 yield DiagonalEmbedding(_pad([*placed, row])), nodes
                 continue
             placed.append(row)
-            if len(row) > used:
-                history.extend([] for _ in range(len(row) - used))
-                ends.extend([] for _ in range(len(row) - used))
+            history.extend([] for _ in range(nxt - used))
+            used = len(history)
             tail = []
             after = 0
-            for c in range(len(row) - 1, -1, -1):
+            for c in range(nxt - 1, -1, -1):
                 tail.append(after)
                 x = row[c]
                 if x:
@@ -354,29 +350,12 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
                     after += x * x
             tail.reverse()
             tails.append(tail)
-            ends[len(row) - 1].append((i, row[-1]))
-            same = _classes(same, row)
-            used = len(same)
-            levels.append(same)
-            base = len(stack)
             i += 1
             nxt, left = 0, -gram[i][i]
             dots = {j: -gram[j][i] for j in range(i) if gram[j][i]}  # required Euclidean dots
             break
         else:
             return nodes
-
-
-def _classes(same: list[bool], row: list[int]) -> list[bool]:
-    """The class marks of the columns once `row` is placed: column c
-    stays in column c - 1's class when it was there and the row's two
-    entries agree.  The fresh columns the row takes form one new class."""
-    used = len(same)
-    if len(row) > used:
-        same = [*same, False, *[True] * (len(row) - used - 1)]
-    else:
-        row = row + [0] * (used - len(row))
-    return [False] + [s and a == b for s, a, b in zip(same[1:], row, row[1:])]
 
 
 def _pad(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:

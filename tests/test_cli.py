@@ -766,8 +766,10 @@ class TestObstructionCommand:
 
     @pytest.mark.parametrize("g, q", [(45, 11), (55, 12), (66, 13), (78, 14)])
     def test_large_genus_on_a_shallow_stack(self, g, q, capsys):
-        # the search keeps its own stack, so the call needs only a few
-        # dozen Python frames above this one at any q
+        # obstruction reads the chain-lemma certificate and runs no
+        # search, so the call needs only a few dozen Python frames above
+        # this one at any q; tests/test_lattice.py runs the search itself
+        # on a shallow stack
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back

@@ -307,6 +307,12 @@ class TestLattice:
         with pytest.raises(ConditionViolation):
             Lattice(gram=((-2,),), rank=2)
 
+    def test_shape_is_checked_before_symmetry(self):
+        with pytest.raises(ConditionViolation, match="^gram matrix must be rank x rank$"):
+            Lattice(gram=((-2, 1), (0,)), rank=2)
+        with pytest.raises(ConditionViolation, match="^gram matrix must be symmetric$"):
+            Lattice(gram=((-2, 1, 0), (1, -2, 1), (0, 0, -2)), rank=3)
+
     def test_gram_entries_must_be_exact_integers(self):
         # -2.5 was silently truncated to -2
         with pytest.raises(TypeError):
@@ -624,6 +630,32 @@ FIXED_LATTICE_NODES = {
     ((-2, 1), (1, -1)): (13, 5),
     ((-2, 1, 1, 1), (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2)): (68, 14),
     E6: (218, 78),
+    # dense -V V^T forms, whose first embeddings put up to five nonzero
+    # entries in one column: the first three with V entries in
+    # {0, 1, -1} as the bench draws them, the last with +-2 among them
+    ((-3, -1, -2, -1), (-1, -4, 0, -1), (-2, 0, -2, -1), (-1, -1, -1, -1)): (182, 66),
+    (
+        (-4, 2, 0, 0, -1),
+        (2, -5, 1, -1, -1),
+        (0, 1, -3, -2, -2),
+        (0, -1, -2, -3, -2),
+        (-1, -1, -2, -2, -3),
+    ): (1640, 959),
+    (
+        (-5, 2, 1, 1, -1, 0),
+        (2, -6, -2, 3, 1, -3),
+        (1, -2, -5, -1, -1, -2),
+        (1, 3, -1, -5, -1, 0),
+        (-1, 1, -1, -1, -5, 0),
+        (0, -3, -2, 0, 0, -4),
+    ): (1552, 794),
+    (
+        (-5, 4, -2, 5, -4),
+        (4, -4, 0, -4, 4),
+        (-2, 0, -8, 2, -2),
+        (5, -4, 2, -10, 0),
+        (-4, 4, -2, 0, -9),
+    ): (1934, 725),
 }
 
 
@@ -671,6 +703,25 @@ DENSE_RANK_SIX = (
     (0, 2, -1, 0, -1, 2),
     (0, 1, 0, 1, 1, 2),
 )
+
+
+class TestShallowStack:
+    """The search keeps its own stack, so it needs only a few dozen Python
+    frames above the caller at any rank."""
+
+    @pytest.mark.parametrize("q, nodes", [(11, 716), (12, 830), (13, 956), (14, 1086)])
+    def test_lambda_q(self, q, nodes):
+        lattice = lambda_q(q)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            found = _search(lattice)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == (None, nodes)
 
 
 class TestNodeBudget:
