@@ -22,7 +22,11 @@ text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
 (rationals as "p/q" strings, stable key order, byte-identical for
 identical inputs), the default is the short human listing rendered from
-the same document.  main alone writes output and picks the exit code.
+the same document.  The --json bytes are those of
+json.dumps(document, indent=2, default=str) and a newline, pinned by a
+reference test against that call; render_json writes them without
+json's pure-Python encoder.  main alone writes output and picks the
+exit code.
 
 Exit codes: 0 success, 2 invalid input, 3 internal cross-check failure.
 A 3 means two routes to the same quantity disagreed, which is a bug
@@ -41,6 +45,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .contfrac import NegContinuedFraction, neg_cf_expand, neg_cf_value, stabilization_counts
 from .errors import ConditionViolation
@@ -77,9 +82,64 @@ _SWEEP_POINT_LIMIT = 250_000
 _SWEEP_BLOCK_LIMIT = 20_000
 
 
+# exact type -> its JSON text, by json's own C functions where it has one; a
+# subclass is not matched and goes to json
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    Fraction: lambda value: encode_basestring_ascii(str(value)),
+}
+
+
 def render_json(document: dict) -> str:
-    """Canonical JSON: insertion-ordered keys, rationals as strings."""
-    return json.dumps(document, indent=2, default=str) + "\n"
+    """Canonical JSON: insertion-ordered keys, rationals as strings.
+
+    The bytes are those of json.dumps(document, indent=2, default=str)
+    plus a newline; tests/reference.py keeps that call as the reference.
+    CPython's json runs its pure-Python encoder whenever indent is set,
+    so each container is joined here in one pass, with its scalars
+    rendered by the C functions json itself calls.
+    """
+    return _render(document, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2, default=str) writes it at the
+    depth whose line break and indent are newline.
+
+    The traversal is json's, keys before their values, so an integer
+    above Python's digit limit raises the same ValueError at the same
+    value.  A dict whose keys are not all str, and any type that
+    _SCALARS, dict, list or tuple do not name exactly (a float, a
+    subclass), is rendered by json itself, re-indented: a string holds
+    no raw line break, so every break in its output is an indent.
+    Documents are trees, so json's circular-reference check is not kept.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:
+            items = [
+                encode_basestring_ascii(key) + ": " + _render(item, inner)
+                for key, item in value.items()
+            ]
+        except TypeError:  # a key that is not a str: json, below, converts or refuses it
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value, indent=2, default=str).replace("\n", newline)
 
 
 def _diagram_summary(coefficient: Fraction, tb: int = -1, rot: int = 0) -> dict:
@@ -380,7 +440,10 @@ def _report_text(doc: dict) -> list[str]:
 
 
 def _report_passed(doc: dict) -> bool:
-    return doc["verdicts"]["all_checks_pass"]
+    # fillable is read off the gap: "no (certified)" exactly when it is nonzero
+    verdicts = doc["verdicts"]
+    certified = verdicts["fillable"] == "no (certified)"
+    return verdicts["all_checks_pass"] and certified == (doc["invariants"]["gap"] != 0)
 
 
 def _sweep(args) -> dict:

@@ -438,19 +438,26 @@ def nonfillability_obstruction(g: int) -> dict:
     d_range), when no such d exists, or when q = d + 2 exceeds the chain
     bound 3001 (g > 4499999).  A star that breaks the lemma's hypotheses
     raises AssertionError, so the document's embedding keys always read
-    the same.
+    the same.  So does a d outside its window around 2g, and a rank,
+    read off the certified legs, other than 2q: the printed q and rank
+    are checked, not only computed.
     """
     g = operator.index(g)
     d = d_range(g)
     if d is None:
         raise ConditionViolation(f"no d with d(d+1) <= 2g <= d(d+2)-1 for g = {g}")
+    if not d * (d + 1) <= 2 * g <= d * (d + 2) - 1:
+        raise AssertionError(f"d = {d} breaks d(d+1) <= 2g <= d(d+2)-1 at g = {g}")
     q = d + 2
     star = lambda_q_certificate(q)
+    rank = 1 + sum(map(len, star.legs))
+    if rank != 2 * q:
+        raise AssertionError(f"the certified star has {rank} vertices, not 2q = {2 * q}")
     return {
         "g": g,
         "d": d,
         "q": q,
-        "rank": 1 + sum(map(len, star.legs)),
+        "rank": rank,
         "embeddable": False,
         "embedding": None,
         "obstruction_holds": True,

@@ -25,10 +25,16 @@ to 23,495 bits in ten passes (Kannan and Bachem, SIAM J. Comput. 8
 (1979), on why Smith-form elimination must control growth).  Its left
 transform still grows on dense or many-fiber input, so the tests keep
 it to small matrices.
+
+`render_json` is the standard library's encoder with the options that
+`cli.render_json` once called it with.  CPython's `json` runs its
+pure-Python encoder whenever `indent` is set, so the package writes the
+same bytes in one joined pass of its own; the tests hold it to these.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 
 from contactsurgery.errors import ConditionViolation
@@ -40,6 +46,11 @@ def admissible_points(g, n, alpha):
     for sign, rs in admissible_blocks(g, n, alpha):
         for r in rs:
             yield g, n, alpha, sign, r
+
+
+def render_json(document) -> str:
+    """document as indented JSON, rationals and other objects as their str."""
+    return json.dumps(document, indent=2, default=str) + "\n"
 
 
 def determinant(matrix) -> int:

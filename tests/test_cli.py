@@ -1,7 +1,9 @@
 """Report assembly, canonical JSON rendering, and the command line surface."""
 
 import argparse
+import collections
 import contextlib
+import enum
 import hashlib
 import importlib
 import io
@@ -10,6 +12,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,8 +24,11 @@ from contactsurgery.cli import build_report, main, render_json
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.gauge import omega_red_closed, omega_red_long
 from contactsurgery.homology import IntegralPresentation, SpinCClass, presentation, spinc_offset
+from contactsurgery.lattice import lambda_q_certificate
+from contactsurgery.seifert import d_range
 
 from reference import admissible_points
+from reference import render_json as reference_json
 
 # the package root rebinds `homology` to the function of that name
 homology_module = importlib.import_module("contactsurgery.homology")
@@ -107,6 +113,52 @@ class TestOneEvaluationPerReport:
         assert report["verdicts"]["checks"]["mu_order_matches_closed_form"] is True
 
 
+CLI_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+DEMOS_GOLDEN = json.loads(Path(__file__).with_name("demos_golden.json").read_text(encoding="utf-8"))
+# quotes, backslashes, control characters, a lone surrogate and non-ASCII
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"])
+_TEXT = st.text(st.one_of(st.characters(), _AWKWARD), max_size=8)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    # up to 4,300 digits, the most that Python converts to str by default
+    st.integers(-(10**4300) + 1, 10**4300 - 1),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+)
+
+
+def documents(depth: int = 5):
+    """Dicts with str keys, lists and tuples, nested up to depth levels."""
+    values = _SCALARS
+    for _ in range(depth):
+        values = st.one_of(
+            _SCALARS,
+            st.lists(values, max_size=4),
+            st.lists(values, max_size=4).map(tuple),
+            st.dictionaries(_TEXT, values, max_size=4),
+        )
+    return values
+
+
+class _Text(str):
+    pass
+
+
+class _Probe:
+    """An object json renders by its str, which logs the visit."""
+
+    def __init__(self, log: list, name: str):
+        self.log, self.name = log, name
+
+    def __str__(self) -> str:
+        self.log.append(self.name)
+        if self.name == "stop":
+            raise ValueError("stop")
+        return self.name
+
+
 class TestRenderJson:
     def test_fractions_become_strings(self):
         text = render_json({"x": Fraction(-4, 3), "y": [Fraction(1, 2), 5]})
@@ -123,6 +175,66 @@ class TestRenderJson:
         first = render_json(build_report(1, 2, 3, 1, 1))
         second = render_json(build_report(1, 2, 3, 1, 1))
         assert first == second
+
+    @given(documents())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_standard_library(self, document):
+        assert render_json(document) == reference_json(document)
+
+    def test_every_golden_document_renders_to_its_own_bytes(self):
+        # the --json transcripts of the command line, and every document
+        # a demo prints, starting as a "{" line
+        texts = [case["stdout"] for case in CLI_GOLDEN if "--json" in case["argv"] and case["stdout"]]
+        decoder = json.JSONDecoder()
+        for stdout in DEMOS_GOLDEN.values():
+            start = 0 if stdout.startswith("{") else stdout.find("\n{") + 1
+            while start:  # a demo document ends in a newline, as main writes it
+                document, end = decoder.raw_decode(stdout, start)
+                texts.append(stdout[start : end + 1])
+                start = stdout.find("\n{", end) + 1
+        assert len(texts) == 25  # 24 transcripts and demo 06's report
+        for text in texts:
+            assert render_json(json.loads(text)) == text
+
+    def test_other_types_and_keys_render_as_json_does(self):
+        document = {
+            "floats": [0.5, -0.0, 1e300, float("inf"), float("nan")],
+            "keys": {1: "a", None: [2.5], True: {}, 0.5: ()},
+            "subclasses": [collections.OrderedDict(a=[1]), enum.IntEnum("E", "A").A, _Text("x")],
+            "objects": {"": [complex(1, 2), {Fraction(1, 2)}]},
+        }
+        assert render_json(document) == reference_json(document)
+        with pytest.raises(TypeError) as ours:
+            render_json({"a": [1], (1, 2): 3})
+        with pytest.raises(TypeError) as theirs:
+            reference_json({"a": [1], (1, 2): 3})
+        assert str(ours.value) == str(theirs.value)
+
+    def test_visits_values_in_the_order_json_does(self):
+        def visits(render):
+            log = []
+            probes = [_Probe(log, name) for name in ("a", "b", "c", "d", "stop", "e")]
+            document = {"x": [probes[0], {"y": probes[1]}], "z": (probes[2], {}), "w": probes[3]}
+            assert render(document)
+            with pytest.raises(ValueError, match="stop"):
+                render({**document, "v": [probes[4], probes[5]]})
+            return log
+
+        assert visits(render_json) == visits(reference_json) == [*"abcdabcd", "stop"]
+
+    def test_an_integer_past_the_digit_limit_raises_as_json_does(self, capsys):
+        # 10^4300 has 4,301 digits, one more than Python converts to str
+        document = {"a": [1, 10**4299, {"b": Fraction(1, 10**4300)}], "c": 10**5000}
+        with pytest.raises(ValueError) as ours:
+            render_json(document)
+        with pytest.raises(ValueError) as theirs:
+            reference_json(document)
+        assert str(ours.value) == str(theirs.value)
+        assert "4300 digits" in str(ours.value)
+        # two 4,001-digit entries evaluate to a value of about 8,000 digits
+        entry = "-2" + "0" * 4000
+        assert main(["cf", f"--entries={entry},{entry}", "--json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {ours.value}\n")
 
 
 class TestConvertCommand:
@@ -197,6 +309,26 @@ class TestReportCommand:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_a_fillable_verdict_that_disagrees_with_the_gap_exits_3(self, monkeypatch, capsys):
+        # the mutant of d3_certificate's gap != 0 into == prints "conjectured
+        # no" beside the nonzero gap, while every check of the report holds
+        original = gauge.d3_certificate
+
+        def uncertified(*args):
+            return {**original(*args), "fillable": "conjectured no"}
+
+        monkeypatch.setattr(gauge, "d3_certificate", uncertified)
+        argv = ["report", "--g", "1", "--n", "2", "--alpha", "3", "--sign", "+", "--r", "1", "--json"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert (data["invariants"]["gap"], data["verdicts"]["fillable"]) == ("3", "conjectured no")
+        assert data["verdicts"]["all_checks_pass"] is True
+        assert err == ""
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.replace('"conjectured no"', '"no (certified)"')
 
 
 class TestSweepCommand:
@@ -736,6 +868,25 @@ class TestObstructionCommand:
         assert out == ""
         assert err.startswith("error: cross-check failed: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("g", [1, 3, 45, 4499999])
+    def test_a_d_off_its_window_exits_3(self, g, monkeypatch, capsys):
+        monkeypatch.setattr("contactsurgery.lattice.d_range", lambda g: d_range(g) + 1)
+        assert main(["obstruction", "--g", str(g), "--json"]) == 3
+        d = d_range(g) + 1
+        message = f"d = {d} breaks d(d+1) <= 2g <= d(d+2)-1 at g = {g}"
+        assert capsys.readouterr() == ("", f"error: cross-check failed: {message}\n")
+
+    def test_a_rank_other_than_2q_exits_3(self, monkeypatch, capsys):
+        # the certified star with one more vertex on its third leg
+        def grown(q):
+            star = lambda_q_certificate(q)
+            return IntegralPresentation(star.n, (*star.legs[:2], star.legs[2] + (-2,)), star.free_rank)
+
+        monkeypatch.setattr("contactsurgery.lattice.lambda_q_certificate", grown)
+        assert main(["obstruction", "--g", "3", "--json"]) == 3
+        message = "the certified star has 9 vertices, not 2q = 8"
+        assert capsys.readouterr() == ("", f"error: cross-check failed: {message}\n")
 
     def test_largest_q_still_certifies(self, capsys):
         assert main(["obstruction", "--g", "741", "--json"]) == 0
