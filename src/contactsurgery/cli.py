@@ -2,21 +2,19 @@
 
 Subcommands: convert, report, sweep, obstruction, witness, normalize, cf,
 all from one table, _SUBCOMMANDS.  Every call builds the top-level
-parser and registers all seven names and help lines, but its
-parser_class hands out a subparser (with -h, options and --json) only
-for the subcommands that its argv names and maps the others to None,
-since argparse runs a subcommand only when its exact name is a token of
-argv.  Each subparser is built on its first call and reused by every
+parser with all seven names and help lines, and its parser_class hands
+out each subcommand's parser (with -h, options and --json) from
+_subparser, which builds it on its first call and reuses it in every
 later call in the same process, so main(argv) may be called in process
-as often as needed; a fresh process builds only the parser it runs.
-Likewise it imports only the layers it runs: importing cli loads
-contfrac, seifert, intmat and homology (through the package root), and
-the builders that run gauge, lattice or legendrian import them in their
-first line, once per call and never per point: build_report and
-run_sweep import gauge, _diagram_summary (convert and report) imports
-legendrian, and _obstruction imports lattice.  So a fresh cf, normalize
-or witness loads none of the three, obstruction loads lattice alone and
-sweep gauge alone.
+as often as needed.  A fresh process imports only the layers its
+subcommand runs: importing cli loads contfrac, seifert, intmat and
+homology (through the package root), and the builders that run gauge,
+lattice or legendrian import them in their first line, once per call
+and never per point: build_report and run_sweep import gauge,
+_diagram_summary (convert and report) imports legendrian, and
+_obstruction imports lattice.  So a fresh cf, normalize or witness
+loads none of the three, obstruction loads lattice alone and sweep
+gauge alone.
 Each subcommand is a document builder (parsed arguments -> dict) and a
 text renderer (dict -> lines) that reads only that document.  Every
 numeric value is exact; --json emits the document in canonical form
@@ -440,10 +438,24 @@ def _report_text(doc: dict) -> list[str]:
 
 
 def _report_passed(doc: dict) -> bool:
-    # fillable is read off the gap: "no (certified)" exactly when it is nonzero
-    verdicts = doc["verdicts"]
+    """The checks pass, fillable reads "no (certified)" exactly when the
+    gap is nonzero, and at n = 2g the MOY verdict holds as in sweep
+    (gauge._moy_holds): both criteria, and deg K < representative <
+    2g + 1/alpha with deg K = 2g - 2 + (alpha - 1)/alpha.  Above n = 2g
+    no MOY field is checked, as sweep records no MOY verdict there."""
+    inp, invariants, verdicts = doc["input"], doc["invariants"], doc["verdicts"]
     certified = verdicts["fillable"] == "no (certified)"
-    return verdicts["all_checks_pass"] and certified == (doc["invariants"]["gap"] != 0)
+    if not verdicts["all_checks_pass"] or certified != (invariants["gap"] != 0):
+        return False
+    g = inp["g"]
+    if inp["n"] != 2 * g:
+        return True
+    moy, unit = invariants["moy"], Fraction(1, inp["alpha"])
+    return (
+        moy["reducibles_only"]
+        and moy["dirac_kernels_trivial"]
+        and 2 * g - 1 - unit < invariants["degree_representative"] < 2 * g + unit
+    )
 
 
 def _sweep(args) -> dict:
@@ -660,17 +672,13 @@ def _subparser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser, with a subparser only for the subcommands that argv names.
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser: every subcommand with its help line and _subparser(name).
 
-    Every name is registered with its help line, so the top-level usage,
-    help and errors are those of the full parser: they read only the
-    names and help lines of the subparsers action.  Its parser_class
-    returns _subparser(name), with -h, options and --json, for a name
-    that is a token of argv, and maps every other name to None, which
-    argparse never reads since it runs a subparser only for the token
-    that names it.  A name that is only a value in argv costs one more
-    cache lookup, and a build only on its first call in the process.
+    The top-level usage, help and errors read only the names and help
+    lines of the subparsers action; its parser_class returns the cached
+    _subparser(name), with -h, options and --json, for every name, so a
+    call builds the top-level parser alone once each subparser is built.
     """
     parser = argparse.ArgumentParser(
         prog=_PROG,
@@ -685,17 +693,16 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=lambda named, **_: _subparser(named) if named else None,
+        parser_class=lambda command, **_: _subparser(command),
     )
     for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, named=name if name in argv else None)
+        sub.add_parser(name, help=help_text, command=name)
     return parser
 
 
 def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     """Run one subcommand: build its document, write it, exit 0, 2 or 3."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse parses --flag=-- as []
         parser.error("an option value cannot be '--'")

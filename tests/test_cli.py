@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactsurgery import cli, gauge
@@ -751,6 +751,56 @@ class TestFailureOrder:
         ]
 
 
+def moy_edited(original, edit):
+    """A _moy_units whose every verdict goes through edit."""
+
+    def edited(g, n, alpha, ks):
+        return map(edit, original(g, n, alpha, ks))
+
+    return edited
+
+
+class TestReportMoyCheck:
+    """At n = 2g a report exits 3 unless its MOY verdict holds as in the
+    sweep: both criteria, and deg K < representative < 2g + 1/alpha.  The
+    check changes no byte of the document; above n = 2g no MOY field is
+    checked."""
+
+    REPORT = ["report", "--g", "1", "--n", "2", "--alpha", "3", "--sign", "+", "--r", "1"]
+
+    @pytest.mark.parametrize(
+        "edit, field, value",
+        [
+            (lambda v: (False, *v[1:]), "reducibles_only", False),
+            (lambda v: (v[0], False, *v[2:]), "dirac_kernels_trivial", False),
+            # the representative 5/3 lies in (deg K, 2g + 1/alpha) = (2/3, 7/3); one
+            # coset step, n alpha + 1 = 7 units of 1/3, up or down leaves it
+            (lambda v: (*v[:3], v[3] + 7), "degree_representative", "4"),
+            (lambda v: (*v[:3], v[3] - 7), "degree_representative", "-2/3"),
+        ],
+        ids=["reducibles", "dirac", "representative-up", "representative-down"],
+    )
+    def test_failed_verdict_exits_3_with_the_same_document(
+        self, edit, field, value, monkeypatch, capsys
+    ):
+        assert main(self.REPORT + ["--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        invariants = expected["invariants"]
+        (invariants if field in invariants else invariants["moy"])[field] = value
+        monkeypatch.setattr(gauge, "_moy_units", moy_edited(gauge._moy_units, edit))
+        assert main(self.REPORT + ["--json"]) == 3
+        assert json.loads(capsys.readouterr().out) == expected
+        assert main(self.REPORT) == 3
+
+    def test_no_moy_check_above_2g(self, monkeypatch, capsys):
+        argv = ["report", "--g", "1", "--n", "3", "--alpha", "3", "--sign", "+", "--r", "1"]
+        failing = moy_edited(gauge._moy_units, lambda v: (False, False, *v[2:]))
+        monkeypatch.setattr(gauge, "_moy_units", failing)
+        assert main(argv + ["--json"]) == 0
+        moy = json.loads(capsys.readouterr().out)["invariants"]["moy"]
+        assert moy["reducibles_only"] is moy["dirac_kernels_trivial"] is False
+
+
 @st.composite
 def sweep_grids(draw):
     """(g_range, n_span, alpha_range) with g <= 4, offsets <= 4 and alpha <= 40, a few wide."""
@@ -1216,12 +1266,6 @@ _ARGV_EXAMPLES = [
 ]
 
 
-def _with_examples(test):
-    for argv in _ARGV_EXAMPLES:
-        test = example(argv)(test)
-    return test
-
-
 def _parser_inits(monkeypatch, argvs) -> list[int]:
     """ArgumentParser.__init__ calls of each main(argv) in turn, from an empty cache."""
     calls = []
@@ -1243,32 +1287,12 @@ def _parser_inits(monkeypatch, argvs) -> list[int]:
 
 
 class TestParserFilter:
-    """main builds a subparser only for the subcommands its argv names.
+    """main's parser reads nothing of argv: every call registers every
+    name with its help line, and every subparser, with -h, its options
+    and --json, comes from the per-name cache."""
 
-    Every name keeps its help line; the subparsers action's parser_class
-    maps a name that is not a token of argv to None, and argparse reads
-    only the names and help lines for usage, -h and its errors.
-    """
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
-    @_with_examples
-    def test_same_outcome_as_the_full_parser(self, argv):
-        full = cli._build_parser
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("COLUMNS", "80")
-            # the reference builds every subparser anew, past the cache
-            patch.setattr(cli, "_build_parser", lambda _: full(list(cli._SUBCOMMANDS)))
-            patch.setattr(cli, "_subparser", cli._subparser.__wrapped__)
-            expected = _outcome(argv)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("COLUMNS", "80")
-            assert _outcome(argv) == expected
-
-    @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
-    @_with_examples
-    def test_help_only_on_the_named_subcommands(self, argv):
-        parser = cli._build_parser(argv)
+    def test_help_options_and_json_on_every_subcommand(self):
+        parser = cli._build_parser()
         (subparsers,) = (
             action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
         )
@@ -1278,23 +1302,21 @@ class TestParserFilter:
             (name, help_text) for name, (help_text, _, _) in cli._SUBCOMMANDS.items()
         ]
         for name, subparser in subparsers.choices.items():
-            if name in argv:
-                assert "[-h]" in subparser.format_usage(), name
-            else:
-                assert subparser is None, name
+            assert subparser is cli._subparser(name)
+            flags = [[flag] for flag, _ in cli._SUBCOMMANDS[name][1]]
+            assert [action.option_strings for action in subparser._actions] == [
+                ["-h", "--help"], *flags, ["--json"]
+            ], name
 
-    @pytest.mark.parametrize(
-        "argv, inits", [(["cf", "--r=-7/5"], 2), (["cf", "--r", "report"], 3), (["bogus"], 1)]
-    )
-    def test_one_parser_per_named_subcommand(self, argv, inits, monkeypatch, capsys):
-        """With the cache empty, a call builds the top-level parser and one
-        per named subcommand; the same argv again builds only the top-level one."""
-        counts = _parser_inits(monkeypatch, [argv, argv])
-        assert counts == [inits, 1]
+    @pytest.mark.parametrize("argv", [["cf", "--r=-7/5"], ["cf", "--r", "report"], ["bogus"]])
+    def test_first_call_builds_every_subparser(self, argv, monkeypatch, capsys):
+        """With the cache empty, a call builds the top-level parser and all
+        seven subparsers; the same argv again builds only the top-level one."""
+        assert _parser_inits(monkeypatch, [argv, argv]) == [8, 1]
 
     def test_each_subparser_is_built_once_per_process(self, monkeypatch, capsys):
         argvs = [["cf", "--r=-7/5"], ["cf", "--r=-7/5"], ["cf", "--r", "report"], ["bogus"]]
-        assert _parser_inits(monkeypatch, argvs) == [2, 1, 2, 1]
+        assert _parser_inits(monkeypatch, argvs) == [8, 1, 1, 1]
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         argv = ["obstruction", "--g", "1", "--json"]
@@ -1360,6 +1382,14 @@ class TestParserCache:
         assert cli._subparser.cache_info().currsize <= len(cli._SUBCOMMANDS)
         assert warm == outcomes(_fresh_outcome) * 2
 
+    @pytest.mark.parametrize("argv", _ARGV_EXAMPLES)
+    def test_each_example_warm_matches_fresh(self, argv, monkeypatch):
+        """Help, usage errors and separators: a warm call prints what the
+        same argv prints right after cache_clear()."""
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = _fresh_outcome(argv)
+        assert _outcome(argv) == _outcome(argv) == fresh
+
     def test_help_wraps_at_the_width_of_each_call(self, monkeypatch):
         widths = ("60", "120", "60")
         warm, fresh = [], []
@@ -1386,7 +1416,7 @@ class TestParserCache:
         expected = _fresh_outcome(first), _fresh_outcome(second)
         cli._subparser.cache_clear()
         assert (_outcome(first), _outcome(second)) == expected
-        assert cli._subparser.cache_info().currsize == 1
+        assert cli._subparser.cache_info().currsize == 7
 
     def test_plain_sweep_after_mu_only_reads_false(self, capsys):
         assert main(["sweep", "--mu-only", "--json"]) == 0

@@ -2,10 +2,10 @@
 
 tests/cli_golden.json holds, for 94 argument vectors covering every
 subcommand in human and --json mode (valid inputs, invalid inputs that
-exit 2, and searches that run out), the exact stdout, stderr and exit
-code of cli.main.  Any change to a byte of output or to an exit code
-fails here; update the file only together with a deliberate change of
-the output contract.
+exit 2, and witness searches that run out), the exact stdout, stderr
+and exit code of cli.main.  Any change to a byte of output or to an
+exit code fails here; update the file only together with a deliberate
+change of the output contract.
 """
 
 import json
@@ -23,6 +23,8 @@ def test_every_subcommand_in_both_modes():
     commands = ("convert", "report", "sweep", "obstruction", "witness", "normalize", "cf")
     assert covered == {(name, mode) for name in commands for mode in (False, True)}
     assert {case["exit"] for case in GOLDEN} == {0, 2}
+    # a witness search that runs out exits 2 with SearchExhausted's message
+    assert any(case["stderr"].startswith("error: no valid witness") for case in GOLDEN)
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
