@@ -23,8 +23,9 @@ identical inputs), the default is the short human listing rendered from
 the same document.  The --json bytes are those of
 json.dumps(document, indent=2, default=str) and a newline, pinned by a
 reference test against that call; render_json writes them without
-json's pure-Python encoder.  main alone writes output and picks the
-exit code.
+json's pure-Python encoder, and renders documents only: a value that no
+builder emits (a float, a tuple, a subclass, a non-str key) raises
+TypeError.  main alone writes output and picks the exit code.
 
 Exit codes: 0 success, 2 invalid input, 3 internal cross-check failure.
 A 3 means two routes to the same quantity disagreed, which is a bug
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -81,7 +81,7 @@ _SWEEP_BLOCK_LIMIT = 20_000
 
 
 # exact type -> its JSON text, by json's own C functions where it has one; a
-# subclass is not matched and goes to json
+# subclass is not matched, and _render refuses it
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -98,7 +98,8 @@ def render_json(document: dict) -> str:
     plus a newline; tests/reference.py keeps that call as the reference.
     CPython's json runs its pure-Python encoder whenever indent is set,
     so each container is joined here in one pass, with its scalars
-    rendered by the C functions json itself calls.
+    rendered by the C functions json itself calls.  Only documents are
+    rendered; any other value raises TypeError (see _render).
     """
     return _render(document, "\n") + "\n"
 
@@ -107,13 +108,13 @@ def _render(value, newline: str) -> str:
     """value as json.dumps(value, indent=2, default=str) writes it at the
     depth whose line break and indent are newline.
 
-    The traversal is json's, keys before their values, so an integer
-    above Python's digit limit raises the same ValueError at the same
-    value.  A dict whose keys are not all str, and any type that
-    _SCALARS, dict, list or tuple do not name exactly (a float, a
-    subclass), is rendered by json itself, re-indented: a string holds
-    no raw line break, so every break in its output is an indent.
-    Documents are trees, so json's circular-reference check is not kept.
+    A document holds str-keyed dicts, lists and the exact types of
+    _SCALARS.  Any other value (a float, a tuple, a set, a subclass)
+    raises TypeError naming its type, and a key that is not a str raises
+    encode_basestring_ascii's TypeError.  The traversal is json's, keys
+    before their values, so an integer above Python's digit limit raises
+    the same ValueError at the same value.  Documents are trees, so
+    json's circular-reference check is not kept.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
@@ -123,21 +124,17 @@ def _render(value, newline: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        try:
-            items = [
-                encode_basestring_ascii(key) + ": " + _render(item, inner)
-                for key, item in value.items()
-            ]
-        except TypeError:  # a key that is not a str: json, below, converts or refuses it
-            pass
-        else:
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
-    elif kind is list or kind is tuple:
+        items = [
+            encode_basestring_ascii(key) + ": " + _render(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
         if not value:
             return "[]"
         items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(value, indent=2, default=str).replace("\n", newline)
+    raise TypeError(f"a document holds no {kind.__name__} value")
 
 
 def _diagram_summary(coefficient: Fraction, tb: int = -1, rot: int = 0) -> dict:

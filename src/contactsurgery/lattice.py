@@ -36,7 +36,11 @@ values there and then zeros; it reaches at most its norm of them, and
 the search never needs the bound m itself.  The search has a fixed work
 bound: past _NODE_BUDGET nodes it raises SearchExhausted rather than
 run on, since on dense forms of rank 6 it can take millions of nodes;
-lambda_q stays within it up to q = 496.
+lambda_q stays within it up to q = 496.  The budget also stops, at
+once, a fresh run it cannot pay for: a fresh column's first value is 1
+and forces 1 on every later fresh column, so a row with norm `left` to
+place there costs exactly `left` more nodes, and when those would pass
+the budget the search gives up before it opens them.
 
 The search runs on an explicit stack, so no rank reaches Python's
 recursion limit; its order is that of a plain recursion over columns,
@@ -182,7 +186,8 @@ def embeds_in_diagonal(lattice: Lattice) -> DiagonalEmbedding | None:
     the completeness bound certifies that no embedding exists in any
     D_m.  Requires a negative definite Gram matrix.  Raises
     SearchExhausted once the search passes _NODE_BUDGET nodes, with no
-    answer either way.
+    answer either way, and at once, when a row opens its fresh columns,
+    if their forced run of ones would pass it.
 
     The search is depth first on an explicit stack, one frame per column
     of each vector on the current path: [column, next value, upper bound,
@@ -281,7 +286,11 @@ def _embeddings(lattice: Lattice) -> Iterator[tuple[DiagonalEmbedding, int]]:
         else:
             # a fresh column takes a positive value, non-increasing after
             # the first: after a zero the rest of the row would be zero,
-            # with norm left to place
+            # with norm left to place.  Its first value is 1, which forces
+            # 1 on every later fresh column, so the first descent ends the
+            # row after exactly `left` more nodes: past the budget, give up now
+            if nodes + left > budget:
+                raise SearchExhausted(f"embedding search gave up after {budget} nodes")
             low = 1
             high = value if nxt > used and value < bound else bound
         if low <= high or nxt == 0:  # column 0's give-up reopens the vector before

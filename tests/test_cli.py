@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from unittest import mock
 
@@ -130,33 +131,15 @@ _SCALARS = st.one_of(
 
 
 def documents(depth: int = 5):
-    """Dicts with str keys, lists and tuples, nested up to depth levels."""
+    """Dicts with str keys and lists, nested up to depth levels."""
     values = _SCALARS
     for _ in range(depth):
         values = st.one_of(
             _SCALARS,
             st.lists(values, max_size=4),
-            st.lists(values, max_size=4).map(tuple),
             st.dictionaries(_TEXT, values, max_size=4),
         )
     return values
-
-
-class _Text(str):
-    pass
-
-
-class _Probe:
-    """An object json renders by its str, which logs the visit."""
-
-    def __init__(self, log: list, name: str):
-        self.log, self.name = log, name
-
-    def __str__(self) -> str:
-        self.log.append(self.name)
-        if self.name == "stop":
-            raise ValueError("stop")
-        return self.name
 
 
 class TestRenderJson:
@@ -165,9 +148,9 @@ class TestRenderJson:
         assert json.loads(text) == {"x": "-4/3", "y": ["1/2", 5]}
 
     def test_trailing_newline_and_stability(self):
-        report = {"a": (1, 2), "b": {"c": Fraction(7, 1)}}
+        report = {"a": [1, 2], "b": {"c": Fraction(7, 1)}}
         first = render_json(report)
-        second = render_json({"a": (1, 2), "b": {"c": Fraction(7, 1)}})
+        second = render_json({"a": [1, 2], "b": {"c": Fraction(7, 1)}})
         assert first == second
         assert first.endswith("\n")
 
@@ -196,31 +179,29 @@ class TestRenderJson:
         for text in texts:
             assert render_json(json.loads(text)) == text
 
-    def test_other_types_and_keys_render_as_json_does(self):
-        document = {
-            "floats": [0.5, -0.0, 1e300, float("inf"), float("nan")],
-            "keys": {1: "a", None: [2.5], True: {}, 0.5: ()},
-            "subclasses": [collections.OrderedDict(a=[1]), enum.IntEnum("E", "A").A, _Text("x")],
-            "objects": {"": [complex(1, 2), {Fraction(1, 2)}]},
-        }
-        assert render_json(document) == reference_json(document)
-        with pytest.raises(TypeError) as ours:
-            render_json({"a": [1], (1, 2): 3})
-        with pytest.raises(TypeError) as theirs:
-            reference_json({"a": [1], (1, 2): 3})
-        assert str(ours.value) == str(theirs.value)
-
-    def test_visits_values_in_the_order_json_does(self):
-        def visits(render):
-            log = []
-            probes = [_Probe(log, name) for name in ("a", "b", "c", "d", "stop", "e")]
-            document = {"x": [probes[0], {"y": probes[1]}], "z": (probes[2], {}), "w": probes[3]}
-            assert render(document)
-            with pytest.raises(ValueError, match="stop"):
-                render({**document, "v": [probes[4], probes[5]]})
-            return log
-
-        assert visits(render_json) == visits(reference_json) == [*"abcdabcd", "stop"]
+    def test_other_types_and_keys_are_refused(self):
+        # no builder emits these; a float in a certificate would be inexact
+        others = [
+            0.5,
+            (1, 2),
+            (),
+            {Fraction(1, 2)},
+            complex(1, 2),
+            type("Text", (str,), {})("x"),
+            enum.IntEnum("E", "A").A,
+            collections.OrderedDict(a=[1]),
+            collections.OrderedDict(),
+        ]
+        for value in others:
+            for document in ({"a": value}, {"a": [1, {"b": value}]}):
+                with pytest.raises(TypeError, match=f"no {type(value).__name__} value"):
+                    render_json(document)
+        for key in (1, None, (1, 2)):
+            with pytest.raises(TypeError) as ours:
+                render_json({"a": [1], key: 3})
+            with pytest.raises(TypeError) as theirs:
+                encode_basestring_ascii(key)
+            assert str(ours.value) == str(theirs.value)
 
     def test_an_integer_past_the_digit_limit_raises_as_json_does(self, capsys):
         # 10^4300 has 4,301 digits, one more than Python converts to str

@@ -769,6 +769,20 @@ class TestNodeBudget:
             tracemalloc.stop()
         assert peak < 2 * 10**6
 
+    def test_a_fresh_run_past_the_budget_gives_up_at_once(self):
+        # w = -e_1 + e_2 + ... + e_(10^7) is the first embedding, 10^7 - 1
+        # nodes away once w's fresh columns open: the search gives up there,
+        # before it holds a frame for any of them
+        lattice = Lattice(gram=((-1, 1), (1, -(10**7))), rank=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchExhausted, match="^embedding search gave up after 1000000 nodes$"):
+                embeds_in_diagonal(lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 10**3
+
 
 def canonical_embeddings(lattice, embeddings=_embeddings):
     """Every canonical embedding the search yields, in order, and the
