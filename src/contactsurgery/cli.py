@@ -71,6 +71,9 @@ _PAIRS_LIMIT = 1000
 _LCM_LIMIT = 10**_EXPONENT_LIMIT
 # |tb| and |rot| of convert: the longest chain then writes under 1 MB of JSON
 _TB_ROT_LIMIT = 10**12
+# |g|, |n| and |alpha| of report (|r| <= alpha by admissibility): the report's
+# largest integers then have about 3,000 digits, below Python's digit limit
+_REPORT_LIMIT = 10**1000
 # sweep work (best of five in-process runs, Python 3.11, shared 2-vCPU VM): a point,
 # one omega comparison on the block cores, costs about 1.2 us (about 1.6 us at
 # n = 2g with its MOY verdict) and a (g, alpha) block, one closed-form mu order,
@@ -404,6 +407,9 @@ def _convert_text(doc: dict) -> list[str]:
 
 
 def _report(args) -> dict:
+    for flag in ("g", "n", "alpha"):
+        if abs(getattr(args, flag)) > _REPORT_LIMIT:
+            raise ConditionViolation(f"--{flag} must lie within -10^1000..10^1000")
     return build_report(args.g, args.n, args.alpha, 1 if args.sign == "+" else -1, args.r)
 
 

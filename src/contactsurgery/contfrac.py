@@ -14,6 +14,19 @@ inside, both directions run a Euclid-style loop on an integer pair
 (p, q) of arbitrary precision, so no coefficient can overflow or lose
 precision.
 
+The expansion is read off the regular continued fraction
+-r = a1 + 1/(a2 + 1/(a3 + ...)) = [a1; a2, a3, ...] (Hirzebruch-Jung
+duality; Popescu-Pampu, "The geometry of continued fractions and the
+topology of surface singularities", 2007):
+
+    r = [-(a1 + 1), (-2)^(a2 - 1), -(a3 + 2), (-2)^(a4 - 1), -(a5 + 2), ...]
+
+where (-2)^k is a run of k entries -2, and the last quotient gives one
+less: -(a + 1) on an odd place, and -a1 alone when r is an integer.  So
+Euclid runs once per partial quotient and each run of -2 entries is
+written in one list operation: the loop takes O(partial quotients)
+steps, not one per entry.
+
 A surgery chain is bounded: an expansion, and the run of (+1)-pushoffs
 in `legendrian`, may have at most _CHAIN_LIMIT = 3000 entries.  The
 length of -1/q is q, so without a bound one coefficient with a large
@@ -71,9 +84,10 @@ def neg_cf_expand(r: Fraction | int) -> NegContinuedFraction:
 
     The leading entry is floor(r) (r itself when integral); the remainder
     recurses on -1/(r - floor(r)), which is always < -1, so every tail
-    entry lands at or below -2.  On r = p/q in lowest terms with q > 0
-    one step is c = p // q, (p, q) -> (-q, p - c*q): the pair stays in
-    lowest terms and q stays positive.
+    entry lands at or below -2.  That recursion, one step c = p // q,
+    (p, q) -> (-q, p - c*q) per entry on r = p/q in lowest terms, is
+    kept in tests/reference.py as the reference; the package reads the
+    entries off the partial quotients of -r instead (`_neg_cf_entries`).
 
     Raises ConditionViolation for r >= 0 and when the expansion would
     have more than _CHAIN_LIMIT entries, and TypeError for a non-rational
@@ -97,18 +111,35 @@ def _neg_cf_entries(p: int, q: int) -> tuple[int, ...]:
 
     The integer Euclid loop behind `neg_cf_expand`, with its chain bound
     and no validation of the entries; callers that already hold a
-    coprime pair skip the Fraction round trip.  Step i appends entry i,
-    so the loop is bounded by the chain bound itself and counts no
-    entries.
+    coprime pair skip the Fraction round trip.  One divmod per partial
+    quotient a of -p/q = [a1; a2, a3, ...] (see the module docstring),
+    so O(partial quotients) steps: a1 gives the entry -(a1 + 1), each
+    even-place a a run of a - 1 entries -2 and each odd-place a one
+    entry -(a + 2), or -(a + 1) when it is the last quotient; an integer
+    is its own expansion.  The chain bound is checked before a run or
+    an entry is written, so a refused expansion builds nothing large:
+    -(10^12 + 1)/10^12 is [1; 10^12] and is refused after one entry.
     """
-    entries = []
-    for _ in range(_CHAIN_LIMIT):
-        if q == 1:  # the last entry
-            entries.append(p)
+    c, r = divmod(-p, q)
+    if not r:  # an integer, its own expansion
+        return (p,)
+    entries = [-c - 1]
+    while True:
+        c, s = divmod(q, r)  # an even place: a run of c - 1 entries -2
+        if c > 1:
+            if len(entries) + c - 1 > _CHAIN_LIMIT:
+                break
+            entries += [-2] * (c - 1)
+        if not s:
             return tuple(entries)
-        c = p // q  # floor for negative p/q
-        entries.append(c)
-        p, q = -q, p - c * q
+        c, r = divmod(r, s)  # an odd place: one entry
+        if len(entries) == _CHAIN_LIMIT:
+            break
+        if not r:
+            entries.append(-c - 1)
+            return tuple(entries)
+        entries.append(-c - 2)
+        q = s
     raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
 
 

@@ -315,10 +315,13 @@ def homology(p: IntegralPresentation) -> FirstHomology:
     if not modulus:
         matrix, modulus, free_rows = _singular_block(matrix, ends)
     diagonal, left = _smith_form_mod(matrix, abs(modulus))
+    # d_1 | d_2 | ...: the 1s lead the diagonal, and the torsion and its
+    # rows of S are what follows them
+    ones = diagonal.count(1)
     return FirstHomology(  # by position: the base binds keywords about 1 us slower
         p.free_rank + len(free_rows),
-        tuple(d for d in diagonal if d > 1),  # torsion
-        tuple(row for row, d in zip(left, diagonal) if d > 1),  # torsion_rows
+        diagonal[ones:],  # torsion
+        left[ones:],  # torsion_rows
         free_rows,
         p.legs,
     )

@@ -59,8 +59,9 @@ def _smith_form_mod(matrix, modulus: int) -> tuple[tuple[int, ...], tuple[tuple[
     12, 1987; Cohen, GTM 138, Alg. 2.4.14).  Each row of A travels with
     its row of S and columns move unseen.  At step k the entry of column
     k with the least symmetric residue (the representative in
-    (-M/2, M/2]) becomes the
-    pivot p, and the column is cleared below it by row moves on those
+    (-M/2, M/2]) becomes the pivot p; the pivot search writes each
+    entry's residue into column k once, and the row moves read it there.
+    The column is cleared below the pivot by row moves on those
     residues: a quotient step when p divides the entry x, else one Bezout
     move [[u, v], [-x/g, p/g]] with g = gcd(p, x) = u p + v x, after
     which g is the pivot.  The pivot then becomes gcd(p, M), a column
@@ -90,16 +91,20 @@ def _smith_form_mod(matrix, modulus: int) -> tuple[tuple[int, ...], tuple[tuple[
         while True:
             least, pivot = 0, k
             for i in range(k, size):
-                x = a[i][k]
-                x = m - x if x > half else x
-                if x and (not least or x < least):
-                    least, pivot = x, i
-            a[k], a[pivot] = a[pivot], a[k]
+                row = a[i]
+                x = row[k]
+                if x > half:
+                    x -= m
+                    row[k] = x
+                if x and (not least or abs(x) < least):
+                    least, pivot = abs(x), i
+            if pivot != k:
+                a[k], a[pivot] = a[pivot], a[k]
             top = a[k]
-            p = top[k] - m if top[k] > half else top[k]
+            p = top[k]
             for i in range(k + 1, size):
                 row = a[i]
-                x = row[k] - m if row[k] > half else row[k]
+                x = row[k]
                 if not x:
                     continue
                 if not x % p:

@@ -26,6 +26,12 @@ to 23,495 bits in ten passes (Kannan and Bachem, SIAM J. Comput. 8
 transform still grows on dense or many-fiber input, so the tests keep
 it to small matrices.
 
+`neg_cf_entries` is the negative continued fraction expansion one
+entry per Euclid step, c = p // q, (p, q) -> (-q, p - c*q), bounded by
+the chain bound as `contfrac._neg_cf_entries` is.  The package reads
+the entries off the partial quotients instead, a run of -2 entries per
+quotient, so the tests hold it to this loop.
+
 `render_json` is the standard library's encoder with the options that
 `cli.render_json` once called it with.  CPython's `json` runs its
 pure-Python encoder whenever `indent` is set, so the package writes the
@@ -37,6 +43,7 @@ from __future__ import annotations
 import json
 import operator
 
+from contactsurgery.contfrac import _CHAIN_LIMIT
 from contactsurgery.errors import ConditionViolation
 from contactsurgery.homology import admissible_blocks
 
@@ -46,6 +53,20 @@ def admissible_points(g, n, alpha):
     for sign, rs in admissible_blocks(g, n, alpha):
         for r in rs:
             yield g, n, alpha, sign, r
+
+
+def neg_cf_entries(p: int, q: int) -> tuple[int, ...]:
+    """Entries of the expansion of p/q < 0, in lowest terms with q > 0,
+    one per step; more than _CHAIN_LIMIT entries raise ConditionViolation."""
+    entries = []
+    for _ in range(_CHAIN_LIMIT):
+        if q == 1:  # the last entry
+            entries.append(p)
+            return tuple(entries)
+        c = p // q  # floor for negative p/q
+        entries.append(c)
+        p, q = -q, p - c * q
+    raise ConditionViolation(f"the expansion has more than {_CHAIN_LIMIT} entries")
 
 
 def render_json(document) -> str:

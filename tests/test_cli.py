@@ -1173,6 +1173,15 @@ class TestBoundedArguments:
             # e = -(10^4300 - 1) is printable, but the normal form's n = -10^4300 is not
             (["normalize", "--g", "0", "--n", "-" + "9" * 4299 + "8", "--pairs", "2/-1,2/-1"],
              _E_BOUND),
+            # mu's order n * alpha + 1 alone would have 8,600 digits
+            (["report", "--g", "1", "--n", "2", "--alpha", "9" * 4300, "--sign", "+", "--r", "1"],
+             "--alpha must lie within -10^1000..10^1000"),
+            (["report", "--g", str(10**1000 + 1), "--n", "2", "--alpha", "1", "--sign", "+",
+              "--r", "1"], "--g must lie within -10^1000..10^1000"),
+            (["report", "--g", "1", "--n", str(-(10**1000) - 1), "--alpha", "1", "--sign", "+",
+              "--r", "1", "--json"], "--n must lie within -10^1000..10^1000"),
+            (["report", "--g", "1", "--n", "2", "--alpha", str(10**1000 + 1), "--sign", "-",
+              "--r", "1"], "--alpha must lie within -10^1000..10^1000"),
         ],
     )
     def test_refused_with_one_line(self, argv, message, capsys):
@@ -1190,6 +1199,18 @@ class TestBoundedArguments:
     def test_exponents_within_the_bound_are_read(self, r, entries, capsys):
         assert main(["cf", f"--r={r}", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == entries
+
+    def test_the_largest_report_is_printed(self, capsys):
+        # n >= 2g, so g = 10^1000 / 2 is the largest genus beside n = 10^1000
+        bound = 10**1000
+        argv = ["report", "--g", str(bound // 2), "--n", str(bound), "--alpha", str(bound),
+                "--sign", "+", "--r", str(bound)]
+        assert main([*argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["homology"]["mu_order"] == bound * bound + 1
+        assert doc["verdicts"]["all_checks_pass"]
+        assert main(argv) == 0
+        assert "checks=PASS" in capsys.readouterr().out
 
     def test_tb_and_rot_at_the_bound_are_accepted(self, capsys):
         assert main(["convert", "--r=-4/3", "--tb=-1000000000000", "--rot=1000000000000"]) == 0

@@ -1,5 +1,7 @@
 """Negative continued fraction expansion and evaluation."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from contactsurgery.contfrac import (
     _CHAIN_LIMIT,
     NegContinuedFraction,
+    _neg_cf_entries,
     neg_cf_expand,
     neg_cf_value,
     stabilization_counts,
 )
 from contactsurgery.errors import ConditionViolation
+
+from reference import neg_cf_entries
 
 
 class TestExpand:
@@ -174,3 +179,84 @@ class TestChainBound:
             neg_cf_expand(Fraction(-1, q))
         with pytest.raises(ConditionViolation, match="more than 3000 entries"):
             neg_cf_expand(Fraction(-q - 1, q))
+
+
+def _from_quotients(quotients):
+    """(p, q) with -p/q = [a1; a2, a3, ...], the regular continued fraction."""
+    num, den = quotients[-1], 1
+    for a in reversed(quotients[:-1]):
+        num, den = a * num + den, num
+    return -num, den
+
+
+def _outcome(expand, p, q):
+    try:
+        return expand(p, q)
+    except ConditionViolation as error:
+        return str(error)
+
+
+# short runs and single entries, long -2 runs (some of them across the chain
+# bound), and single partial quotients up to 10^12
+_QUOTIENTS = st.lists(
+    st.one_of(st.integers(1, 4), st.integers(500, 3100), st.integers(1, 10**12)),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestPartialQuotients:
+    """The expansion by partial quotients against the one-entry-per-step loop."""
+
+    @given(st.integers(1, 10**30), st.integers(1, 10**30))
+    def test_coprime_pairs(self, a, b):
+        g = math.gcd(a, b)
+        p, q = -a // g, b // g
+        assert _outcome(_neg_cf_entries, p, q) == _outcome(neg_cf_entries, p, q)
+
+    @given(_QUOTIENTS)
+    def test_runs(self, quotients):
+        p, q = _from_quotients(quotients)
+        assert _outcome(_neg_cf_entries, p, q) == _outcome(neg_cf_entries, p, q)
+
+    @pytest.mark.parametrize(
+        "quotients, length",
+        [
+            ([1, 3000], 3000),  # -2 and a run of 2,999
+            ([1, 2999, 2], 3000),  # the last entry, -3, is the 3,000th
+            ([2, 2, 3, 2998], 3000),  # -3, -2, -5 and a run of 2,997
+            ([3000], 1),
+            ([10**12], 1),
+        ],
+    )
+    def test_longest_accepted(self, quotients, length):
+        p, q = _from_quotients(quotients)
+        assert len(_neg_cf_entries(p, q)) == length
+        assert _neg_cf_entries(p, q) == neg_cf_entries(p, q)
+
+    @pytest.mark.parametrize(
+        "quotients",
+        [
+            [1, 3001],  # the run ends one past the bound
+            [1, 3000, 2],  # the last entry is the 3,001st
+            [2, 2, 3, 2999],  # the run crosses the bound partway
+            [1, 2, 2, 10**12],
+            [1, 10**12],
+        ],
+    )
+    def test_one_past_refused(self, quotients):
+        p, q = _from_quotients(quotients)
+        for expand in (_neg_cf_entries, neg_cf_entries):
+            with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+                expand(p, q)
+
+    def test_a_long_run_is_refused_before_it_is_written(self):
+        # -(10^12 + 1)/10^12 = -[1; 10^12]: one entry, then a run of 10^12 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConditionViolation, match="more than 3000 entries"):
+                neg_cf_expand(Fraction(-(10**12 + 1), 10**12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
